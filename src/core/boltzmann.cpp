@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "linalg/simd/simd.hpp"
 
 namespace megh {
 
@@ -29,8 +28,10 @@ void BoltzmannSelector::weights(std::span<const double> q_values,
   // weight 0 — unselectable — instead of poisoning every weight with NaN:
   // exp(-(NaN - min)) or a NaN min_q would otherwise spread through the
   // whole draw. The min is therefore taken over finite entries only.
-  const simd::Ops& ops = simd::ops();
-  const double min_q = ops.min_finite(q_values.data(), q_values.size());
+  double min_q = std::numeric_limits<double>::infinity();
+  for (const double q : q_values) {
+    if (std::isfinite(q) && q < min_q) min_q = q;
+  }
   if (!std::isfinite(min_q)) {  // no finite Q at all
     out.assign(q_values.size(), 0.0);
     return;
@@ -40,7 +41,10 @@ void BoltzmannSelector::weights(std::span<const double> q_values,
   // to 0 (greedy behaviour), which is the intended limit.
   const double temp = std::max(temp_, 1e-12);
   out.resize(q_values.size());
-  ops.exp_weights(q_values.data(), q_values.size(), min_q, temp, out.data());
+  for (std::size_t k = 0; k < q_values.size(); ++k) {
+    const double q = q_values[k];
+    out[k] = std::isfinite(q) ? std::exp(-(q - min_q) / temp) : 0.0;
+  }
 }
 
 std::size_t BoltzmannSelector::sample(std::span<const double> q_values,

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/prefetch.hpp"
-#include "linalg/simd/simd.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace megh {
@@ -38,7 +37,7 @@ LspiLearner::LspiLearner(std::int64_t dim, double gamma, double delta,
 void LspiLearner::slot_add(double& slot, std::size_t& nnz, double v) {
   const bool was_nonzero = slot != 0.0;
   double next = slot + v;
-  if (std::abs(next) < SparseVector::kZeroTolerance) next = 0.0;
+  if (std::abs(next) < kZeroTolerance) next = 0.0;
   if (was_nonzero && next == 0.0) --nnz;
   if (!was_nonzero && next != 0.0) ++nnz;
   slot = next;
@@ -48,24 +47,8 @@ void LspiLearner::theta_axpy(double coef, const SparseVector& sparse) {
   if (coef == 0.0) return;
   const std::span<const std::int64_t> idx = sparse.indices();
   const std::span<const double> val = sparse.values();
-  // The kernel applies the run of already-materialized slots (its vector
-  // variants gather the map entries four/eight at a time so the random
-  // misses overlap) and stops at the first virgin slot, which only this
-  // class can materialize; re-enter after each materialization. Updates
-  // land in index order either way — bit-identical to the plain loop.
-  const simd::Ops& ops = simd::ops();
-  std::size_t k = 0;
-  while (k < idx.size()) {
-    const simd::SlotAxpyResult r = ops.slot_theta_axpy(
-        idx.data() + k, val.data() + k, idx.size() - k, coef,
-        slot_of_.data(), reinterpret_cast<double*>(slots_.data()));
-    theta_nnz_ = static_cast<std::size_t>(
-        static_cast<std::int64_t>(theta_nnz_) + r.nnz_delta);
-    k += r.processed;
-    if (k < idx.size()) {
-      slot_add(slot(idx[k]).theta, theta_nnz_, coef * val[k]);
-      ++k;
-    }
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    slot_add(slot(idx[k]).theta, theta_nnz_, coef * val[k]);
   }
 }
 
@@ -169,7 +152,7 @@ bool LspiLearner::update_fused(std::int64_t a, double cost, std::int64_t b,
   double diag_a = 0.0;
   if (fast_path_ok_ && !force_general_ && row_b.nnz() <= 1 &&
       B_.diagonal_only(a, &diag_a) &&
-      std::abs(diag_a) >= SparseVector::kZeroTolerance) {
+      std::abs(diag_a) >= kZeroTolerance) {
     return update_fused_diagonal(a, cost, b, row_b, diag_a);
   }
 
@@ -197,12 +180,13 @@ bool LspiLearner::update_fused(std::int64_t a, double cost, std::int64_t b,
     return false;
   }
   // w·z streams w's sorted support against the accumulator slots (virgin
-  // map entries read as zero without materializing); the vector variants
-  // gather the map entries and z payloads in parallel.
-  const double wz = simd::ops().slot_gather_dot(
-      w_scratch_.indices().data(), w_scratch_.values().data(),
-      w_scratch_.nnz(), slot_of_.data(),
-      reinterpret_cast<const double*>(slots_.data()));
+  // slots read as zero without materializing), in ascending index order.
+  const std::span<const std::int64_t> w_idx = w_scratch_.indices();
+  const std::span<const double> w_val = w_scratch_.values();
+  double wz = 0.0;
+  for (std::size_t k = 0; k < w_idx.size(); ++k) {
+    wz += w_val[k] * slot_z(w_idx[k]);
+  }
   theta_axpy(cost - wz / denom, u_scratch_);
 
   // B ← B − u wᵀ / denom. The rank-1 touches exactly the rows in supp(u);
@@ -242,13 +226,13 @@ bool LspiLearner::update_fused_diagonal(std::int64_t a, double cost,
   }
   if (have_b && ib == a) {
     const double nv = diag_a + -gamma_ * vb;
-    if (std::abs(nv) >= SparseVector::kZeroTolerance) {
+    if (std::abs(nv) >= kZeroTolerance) {
       w[wn++] = SparseMatrix::Entry{a, nv};
     }
   } else {
     if (have_b) {
       const double nv = -gamma_ * vb;
-      if (std::abs(nv) >= SparseVector::kZeroTolerance) {
+      if (std::abs(nv) >= kZeroTolerance) {
         vb = nv;
       } else {
         have_b = false;
@@ -274,13 +258,9 @@ bool LspiLearner::update_fused_diagonal(std::int64_t a, double cost,
     return false;
   }
 
-  // w·z in ascending index order — the slot_gather_dot contract.
+  // w·z in ascending index order, as in the general path.
   double wz = 0.0;
-  for (std::size_t k = 0; k < wn; ++k) {
-    const std::int32_t s = slot_of_[static_cast<std::size_t>(w[k].col)];
-    const double z = s != 0 ? slots_[static_cast<std::size_t>(s - 1)].z : 0.0;
-    wz += w[k].val * z;
-  }
+  for (std::size_t k = 0; k < wn; ++k) wz += w[k].val * slot_z(w[k].col);
   const double coef = cost - wz / denom;
   if (coef != 0.0) slot_add(slot(a).theta, theta_nnz_, coef * diag_a);
 
@@ -301,12 +281,9 @@ void LspiLearner::q_values(std::span<const std::int64_t> actions,
                            std::span<double> out) const {
   MEGH_ASSERT(actions.size() == out.size(),
               "q_values: output span size mismatch");
-  for (const std::int64_t a : actions) {
-    MEGH_ASSERT(a >= 0 && a < dim_, "q_values: action index out of range");
+  for (std::size_t k = 0; k < actions.size(); ++k) {
+    out[k] = q_value(actions[k]);
   }
-  simd::ops().slot_gather(actions.data(), actions.size(), slot_of_.data(),
-                          reinterpret_cast<const double*>(slots_.data()),
-                          out.data());
 }
 
 void LspiLearner::update_batch(std::span<const std::int64_t> actions,

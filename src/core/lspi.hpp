@@ -83,9 +83,8 @@ class LspiLearner {
     return s != 0 ? slots_[static_cast<std::size_t>(s - 1)].theta : 0.0;
   }
 
-  /// Batched Q lookup: out[k] = q_value(actions[k]). One gather kernel
-  /// call, so the per-candidate slot-map misses overlap instead of
-  /// serializing — the policy scores its whole candidate set this way.
+  /// Batched Q lookup: out[k] = q_value(actions[k]) — the policy scores
+  /// its whole candidate set this way.
   void q_values(std::span<const std::int64_t> actions,
                 std::span<double> out) const;
 
@@ -150,10 +149,6 @@ class LspiLearner {
     double z = 0.0;
     double theta = 0.0;
   };
-  // The SIMD slot kernels address this as interleaved doubles: z at
-  // slots[2s], θ at slots[2s + 1].
-  static_assert(sizeof(Slot) == 2 * sizeof(double),
-                "Slot must stay two packed doubles for the gather kernels");
 
   /// Materialize-on-write slot lookup. May grow the compact slot array —
   /// callers must not hold slot references across a touch of a different
@@ -205,10 +200,10 @@ class LspiLearner {
   Gauge* fill_gauge_;
   SparseMatrix B_;
   // Interleaved z/θ accumulators with exact-zero pruning; *_nnz_ counts
-  // entries with magnitude >= SparseVector::kZeroTolerance. Stored like
-  // B's rows: the only d-sized structure is a lazily-zeroed int32 slot map
-  // (huge-page backed, 0 = virgin), and materialized slots pack densely in
-  // touch order. Creating the d-slot accumulator is O(1) and the live
+  // entries with magnitude >= kZeroTolerance. Stored like B's rows: the
+  // only d-sized structure is a lazily-zeroed int32 slot map (huge-page
+  // backed, 0 = virgin), and materialized slots pack densely in touch
+  // order. Creating the d-slot accumulator is O(1) and the live
   // slots fit in cache while the untouched map reads off the kernel's
   // shared zero page.
   ZeroLazyBuffer<std::int32_t> slot_of_;

@@ -5,9 +5,9 @@
 #include <filesystem>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/stopwatch.hpp"
 #include "common/string_util.hpp"
-#include "harness/parallel.hpp"
 #include "harness/report.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_sink.hpp"

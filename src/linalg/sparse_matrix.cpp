@@ -5,15 +5,7 @@
 #include <cstddef>
 #include <limits>
 
-#include "linalg/simd/simd.hpp"
-
 namespace megh {
-
-static_assert(SparseMatrix::kZeroTolerance == simd::kZeroTolerance,
-              "SIMD kernels must agree with SparseMatrix about zero");
-static_assert(sizeof(SparseMatrix::Entry) == 2 * sizeof(std::int64_t) &&
-                  offsetof(SparseMatrix::Entry, col) == 0,
-              "count_lt_stride2 walks Entry::col at stride 2");
 
 namespace {
 
@@ -315,7 +307,6 @@ void SparseMatrix::merge_into_row(Index r, double coef,
 
   scratch_row_.clear();
   scratch_row_.reserve(row.size() + vidx.size());
-  const simd::Ops& ops = simd::ops();
   std::size_t i = 0, j = 0;
   while (i < row.size() || j < vidx.size()) {
     // Skip v's diagonal entry; the caller folds it into diag_.
@@ -331,14 +322,8 @@ void SparseMatrix::merge_into_row(Index r, double coef,
       break;
     }
     if (i < row.size() && row[i].col < vidx[j]) {
-      // Untouched run of existing entries: block-skip over the strided
-      // col fields, then one bulk copy.
-      const std::size_t run =
-          ops.count_lt_stride2(&row[i].col, row.size() - i, vidx[j]);
-      scratch_row_.insert(
-          scratch_row_.end(), row.begin() + static_cast<std::ptrdiff_t>(i),
-          row.begin() + static_cast<std::ptrdiff_t>(i + run));
-      i += run;
+      scratch_row_.push_back(row[i]);  // untouched existing entry
+      ++i;
     } else if (i < row.size() && row[i].col == vidx[j]) {
       const double nv = row[i].val + coef * vval[j];
       if (std::abs(nv) < kZeroTolerance) {

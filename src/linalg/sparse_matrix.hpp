@@ -42,8 +42,6 @@ class SparseMatrix {
  public:
   using Index = std::int64_t;
 
-  static constexpr double kZeroTolerance = 1e-12;
-
   /// One off-diagonal row entry; rows are sorted by `col`.
   struct Entry {
     Index col;

@@ -3,12 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/simd/simd.hpp"
-
 namespace megh {
-
-static_assert(SparseVector::kZeroTolerance == simd::kZeroTolerance,
-              "SIMD kernels must agree with SparseVector about zero");
 
 std::size_t SparseVector::find(Index i) const {
   // Hot paths touch the tail (ascending builders, z.add on recent actions);
@@ -57,22 +52,21 @@ void SparseVector::add(Index i, double v) {
 
 void SparseVector::axpy(double scale, const SparseVector& other) {
   if (scale == 0.0 || other.empty()) return;
-  const simd::Ops& ops = simd::ops();
   if (empty()) {
     idx_ = other.idx_;
     val_.resize(other.val_.size());
-    ops.scale_copy(val_.data(), other.val_.data(), other.val_.size(), scale);
+    for (std::size_t k = 0; k < val_.size(); ++k) {
+      val_[k] = scale * other.val_[k];
+    }
     // Scaling cannot push a magnitude below tolerance unless |scale| < 1;
     // prune in that case to keep the no-near-zero invariant.
     if (std::abs(scale) < 1.0) prune_zeros();
     return;
   }
-  // Forward merge into scratch, skipping non-overlapping runs in SIMD
-  // blocks (count_lt) and bulk-copying them: our own entries verbatim,
-  // the other side's through scale_copy. Only the exact-match sums need
-  // an inline near-zero check; verbatim runs keep the >= tolerance
-  // invariant, and a |scale| < 1 pass can leave sub-tolerance scaled
-  // copies, pruned at the end exactly like the old backward merge did.
+  // Forward merge into scratch. Only the exact-match sums need an inline
+  // near-zero check; copied entries keep the >= tolerance invariant, and a
+  // |scale| < 1 pass can leave sub-tolerance scaled copies, pruned at the
+  // end.
   const std::size_t n1 = idx_.size();
   const std::size_t n2 = other.idx_.size();
   static thread_local std::vector<Index> merged_idx;
@@ -82,16 +76,12 @@ void SparseVector::axpy(double scale, const SparseVector& other) {
   merged_idx.reserve(n1 + n2);
   merged_val.reserve(n1 + n2);
   std::size_t i = 0, j = 0;
-  while (i < n1 && j < n2) {
-    if (idx_[i] < other.idx_[j]) {
-      const std::size_t run = ops.count_lt(idx_.data() + i, n1 - i,
-                                           other.idx_[j]);
-      merged_idx.insert(merged_idx.end(), idx_.begin() + i,
-                        idx_.begin() + static_cast<std::ptrdiff_t>(i + run));
-      merged_val.insert(merged_val.end(), val_.begin() + i,
-                        val_.begin() + static_cast<std::ptrdiff_t>(i + run));
-      i += run;
-    } else if (idx_[i] == other.idx_[j]) {
+  while (i < n1 || j < n2) {
+    if (j == n2 || (i < n1 && idx_[i] < other.idx_[j])) {
+      merged_idx.push_back(idx_[i]);
+      merged_val.push_back(val_[i]);
+      ++i;
+    } else if (i < n1 && idx_[i] == other.idx_[j]) {
       const double nv = val_[i] + scale * other.val_[j];
       if (std::abs(nv) >= kZeroTolerance) {
         merged_idx.push_back(idx_[i]);
@@ -100,28 +90,10 @@ void SparseVector::axpy(double scale, const SparseVector& other) {
       ++i;
       ++j;
     } else {
-      const std::size_t run = ops.count_lt(other.idx_.data() + j, n2 - j,
-                                           idx_[i]);
-      merged_idx.insert(merged_idx.end(), other.idx_.begin() + j,
-                        other.idx_.begin() +
-                            static_cast<std::ptrdiff_t>(j + run));
-      const std::size_t at = merged_val.size();
-      merged_val.resize(at + run);
-      ops.scale_copy(merged_val.data() + at, other.val_.data() + j, run,
-                     scale);
-      j += run;
+      merged_idx.push_back(other.idx_[j]);
+      merged_val.push_back(scale * other.val_[j]);
+      ++j;
     }
-  }
-  if (i < n1) {
-    merged_idx.insert(merged_idx.end(), idx_.begin() + i, idx_.end());
-    merged_val.insert(merged_val.end(), val_.begin() + i, val_.end());
-  } else if (j < n2) {
-    merged_idx.insert(merged_idx.end(), other.idx_.begin() + j,
-                      other.idx_.end());
-    const std::size_t at = merged_val.size();
-    merged_val.resize(at + (n2 - j));
-    ops.scale_copy(merged_val.data() + at, other.val_.data() + j, n2 - j,
-                   scale);
   }
   // Copy back instead of swapping so the thread-local scratch keeps its
   // high-water capacity and the steady state allocates nothing.
@@ -135,7 +107,7 @@ void SparseVector::scale(double s) {
     clear();
     return;
   }
-  simd::ops().scale_inplace(val_.data(), val_.size(), s);
+  for (double& v : val_) v *= s;
   if (std::abs(s) < 1.0) prune_zeros();
 }
 
@@ -152,19 +124,31 @@ void SparseVector::prune_zeros() {
 }
 
 double SparseVector::dot(const SparseVector& other) const {
-  return simd::ops().sparse_dot(idx_.data(), val_.data(), idx_.size(),
-                                other.idx_.data(), other.val_.data(),
-                                other.idx_.size());
+  // Two-pointer merge; matches accumulate in ascending index order.
+  double sum = 0.0;
+  std::size_t i = 0, j = 0;
+  while (i < idx_.size() && j < other.idx_.size()) {
+    if (idx_[i] == other.idx_[j]) {
+      sum += val_[i] * other.val_[j];
+      ++i;
+      ++j;
+    } else if (idx_[i] < other.idx_[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return sum;
 }
 
 double SparseVector::dot(std::span<const double> dense) const {
-  // Validate up front; the gather kernel has no per-element assert slot.
+  double sum = 0.0;
   for (std::size_t k = 0; k < idx_.size(); ++k) {
-    MEGH_ASSERT(static_cast<std::size_t>(idx_[k]) < dense.size(),
-                "sparse/dense dot dimension mismatch");
+    const auto i = static_cast<std::size_t>(idx_[k]);
+    MEGH_ASSERT(i < dense.size(), "sparse/dense dot dimension mismatch");
+    sum += val_[k] * dense[i];
   }
-  return simd::ops().gather_dot(idx_.data(), val_.data(), idx_.size(),
-                                dense.data());
+  return sum;
 }
 
 std::vector<double> SparseVector::to_dense() const {

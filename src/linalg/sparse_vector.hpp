@@ -21,12 +21,13 @@
 
 namespace megh {
 
+/// Magnitude below which an entry counts as (and is stored as) zero — in
+/// SparseVector, SparseMatrix and the learner's θ/z accumulators alike.
+inline constexpr double kZeroTolerance = 1e-12;
+
 class SparseVector {
  public:
   using Index = std::int64_t;
-
-  /// Magnitude below which an entry counts as (and is stored as) zero.
-  static constexpr double kZeroTolerance = 1e-12;
 
   SparseVector() = default;
   explicit SparseVector(Index dim) : dim_(dim) {

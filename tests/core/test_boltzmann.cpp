@@ -67,10 +67,11 @@ TEST(BoltzmannTest, NonFiniteQValuesAreUnselectable) {
   BoltzmannSelector sel(1.0, 0.0);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  const std::vector<double> q{nan, 0.5, inf, 1.0};
+  const std::vector<double> q{nan, 0.5, inf, 1.0, -inf};
   const auto w = sel.weights(q);
   EXPECT_EQ(w[0], 0.0);
   EXPECT_EQ(w[2], 0.0);
+  EXPECT_EQ(w[4], 0.0);  // -inf is not a minimum either
   EXPECT_DOUBLE_EQ(w[1], 1.0);  // finite minimum still gets weight 1
   EXPECT_GT(w[3], 0.0);
   Rng rng(6);
@@ -84,12 +85,15 @@ TEST(BoltzmannTest, NonFiniteQValuesAreUnselectable) {
 TEST(BoltzmannTest, AllNonFiniteQFallsBackToFirstAction) {
   BoltzmannSelector sel(1.0, 0.0);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<double> q{nan, nan};
-  const auto w = sel.weights(q);
-  EXPECT_EQ(w[0], 0.0);
-  EXPECT_EQ(w[1], 0.0);
-  Rng rng(6);
-  EXPECT_EQ(sel.sample(q, rng), 0u);  // greedy fallback, index 0
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& q :
+       {std::vector<double>{nan, nan}, std::vector<double>{inf, -inf, nan}}) {
+    const auto w = sel.weights(q);
+    ASSERT_EQ(w.size(), q.size());
+    for (const double x : w) EXPECT_EQ(x, 0.0);
+    Rng rng(6);
+    EXPECT_EQ(sel.sample(q, rng), 0u);  // greedy fallback, index 0
+  }
 }
 
 TEST(BoltzmannTest, FullyDecayedTemperatureWeightsAreGreedyIndicator) {

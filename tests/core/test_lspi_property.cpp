@@ -126,6 +126,37 @@ TEST(LspiPropertyTest, SingularDenominatorSkipsRankOneButFoldsCost) {
   EXPECT_NEAR(learner.z().get(a), 3.0, kTol);
 }
 
+TEST(LspiPropertyTest, ThetaAxpyPrunesBelowToleranceAndCountsNnz) {
+  // The singular setup above with one more entry in column a, so that
+  // θ' = θ + C·u with u = {a: 1, c: 2, b: 4}. θ is restored so that the
+  // update cancels θ[a] exactly and leaves θ[b] at ~5e-13 (both prune to
+  // exact zero), materializes the virgin slot c, and leaves θ[7] alone.
+  const std::int64_t dim = 8;
+  const std::int64_t a = 2, c = 3, b = 5;
+  const double cost = 3.0;
+  LspiLearner learner(dim, 0.5);
+  SparseMatrix B(dim, 1.0 / static_cast<double>(dim));
+  B.set(a, a, 1.0);
+  B.set(c, a, 2.0);
+  B.set(b, a, 4.0);
+  SparseVector theta(dim);
+  theta.push_back(a, -cost);
+  theta.push_back(b, -4.0 * cost + 5e-13);
+  theta.push_back(7, 1.0);
+  learner.restore(std::move(B), SparseVector(dim), std::move(theta));
+  ASSERT_EQ(learner.theta_nnz(), 3u);
+
+  learner.update(a, cost, b);
+
+  ASSERT_EQ(learner.singular_skips(), 1);
+  EXPECT_EQ(learner.q_value(a), 0.0);
+  EXPECT_EQ(learner.q_value(b), 0.0);
+  EXPECT_EQ(learner.q_value(c), 2.0 * cost);
+  EXPECT_EQ(learner.q_value(7), 1.0);
+  EXPECT_EQ(learner.theta_nnz(), 2u);
+  EXPECT_EQ(learner.qtable_nnz(), 2u + learner.B().offdiag_nnz());
+}
+
 TEST(LspiPropertyTest, TruncatedFactorsMatchDenseReplay) {
   // With max_update_support set, the learner clips each Sherman–Morrison
   // factor to its largest-magnitude entries (always keeping a and b).
@@ -139,7 +170,7 @@ TEST(LspiPropertyTest, TruncatedFactorsMatchDenseReplay) {
   // off-diagonal, θ/z slots); the replay must mirror that, or a pruned
   // 1e-12 entry eventually flips a near-tied truncation set and the
   // trajectories diverge macroscopically.
-  constexpr double kPrune = SparseVector::kZeroTolerance;
+  constexpr double kPrune = kZeroTolerance;
   const auto snap = [](double& x) {
     if (std::abs(x) < kPrune) x = 0.0;
   };
@@ -303,11 +334,11 @@ void expect_bitwise_twin(const LspiLearner& fast, const LspiLearner& general) {
 
 // The diagonal fast path (update_fused_diagonal) must be bit-identical to
 // the general merge kernel — same θ, z, B, counters and row
-// materialization — across three regimes: δ large enough that B stays
+// materialization — across these regimes: δ large enough that B stays
 // exactly diagonal forever (every update takes the fast path, as in the
 // full-scale simulation), δ small so fill-in appears at once (the fast
 // path fires only until a row gains structure, then hands over
-// mid-stream), and a truncating learner where both paths interleave.
+// mid-stream), and truncating learners where both paths interleave.
 TEST(LspiPropertyTest, DiagonalFastPathMatchesGeneralPathBitwise) {
   struct Regime {
     double delta;
@@ -319,6 +350,7 @@ TEST(LspiPropertyTest, DiagonalFastPathMatchesGeneralPathBitwise) {
       {50.0, 0.9, 0},   // dense-ish fill-in: general path takes over
       {50.0, 0.5, 3},   // truncating learner, mixed paths
       {2.0e6, 0.0, 0},  // γ = 0: w reduces to row a alone
+      {1.0, 0.5, 4},    // B = I: heavy fill-in under the truncation schedule
   };
   const std::int64_t dim = 48;
   for (const Regime& regime : regimes) {
@@ -344,6 +376,10 @@ TEST(LspiPropertyTest, DiagonalFastPathMatchesGeneralPathBitwise) {
         general.update_batch(actions, cost, b);
       }
       expect_bitwise_twin(fast, general);
+      if (regime.max_update_support > 0) {
+        EXPECT_GT(fast.truncations(), 0)
+            << "schedule must exercise the truncation path";
+      }
       if (regime.delta > 1.0e6) {
         // Confirms the regime really is the pruned steady state, i.e. the
         // fast path was eligible on every single update.

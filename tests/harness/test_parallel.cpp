@@ -1,4 +1,4 @@
-#include "harness/parallel.hpp"
+#include "common/parallel.hpp"
 
 #include <gtest/gtest.h>
 

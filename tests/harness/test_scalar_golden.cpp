@@ -1,9 +1,9 @@
-// Reproducibility pin for the SIMD dispatch layer: with the kernels forced
-// to the scalar table, a fig2 smoke run must reproduce the decision CSVs
-// committed before the dispatch layer existed, bit for bit. The per-step
-// exec_ms column is wall-clock and exempt; every other column is compared
-// as exact text. This is what makes `MEGH_SIMD=scalar` a real escape
-// hatch: not "close to" the pre-SIMD tree, but equal to it.
+// Reproducibility pin for the learner kernels: a fig2 smoke run must
+// reproduce the committed decision CSVs bit for bit. The kernels have one
+// scalar path with a fixed operation order and libm exp, so these goldens
+// pin decisions on every host, whatever vector extensions its CPU has. The
+// per-step exec_ms column is wall-clock and exempt; every other column is
+// compared as exact text.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,7 +17,6 @@
 #include "core/megh_policy.hpp"
 #include "harness/experiment_engine.hpp"
 #include "harness/experiment_spec.hpp"
-#include "linalg/simd/simd.hpp"
 
 namespace megh {
 namespace {
@@ -30,7 +29,7 @@ ExperimentSpec golden_fig2_spec() {
   spec.name = "scalar_golden_fig2";
   spec.paper_ref = "Figure 2";
   spec.title = "scalar-golden fig2 reproduction";
-  spec.paper_claim = "forced-scalar dispatch reproduces pre-SIMD decisions";
+  spec.paper_claim = "decisions reproduce the committed goldens exactly";
   spec.params = {
       {"hosts", 24, 24, 24, "PM count"},
       {"vms", 36, 36, 36, "VM count"},
@@ -103,7 +102,6 @@ TEST(ScalarGolden, ForcedScalarFig2DecisionsAreBitIdentical) {
   const std::string prev_value = prev ? prev : "";
   ASSERT_EQ(0, setenv("MEGH_BENCH_OUT", out_dir.c_str(), 1));
 
-  simd::set_isa_for_tests(simd::Isa::kScalar);
   EngineConfig config;
   config.scale = Scale::kSmoke;
   config.seed = 42;
@@ -111,7 +109,6 @@ TEST(ScalarGolden, ForcedScalarFig2DecisionsAreBitIdentical) {
   config.quiet = true;
   const ExperimentOutput output =
       run_experiment_spec(golden_fig2_spec(), config);
-  simd::reset_isa();
 
   if (prev) {
     setenv("MEGH_BENCH_OUT", prev_value.c_str(), 1);

@@ -86,6 +86,28 @@ TEST(SparseKernelProperty, Rank1UpdateSequenceMatchesDense) {
   }
 }
 
+TEST(SparseKernelProperty, Rank1RowMergeAtEveryBoundary) {
+  // Row 1 holds off-diagonal entries at columns {3, 5, 7}; each update
+  // merges v = {k, last} into it for every k, so the run of untouched row
+  // entries ends before, on, between and past the end of the row.
+  const std::int64_t dim = 10;
+  for (std::int64_t k = 0; k < dim; ++k) {
+    SparseMatrix sparse(dim, 0.5);
+    for (const std::int64_t c : {3, 5, 7}) {
+      sparse.set(1, c, static_cast<double>(c));
+    }
+    DenseMatrix dense = sparse.to_dense();
+    SparseVector u(dim);
+    u.push_back(1, 1.0);
+    SparseVector v(dim);
+    v.push_back(k, 0.25);
+    if (k < dim - 1) v.push_back(dim - 1, -0.5);
+    sparse.rank1_update(u, v, 2.0);
+    dense.rank1_update(u.to_dense(), v.to_dense(), 2.0);
+    expect_matches_dense(sparse, dense);
+  }
+}
+
 TEST(SparseKernelProperty, MultiplyMatchesDense) {
   const std::int64_t dim = 48;
   Rng rng(11);

@@ -43,6 +43,35 @@ TEST(SparseVectorTest, AxpyMergesSupports) {
   EXPECT_EQ(a.nnz(), 3u);
 }
 
+TEST(SparseVectorTest, MergesAgreeWithDenseAtEveryBoundary) {
+  // One side's support is {2, 4, 6, 8}; the other side's single key walks
+  // every position — before, on, between and past the end of it — so each
+  // merge run ends at every possible bound.
+  const std::int64_t dim = 12;
+  SparseVector base(dim);
+  for (const std::int64_t i : {2, 4, 6, 8}) {
+    base.push_back(i, static_cast<double>(i));
+  }
+  for (std::int64_t k = 0; k < dim; ++k) {
+    SparseVector probe(dim);
+    probe.push_back(k, 0.5);
+    EXPECT_EQ(base.dot(probe), base.get(k) * 0.5) << "k=" << k;
+    EXPECT_EQ(probe.dot(base), base.dot(probe)) << "k=" << k;
+
+    SparseVector sum = base;
+    sum.axpy(2.0, probe);
+    SparseVector rev = probe;
+    rev.axpy(1.0, base);
+    for (std::int64_t i = 0; i < dim; ++i) {
+      EXPECT_EQ(sum.get(i), base.get(i) + (i == k ? 1.0 : 0.0))
+          << "k=" << k << " i=" << i;
+      EXPECT_EQ(rev.get(i), base.get(i) + (i == k ? 0.5 : 0.0))
+          << "k=" << k << " i=" << i;
+    }
+    EXPECT_EQ(sum.nnz(), base.nnz() + (base.get(k) == 0.0 ? 1u : 0u));
+  }
+}
+
 TEST(SparseVectorTest, DotSparseSparse) {
   SparseVector a(6), b(6);
   a.set(1, 2.0);
