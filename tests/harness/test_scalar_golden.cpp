@@ -1,9 +1,14 @@
-// Reproducibility pin for the learner kernels: a fig2 smoke run must
-// reproduce the committed decision CSVs bit for bit. The kernels have one
-// scalar path with a fixed operation order and libm exp, so these goldens
-// pin decisions on every host, whatever vector extensions its CPU has. The
-// per-step exec_ms column is wall-clock and exempt; every other column is
-// compared as exact text.
+// Reproducibility pin for the learner kernels and the candidate scans: fig2
+// smoke runs must reproduce the committed decision CSVs bit for bit. The
+// kernels have one scalar path with a fixed operation order and libm exp,
+// so these goldens pin decisions on every host, whatever vector extensions
+// its CPU has. The per-step exec_ms column is wall-clock and exempt; every
+// other column is compared as exact text.
+//
+// Two scales: the 24 × 36 fig2 run has d = 864 ≤ full_enumeration_limit,
+// so Megh enumerates every action there; the 100 × 130 run (d = 13000)
+// takes the sampled path — source selection, the PABFD and packing
+// targets and the random probes of generate_candidates.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -21,26 +26,29 @@
 namespace megh {
 namespace {
 
-/// The fig2 configuration the goldens were recorded at (the bench spec's
-/// smoke scale). Pinned here independently of the live bench spec: the
-/// goldens belong to *this* scenario, whatever the bench later scales to.
-ExperimentSpec golden_fig2_spec() {
+/// A fig2 configuration the goldens were recorded at. Pinned here
+/// independently of the live bench spec: the goldens belong to *these*
+/// scenarios, whatever the bench later scales to. `with_thr` adds the
+/// THR-MMT cell next to Megh.
+ExperimentSpec golden_fig2_spec(const std::string& series, int hosts, int vms,
+                                bool with_thr) {
   ExperimentSpec spec;
-  spec.name = "scalar_golden_fig2";
+  spec.name = "scalar_golden_" + series;
   spec.paper_ref = "Figure 2";
   spec.title = "scalar-golden fig2 reproduction";
   spec.paper_claim = "decisions reproduce the committed goldens exactly";
+  const double h = hosts, v = vms;
   spec.params = {
-      {"hosts", 24, 24, 24, "PM count"},
-      {"vms", 36, 36, 36, "VM count"},
+      {"hosts", h, h, h, "PM count"},
+      {"vms", v, v, v, "VM count"},
       {"steps", 60, 60, 60, "5-minute steps"},
   };
-  spec.plan = [](const ScaleValues& scale, std::uint64_t seed) {
+  spec.plan = [with_thr](const ScaleValues& scale, std::uint64_t seed) {
     ExperimentPlan plan;
     plan.scenarios.push_back(make_planetlab_scenario(
         scale.get_int("hosts"), scale.get_int("vms"), scale.get_int("steps"),
         seed));
-    {
+    if (with_thr) {
       CellSpec thr;
       thr.label = "THR-MMT";
       thr.rng_stream = seed;
@@ -61,7 +69,7 @@ ExperimentSpec golden_fig2_spec() {
     }
     return plan;
   };
-  spec.report.series_csv = "fig2";
+  spec.report.series_csv = series;
   return spec;
 }
 
@@ -89,11 +97,14 @@ std::string without_column(const std::string& line, std::size_t drop) {
   return out;
 }
 
-TEST(ScalarGolden, ForcedScalarFig2DecisionsAreBitIdentical) {
+/// Run `spec` at seed 42, jobs 1, and compare each named series CSV with
+/// its committed golden, exec_ms excluded.
+void expect_matches_goldens(const ExperimentSpec& spec,
+                            const std::vector<std::string>& names) {
   const std::filesystem::path golden_dir =
       std::filesystem::path(MEGH_TEST_DATA_DIR) / "scalar_golden";
   const std::filesystem::path out_dir =
-      std::filesystem::path(::testing::TempDir()) / "scalar_golden_out";
+      std::filesystem::path(::testing::TempDir()) / spec.name;
   std::filesystem::create_directories(out_dir);
 
   // The series writer targets bench_output_dir(); point it at the sandbox
@@ -107,8 +118,7 @@ TEST(ScalarGolden, ForcedScalarFig2DecisionsAreBitIdentical) {
   config.seed = 42;
   config.jobs = 1;
   config.quiet = true;
-  const ExperimentOutput output =
-      run_experiment_spec(golden_fig2_spec(), config);
+  const ExperimentOutput output = run_experiment_spec(spec, config);
 
   if (prev) {
     setenv("MEGH_BENCH_OUT", prev_value.c_str(), 1);
@@ -116,8 +126,8 @@ TEST(ScalarGolden, ForcedScalarFig2DecisionsAreBitIdentical) {
     unsetenv("MEGH_BENCH_OUT");
   }
 
-  ASSERT_EQ(2u, output.cells.size());
-  for (const char* name : {"fig2_Megh.csv", "fig2_THR-MMT.csv"}) {
+  ASSERT_EQ(names.size(), output.cells.size());
+  for (const std::string& name : names) {
     const std::vector<std::string> got = read_lines(out_dir / name);
     const std::vector<std::string> want = read_lines(golden_dir / name);
     ASSERT_FALSE(want.empty()) << name;
@@ -141,6 +151,19 @@ TEST(ScalarGolden, ForcedScalarFig2DecisionsAreBitIdentical) {
           << name << " line " << i + 1;
     }
   }
+}
+
+TEST(ScalarGolden, ForcedScalarFig2DecisionsAreBitIdentical) {
+  expect_matches_goldens(golden_fig2_spec("fig2", 24, 36, /*with_thr=*/true),
+                         {"fig2_Megh.csv", "fig2_THR-MMT.csv"});
+}
+
+TEST(ScalarGolden, SampledCandidatesFig2DecisionsAreBitIdentical) {
+  // d = 100 × 130 = 13000 > full_enumeration_limit: every Megh step builds
+  // its candidate set on the sampled path.
+  expect_matches_goldens(
+      golden_fig2_spec("fig2_sampled", 100, 130, /*with_thr=*/false),
+      {"fig2_sampled_Megh.csv"});
 }
 
 }  // namespace
