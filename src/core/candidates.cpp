@@ -211,6 +211,7 @@ void generate_candidates(const Datacenter& dc,
     scratch.sources.reserve(max_sources);
     scratch.overloaded_hosts.reserve(hosts);
     scratch.active_hosts.reserve(hosts);
+    scratch.active_by_id.reserve(hosts);
   }
   if (++scratch.epoch == 0) {  // wrapped: stale stamps could alias
     std::fill(scratch.vm_epoch.begin(), scratch.vm_epoch.end(), 0u);
@@ -237,15 +238,20 @@ void generate_candidates(const Datacenter& dc,
     }
   };
 
+  // Both host sorts below are total orders — utilization, then host id —
+  // so tied hosts land in the same order under every std::sort.
+  const auto util_of = [&](int h) {
+    return host_util[static_cast<std::size_t>(h)];
+  };
+
   // 1. VMs on overloaded hosts, most-overloaded hosts first.
   auto& overloaded = scratch.overloaded_hosts;
   overloaded.clear();
   for (int h = host_lo; h < host_hi; ++h) {
-    if (host_util[static_cast<std::size_t>(h)] > beta) overloaded.push_back(h);
+    if (util_of(h) > beta) overloaded.push_back(h);
   }
   std::sort(overloaded.begin(), overloaded.end(), [&](int a, int b) {
-    return host_util[static_cast<std::size_t>(a)] >
-           host_util[static_cast<std::size_t>(b)];
+    return util_of(a) > util_of(b) || (util_of(a) == util_of(b) && a < b);
   });
   for (int h : overloaded) {
     for (int vm : dc.vms_on(h)) {
@@ -255,15 +261,18 @@ void generate_candidates(const Datacenter& dc,
     }
   }
 
-  // 2. Consolidation: VMs on the least-utilized active hosts.
-  auto& active_hosts = scratch.active_hosts;
-  active_hosts.clear();
+  // 2. Consolidation: VMs on the least-utilized active hosts. The id-order
+  // copy is kept for the PABFD scan; the sorted list also serves the
+  // packing walk.
+  auto& active_by_id = scratch.active_by_id;
+  active_by_id.clear();
   for (int h = host_lo; h < host_hi; ++h) {
-    if (dc.is_active(h)) active_hosts.push_back(h);
+    if (dc.is_active(h)) active_by_id.push_back(h);
   }
+  auto& active_hosts = scratch.active_hosts;
+  active_hosts.assign(active_by_id.begin(), active_by_id.end());
   std::sort(active_hosts.begin(), active_hosts.end(), [&](int a, int b) {
-    return host_util[static_cast<std::size_t>(a)] <
-           host_util[static_cast<std::size_t>(b)];
+    return util_of(a) < util_of(b) || (util_of(a) == util_of(b) && a < b);
   });
   int consolidation_added = 0;
   for (int h : active_hosts) {
@@ -289,9 +298,9 @@ void generate_candidates(const Datacenter& dc,
   }
 
   // --- resolve the shard plan (single code path, sharded or not) ---
-  // The batched scans below always run per shard and merge in shard order;
-  // with no executor the whole fleet is one shard, which makes the merged
-  // result trivially the serial fold. One implementation, no drift.
+  // The batched PABFD scan below always runs per shard and merges in shard
+  // order; with no executor the whole fleet is one shard, which makes the
+  // merged result trivially the serial fold. One implementation, no drift.
   // Domain calls never fan out: they already execute inside one of the
   // executor's shard workers (the pool is not re-entrant), and their single
   // shard is the domain itself. Shard bounds are relative to host_lo.
@@ -362,14 +371,15 @@ void generate_candidates(const Datacenter& dc,
         host_util[static_cast<std::size_t>(h)] * capacity + vm_mips;
     return post <= ceiling * capacity + 1e-9;
   };
-  // --- batched per-(shard, source) PABFD + packing scans ---
-  // The per-host scans are the step's O(sources × hosts) core. Both are
-  // RNG-free strict-preference folds (PABFD: prefer active, then smaller
-  // power increase, first host wins ties; packing: strictly busiest
-  // feasible host, first wins), so each shard can fold its contiguous host
-  // range independently and a serial merge in shard order reproduces the
-  // full-range fold bit-for-bit. PABFD arithmetic matches the original
-  // per-source implementation exactly; only watts(before) is hoisted.
+  // --- batched per-(shard, source) PABFD scan ---
+  // PABFD is a strict-preference fold over ascending hosts: any feasible
+  // active host beats every sleeping one, then smaller power increase, and
+  // the first host wins ties. So it folds the active hosts alone and reads
+  // the sleeping ones only when no active host fits. Each shard folds the
+  // active hosts of its contiguous range, and a serial merge in shard order
+  // reproduces the full-range fold bit-for-bit. PABFD arithmetic matches
+  // the original per-source implementation exactly; only watts(before) is
+  // hoisted.
   const std::size_t nsrc = sources.size();
   scratch.src_current.resize(nsrc);
   scratch.src_ram.resize(nsrc);
@@ -381,66 +391,39 @@ void generate_candidates(const Datacenter& dc,
     scratch.src_mips[k] = dc.vm_demand_mips(vm);
   }
   using ScanPartial = CandidateScratch::ScanPartial;
+  // Fold host h into source k's PABFD partial (skipped when infeasible).
+  const auto pabfd_step = [&](ScanPartial& p, std::size_t k, int h) {
+    if (h == scratch.src_current[k]) return;
+    const std::size_t i = static_cast<std::size_t>(h - host_lo);
+    if (!fits_fast(h, scratch.src_ram[k])) return;
+    const double capacity = scratch.host_capacity[i];
+    const double after = util_of(h) + scratch.src_mips[k] / capacity;
+    if (after > config.target_util_ceiling + 1e-9) return;
+    const double increase =
+        scratch.host_power[i]->watts(std::min(1.0, after)) -
+        scratch.host_base_watts[i];
+    if (p.host < 0 || increase < p.increase) {
+      p.host = h;
+      p.increase = increase;
+    }
+  };
   scratch.scan_partials.resize(static_cast<std::size_t>(num_shards) * nsrc);
   const auto scan_shard = [&](int shard) {
     // Shard bounds are relative to host_lo (fleet plans have host_lo == 0,
     // so this is the historical global range there).
-    const int begin = host_lo + plan->shard_begin(shard);
-    const int end = host_lo + plan->shard_end(shard);
+    const auto first = std::lower_bound(
+        active_by_id.begin(), active_by_id.end(),
+        host_lo + plan->shard_begin(shard));
+    const auto last = std::lower_bound(first, active_by_id.end(),
+                                       host_lo + plan->shard_end(shard));
     ScanPartial* partials =
         scratch.scan_partials.data() +
         static_cast<std::size_t>(shard) * nsrc;
     for (std::size_t k = 0; k < nsrc; ++k) {
       ScanPartial p;
-      const int current = scratch.src_current[k];
-      const double vm_ram = scratch.src_ram[k];
-      const double vm_mips = scratch.src_mips[k];
-      // PABFD fold — skipped for consolidation sources (packing-only menu).
+      // Consolidation sources get a packing-only menu: no PABFD target.
       if (sources[k].second != CandidateGroup::kConsolidation) {
-        double best_increase = std::numeric_limits<double>::infinity();
-        for (int h = begin; h < end; ++h) {
-          if (h == current) continue;
-          const std::size_t i = static_cast<std::size_t>(h - host_lo);
-          if (!fits_fast(h, vm_ram)) continue;
-          const double capacity = scratch.host_capacity[i];
-          const double after =
-              host_util[static_cast<std::size_t>(h)] + vm_mips / capacity;
-          if (after > config.target_util_ceiling + 1e-9) continue;
-          const bool active = scratch.host_active[i] != 0;
-          // No side effects in the skipped work, so the early-out cannot
-          // change the fold's winner.
-          if (p.pabfd >= 0 && p.pabfd_active && !active) continue;
-          const double increase = scratch.host_power[i]->watts(
-                                      std::min(1.0, after)) -
-                                  scratch.host_base_watts[i];
-          const bool better = p.pabfd < 0 || (active && !p.pabfd_active) ||
-                              (active == p.pabfd_active &&
-                               increase < best_increase);
-          if (better) {
-            p.pabfd = h;
-            best_increase = increase;
-            p.pabfd_active = active;
-          }
-        }
-        p.pabfd_increase = best_increase;
-      }
-      // Packing fold: busiest active host under the pack ceiling, with an
-      // in-pod variant when a fabric is attached.
-      for (int h = begin; h < end; ++h) {
-        const std::size_t i = static_cast<std::size_t>(h - host_lo);
-        if (h == current || scratch.host_active[i] == 0) continue;
-        const double u = host_util[static_cast<std::size_t>(h)];
-        if (u <= p.pack_local_util && u <= p.pack_util) continue;
-        if (!feasible_fast(h, vm_ram, vm_mips, config.pack_ceiling)) continue;
-        if (u > p.pack_util) {
-          p.pack = h;
-          p.pack_util = u;
-        }
-        if (network != nullptr && u > p.pack_local_util &&
-            network->pod_of(h) == network->pod_of(current)) {
-          p.pack_local = h;
-          p.pack_local_util = u;
-        }
+        for (auto it = first; it != last; ++it) pabfd_step(p, k, *it);
       }
       partials[k] = p;
     }
@@ -451,43 +434,52 @@ void generate_candidates(const Datacenter& dc,
     for (int s = 0; s < num_shards; ++s) scan_shard(s);
   }
 
-  // Serial merge, shard order = ascending host order. Each merge applies
-  // the same strict preference the folds used, so the result equals the
-  // single full-range scan.
+  // Serial merge, shard order = ascending host order, with the fold's own
+  // strict preference; then the sleeping-host fold for any source that no
+  // active host fits.
   scratch.pabfd_choice.resize(nsrc);
-  scratch.pack_choice.resize(nsrc);
   for (std::size_t k = 0; k < nsrc; ++k) {
-    int pabfd = -1;
-    double pabfd_increase = std::numeric_limits<double>::infinity();
-    bool pabfd_active = false;
-    int pack = -1, pack_local = -1;
-    double pack_util = -1.0, pack_local_util = -1.0;
+    ScanPartial best;
     for (int s = 0; s < num_shards; ++s) {
       const ScanPartial& p =
           scratch.scan_partials[static_cast<std::size_t>(s) * nsrc + k];
-      if (p.pabfd >= 0) {
-        const bool better = pabfd < 0 || (p.pabfd_active && !pabfd_active) ||
-                            (p.pabfd_active == pabfd_active &&
-                             p.pabfd_increase < pabfd_increase);
-        if (better) {
-          pabfd = p.pabfd;
-          pabfd_increase = p.pabfd_increase;
-          pabfd_active = p.pabfd_active;
-        }
-      }
-      if (p.pack >= 0 && p.pack_util > pack_util) {
-        pack = p.pack;
-        pack_util = p.pack_util;
-      }
-      if (p.pack_local >= 0 && p.pack_local_util > pack_local_util) {
-        pack_local = p.pack_local;
-        pack_local_util = p.pack_local_util;
+      if (p.host >= 0 && (best.host < 0 || p.increase < best.increase)) {
+        best = p;
       }
     }
-    scratch.pabfd_choice[k] = pabfd;
-    // In-pod packing host preferred (short copy path); global fallback.
-    scratch.pack_choice[k] = pack_local >= 0 ? pack_local : pack;
+    if (best.host < 0 &&
+        sources[k].second != CandidateGroup::kConsolidation) {
+      for (int h = host_lo; h < host_hi; ++h) {
+        if (scratch.host_active[static_cast<std::size_t>(h - host_lo)] == 0) {
+          pabfd_step(best, k, h);
+        }
+      }
+    }
+    scratch.pabfd_choice[k] = best.host;
   }
+
+  // Packing target for source k: the busiest active host other than its
+  // own that fits under pack_ceiling, restricted to `pod` when pod >= 0.
+  // active_hosts is sorted by (utilization, id), so the walk starts at the
+  // busiest end and, inside a run of equal utilization, keeps going so the
+  // lowest id wins — the winner of an ascending strict-preference fold.
+  const auto busiest_fit = [&](std::size_t k, int pod) {
+    int pick = -1;
+    double pick_util = 0.0;
+    for (auto it = active_hosts.rbegin(); it != active_hosts.rend(); ++it) {
+      const int h = *it;
+      if (pick >= 0 && util_of(h) < pick_util) break;
+      if (h == scratch.src_current[k]) continue;
+      if (pod >= 0 && network->pod_of(h) != pod) continue;
+      if (!feasible_fast(h, scratch.src_ram[k], scratch.src_mips[k],
+                         config.pack_ceiling)) {
+        continue;
+      }
+      pick = h;
+      pick_util = util_of(h);
+    }
+    return pick;
+  };
 
   // --- targets per source ---
   auto& out = scratch.candidates;
@@ -517,12 +509,12 @@ void generate_candidates(const Datacenter& dc,
       push_candidate(vm, scratch.pabfd_choice[k], current);
     }
 
-    // Packing target: busiest active host that still fits under the pack
-    // ceiling (consolidation move), in-pod preferred when a fabric is
-    // attached — merged from the sharded scan above.
-    if (scratch.pack_choice[k] >= 0) {
-      push_candidate(vm, scratch.pack_choice[k], current);
-    }
+    // Packing target (consolidation move), in-pod preferred when a fabric
+    // is attached (short copy path); global fallback.
+    int pack = network != nullptr ? busiest_fit(k, network->pod_of(current))
+                                  : -1;
+    if (pack < 0) pack = busiest_fit(k, -1);
+    if (pack >= 0) push_candidate(vm, pack, current);
 
     // Random feasible targets (spread moves) — offered for overloaded and
     // exploration sources. Consolidation sources get packing moves only,

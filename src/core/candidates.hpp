@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -123,7 +124,12 @@ struct CandidateScratch {
   std::vector<CandidateAction> candidates;
   std::vector<std::pair<int, CandidateGroup>> sources;
   std::vector<int> overloaded_hosts;
+  /// Active hosts of the call's range sorted by (utilization, id): the
+  /// consolidation sources come from the front, the packing walk starts
+  /// from the back.
   std::vector<int> active_hosts;
+  /// The same hosts in ascending id order, for the PABFD scan.
+  std::vector<int> active_by_id;
   // Per-VM "already a source" stamps: vm_epoch[vm] == epoch ⇔ seen. An
   // epoch bump invalidates all stamps in O(1).
   std::vector<std::uint32_t> vm_epoch;
@@ -140,31 +146,25 @@ struct CandidateScratch {
   std::vector<double> host_base_watts;
   std::vector<const PowerModel*> host_power;
   std::vector<std::uint8_t> host_active;
-  /// One fold state per (shard, source) for the batched PABFD/packing
-  /// scans: each shard folds its contiguous host range for every source,
-  /// and a serial merge in shard order reproduces the full-range fold
-  /// bit-for-bit (both folds are strict-preference argopt with first-wins
-  /// ties — see generate_candidates). Laid out [shard * num_sources + k]
-  /// so a shard writes one contiguous block (no false sharing).
+  /// One PABFD fold state per (shard, source): each shard folds the active
+  /// hosts of its contiguous range for every source, and a serial merge in
+  /// shard order reproduces the full-range fold bit-for-bit (a
+  /// strict-preference argmin with first-wins ties — see
+  /// generate_candidates). Laid out [shard * num_sources + k] so a shard
+  /// writes one contiguous block (no false sharing). The packing target
+  /// needs no partials: it is a walk over the sorted `active_hosts`.
   struct ScanPartial {
-    int pabfd = -1;             // best PABFD target in the shard, -1 = none
-    double pabfd_increase = 0.0;
-    bool pabfd_active = false;
-    int pack = -1;              // busiest feasible packing host in the shard
-    int pack_local = -1;        // same, restricted to the source's pod
-    double pack_util = -1.0;
-    double pack_local_util = -1.0;
+    int host = -1;  // best PABFD target in the shard, -1 = none
+    double increase = std::numeric_limits<double>::infinity();
   };
   std::vector<ScanPartial> scan_partials;
-  // Per-source values hoisted before the sharded scans (shards must not
-  // call back into dc concurrently with each other only for writes; these
-  // are reads, hoisting just keeps the inner loops tight).
+  // Per-source values hoisted before the sharded scan (reads only;
+  // hoisting just keeps the inner loops tight).
   std::vector<int> src_current;
   std::vector<double> src_ram;
   std::vector<double> src_mips;
-  // Per-source merged scan results consumed by the emission loop.
+  // Per-source merged PABFD targets consumed by the emission loop.
   std::vector<int> pabfd_choice;
-  std::vector<int> pack_choice;
   /// Cached single-shard plan for unsharded callers (exec == nullptr), so
   /// their steady-state calls stay allocation-free too.
   std::optional<ShardPlan> fallback_plan;
@@ -175,12 +175,13 @@ struct CandidateScratch {
 /// threshold. Always produces at least the no-op candidates for the
 /// selected source VMs. Steady-state calls are allocation-free.
 ///
-/// `exec` (optional) shards the per-host PABFD/packing scans across the
-/// engine's step executor. The candidate set is bit-identical at any job
-/// count — and to an exec == nullptr call: every scan is an RNG-free
-/// strict-preference fold whose per-shard partials merge exactly, source
-/// selection and the random target probes stay serial in the original
-/// order, so the RNG stream is consumed identically.
+/// `exec` (optional) shards the per-host hoist and the PABFD scan across
+/// the engine's step executor. The candidate set is bit-identical at any
+/// job count — and to an exec == nullptr call: the PABFD scan is an
+/// RNG-free strict-preference fold whose per-shard partials merge exactly,
+/// and source selection, the packing walk and the random target probes
+/// stay serial in the original order, so the RNG stream is consumed
+/// identically.
 ///
 /// `domain` (optional) restricts generation to a sub-fleet (see
 /// CandidateDomain). Domain calls never touch `exec` — they already run
