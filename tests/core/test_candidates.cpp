@@ -139,5 +139,48 @@ TEST(CandidatesTest, TargetsRespectRamFeasibility) {
   }
 }
 
+TEST(CandidateTieOrderTest, TiedHostsOrderByIdForSourcesAndPacking) {
+  // One VM per host (vm i on host i), so source order is host order.
+  // Utilizations are set directly with exact ties: the overloaded pair
+  // {25, 11}, the least-utilized trio {9, 2, 5} and the busiest packable
+  // trio {20, 13, 27}. Both sorts break ties by host id and the packing
+  // walk takes the lowest id among the busiest feasible hosts, so the
+  // result cannot depend on the std::sort implementation.
+  const int hosts = 30;
+  std::vector<VmSpec> specs(hosts, VmSpec{1000.0, 512.0, 100.0});
+  Datacenter dc(standard_host_fleet(hosts), specs);
+  for (int vm = 0; vm < hosts; ++vm) dc.place(vm, vm);
+  dc.set_demands(std::vector<double>(hosts, 0.1));
+  std::vector<double> host_util(hosts, 0.2);
+  for (int h : {25, 11}) host_util[static_cast<std::size_t>(h)] = 0.9;
+  for (int h : {9, 2, 5}) host_util[static_cast<std::size_t>(h)] = 0.1;
+  for (int h : {20, 13, 27}) host_util[static_cast<std::size_t>(h)] = 0.3;
+  for (int h : {4, 17}) host_util[static_cast<std::size_t>(h)] = 0.7;
+  const ActionBasis basis(hosts, hosts);
+  CandidateConfig config;
+  config.full_enumeration_limit = 0;
+  config.max_overloaded_sources = 1;
+  config.consolidation_sources = 3;
+  config.random_sources = 0;
+  Rng rng(1);
+  const auto cands =
+      generate_candidates(dc, host_util, 0.8, basis, config, rng);
+
+  std::vector<int> noop_vms;
+  for (const auto& c : cands) {
+    if (c.is_noop) noop_vms.push_back(c.vm);
+  }
+  EXPECT_EQ(noop_vms, (std::vector<int>{11, 2, 5, 9}));
+  // Consolidation menus are packing-only: the lowest id of the busiest
+  // feasible tie, once per source.
+  int packing_moves = 0;
+  for (const auto& c : cands) {
+    if (c.group != CandidateGroup::kConsolidation || c.is_noop) continue;
+    EXPECT_EQ(c.host, 13) << "vm " << c.vm;
+    ++packing_moves;
+  }
+  EXPECT_EQ(packing_moves, 3);
+}
+
 }  // namespace
 }  // namespace megh
