@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <span>
 
 #include "telemetry/telemetry.hpp"
@@ -346,8 +345,7 @@ void generate_candidates(const Datacenter& dc,
     // cached_pabfd's per-probe baseline, computed once per host instead:
     // active hosts pay watts(before), sleeping hosts their sleep draw.
     scratch.host_base_watts[i] =
-        active ? spec.power.watts(
-                     std::min(1.0, host_util[static_cast<std::size_t>(h)]))
+        active ? spec.power.watts(std::min(1.0, util_of(h)))
                : spec.power.sleep_watts();
   };
   if (fan_out) {
@@ -367,8 +365,7 @@ void generate_candidates(const Datacenter& dc,
     if (!fits_fast(h, vm_ram)) return false;
     const std::size_t i = static_cast<std::size_t>(h - host_lo);
     const double capacity = scratch.host_capacity[i];
-    const double post =
-        host_util[static_cast<std::size_t>(h)] * capacity + vm_mips;
+    const double post = util_of(h) * capacity + vm_mips;
     return post <= ceiling * capacity + 1e-9;
   };
   // --- batched per-(shard, source) PABFD scan ---

@@ -20,11 +20,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -219,12 +221,12 @@ struct Fleet {
 
 /// Scenario knobs, one per fleet: which of the edge cases to force.
 enum class Shape {
-  kRealistic,       // placement-derived utilization, lightly perturbed
-  kTies,            // utilization quantized to a coarse grid
-  kBoundary,        // hosts at pack_ceiling ± 1 ulp and at a source's edge
-  kNoActiveFits,    // every active host too busy: PABFD falls to sleepers
+  kRealistic,         // placement-derived utilization, lightly perturbed
+  kTies,              // utilization quantized to a coarse grid
+  kBoundary,          // hosts at pack_ceiling ± 1 ulp and at a source's edge
+  kNoActiveFits,      // every active host too busy: PABFD falls to sleepers
   kAllTargetsAsleep,  // every VM on one host
-  kOwnHostBusiest,  // the busiest host overloaded and packable
+  kOwnHostBusiest,    // the busiest host overloaded and packable
 };
 
 Fleet make_fleet(std::uint64_t seed, Shape shape) {
@@ -275,7 +277,7 @@ Fleet make_fleet(std::uint64_t seed, Shape shape) {
   std::vector<double> demand(static_cast<std::size_t>(vms));
   for (double& d : demand) d = 0.02 + 0.5 * rng.uniform();
   f.dc->set_demands(demand);
-  f.basis = std::make_unique<ActionBasis>(std::max(vms, 1), hosts);
+  f.basis = std::make_unique<ActionBasis>(vms, hosts);
 
   CandidateConfig& c = f.config;
   c.full_enumeration_limit = 0;  // always the sampled path
@@ -296,12 +298,6 @@ Fleet make_fleet(std::uint64_t seed, Shape shape) {
   for (double& x : u) {
     if (rng.bernoulli(0.3)) x *= 0.5 + rng.uniform();
   }
-  const auto any_active = [&] {
-    for (int h = 0; h < hosts; ++h) {
-      if (f.dc->is_active(h)) return h;
-    }
-    return -1;
-  };
   switch (shape) {
     case Shape::kRealistic:
     case Shape::kAllTargetsAsleep:
@@ -320,27 +316,25 @@ Fleet make_fleet(std::uint64_t seed, Shape shape) {
       // Put hosts exactly on (and 1 ulp either side of) the packing edge of
       // the least-utilized active host's first VM — a consolidation source
       // whenever consolidation_sources > 0.
-      int least = -1;
+      // VM 0 always found room, so its host is active.
+      int least = f.dc->host_of(0);
       for (int h = 0; h < hosts; ++h) {
-        if (f.dc->is_active(h) &&
-            (least < 0 || u[static_cast<std::size_t>(h)] <
-                              u[static_cast<std::size_t>(least)])) {
+        if (f.dc->is_active(h) && u[static_cast<std::size_t>(h)] <
+                                      u[static_cast<std::size_t>(least)]) {
           least = h;
         }
       }
-      if (least >= 0) {
-        const double mips = f.dc->vm_demand_mips(f.dc->vms_on(least)[0]);
-        for (int h = 0; h < hosts; ++h) {
-          if (h == least || !f.dc->is_active(h) || !rng.bernoulli(0.5)) {
-            continue;
-          }
-          const double cap = f.dc->host_spec(h).mips;
-          const double edge = (c.pack_ceiling * cap + 1e-9 - mips) / cap;
-          const double steps[] = {0.0, -1.0, 1.0};
-          const double dir = steps[rng.index(3)];
-          u[static_cast<std::size_t>(h)] =
-              dir == 0.0 ? edge : std::nextafter(edge, dir * 2.0);
+      const double mips = f.dc->vm_demand_mips(f.dc->vms_on(least)[0]);
+      for (int h = 0; h < hosts; ++h) {
+        if (h == least || !f.dc->is_active(h) || !rng.bernoulli(0.5)) {
+          continue;
         }
+        const double cap = f.dc->host_spec(h).mips;
+        const double edge = (c.pack_ceiling * cap + 1e-9 - mips) / cap;
+        const double steps[] = {0.0, -1.0, 1.0};
+        const double dir = steps[rng.index(3)];
+        u[static_cast<std::size_t>(h)] =
+            dir == 0.0 ? edge : std::nextafter(edge, dir * 2.0);
       }
       break;
     }
@@ -351,14 +345,12 @@ Fleet make_fleet(std::uint64_t seed, Shape shape) {
       c.target_util_ceiling = 1.0;
       break;
     case Shape::kOwnHostBusiest: {
-      const int top = any_active();
-      if (top >= 0) {
-        double max_u = 0.0;
-        for (double x : u) max_u = std::max(max_u, x);
-        u[static_cast<std::size_t>(top)] = max_u + 0.05;
-        f.beta = max_u + 0.01;
-        c.pack_ceiling = 1.5;
-      }
+      const int top = f.dc->host_of(0);
+      double max_u = 0.0;
+      for (double x : u) max_u = std::max(max_u, x);
+      u[static_cast<std::size_t>(top)] = max_u + 0.05;
+      f.beta = max_u + 0.01;
+      c.pack_ceiling = 1.5;
       break;
     }
   }
@@ -406,8 +398,8 @@ ShardPlan four_shards(int hosts, Rng& rng) {
 }
 
 TEST(CandidateScanEquivalence, MatchesFullRangeFoldsOnRandomFleets) {
-  const Shape shapes[] = {Shape::kRealistic,     Shape::kTies,
-                          Shape::kBoundary,      Shape::kNoActiveFits,
+  const Shape shapes[] = {Shape::kRealistic,       Shape::kTies,
+                          Shape::kBoundary,        Shape::kNoActiveFits,
                           Shape::kAllTargetsAsleep, Shape::kOwnHostBusiest};
   Coverage cov;
   // One scratch across every call and fleet size: stale per-call state
