@@ -5,6 +5,7 @@
 #include "baselines/simple_policies.hpp"
 #include "sim/placement.hpp"
 #include "sim/simulation.hpp"
+#include "telemetry/telemetry.hpp"
 #include "trace/planetlab_synth.hpp"
 
 namespace megh {
@@ -135,6 +136,23 @@ TEST(MeghPolicyTest, LearnerAccessibleAfterBegin) {
   sim.run(megh, 10);
   EXPECT_EQ(megh.learner().dim(), 30);
   EXPECT_GT(megh.learner().updates(), 0);
+}
+
+TEST(MeghPolicyTest, OnePodShapeIsNTimesM) {
+  // 36 hosts x 40 VMs: N x M = 1440 <= full_enumeration_limit (1500) <
+  // (N + 16) x M = 2016. Flat Megh's learner spans exactly N x M (no slot
+  // headroom), and its candidate set is the full enumeration: more
+  // candidates than the sampled path could emit for all 40 VMs.
+  World w = World::make(36, 40, 2);
+  MeghPolicy megh;
+  Simulation sim(std::move(w.dc), w.trace, SimulationConfig{});
+  sim.run(megh, 1);
+  EXPECT_EQ(megh.learner().dim(), 36 * 40);
+  const double candidates =
+      Telemetry::instance().gauge("megh.candidate_set_size").value();
+  const CandidateConfig defaults;
+  EXPECT_GT(candidates, 40.0 * (defaults.targets_per_source + 3));
+  EXPECT_LE(candidates, 36.0 * 40.0);
 }
 
 TEST(MeghPolicyTest, InvalidConfigRejected) {

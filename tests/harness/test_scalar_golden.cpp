@@ -8,17 +8,23 @@
 // Two scales: the 24 × 36 fig2 run has d = 864 ≤ full_enumeration_limit,
 // so Megh enumerates every action there; the 100 × 130 run (d = 13000)
 // takes the sampled path — source selection, the PABFD and packing
-// targets and the random probes of generate_candidates.
+// targets and the random probes of generate_candidates. Two more 24 × 36
+// variants pin the fault-recovery machinery (masking, retries, burst
+// rollback under a nonzero FaultPlan) and the paper's δ = d critic
+// initialization (delta <= 0).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "baselines/mmt_policy.hpp"
+#include "chaos/fault_plan.hpp"
 #include "core/megh_policy.hpp"
 #include "harness/experiment_engine.hpp"
 #include "harness/experiment_spec.hpp"
@@ -29,9 +35,12 @@ namespace {
 /// A fig2 configuration the goldens were recorded at. Pinned here
 /// independently of the live bench spec: the goldens belong to *these*
 /// scenarios, whatever the bench later scales to. `with_thr` adds the
-/// THR-MMT cell next to Megh.
-ExperimentSpec golden_fig2_spec(const std::string& series, int hosts, int vms,
-                                bool with_thr) {
+/// THR-MMT cell next to Megh; `tune` adjusts the Megh cell's config and an
+/// enabled `faults` config is compiled into a plan for every cell.
+ExperimentSpec golden_fig2_spec(
+    const std::string& series, int hosts, int vms, bool with_thr,
+    std::function<void(MeghConfig&)> tune = nullptr,
+    FaultPlanConfig faults = {}) {
   ExperimentSpec spec;
   spec.name = "scalar_golden_" + series;
   spec.paper_ref = "Figure 2";
@@ -43,28 +52,37 @@ ExperimentSpec golden_fig2_spec(const std::string& series, int hosts, int vms,
       {"vms", v, v, v, "VM count"},
       {"steps", 60, 60, 60, "5-minute steps"},
   };
-  spec.plan = [with_thr](const ScaleValues& scale, std::uint64_t seed) {
+  spec.plan = [with_thr, tune, faults](const ScaleValues& scale,
+                                       std::uint64_t seed) {
     ExperimentPlan plan;
     plan.scenarios.push_back(make_planetlab_scenario(
         scale.get_int("hosts"), scale.get_int("vms"), scale.get_int("steps"),
         seed));
+    std::shared_ptr<const FaultPlan> fault_plan;
+    if (faults.enabled) {
+      fault_plan = std::make_shared<const FaultPlan>(FaultPlan::compile(
+          faults, scale.get_int("hosts"), scale.get_int("steps")));
+    }
     if (with_thr) {
       CellSpec thr;
       thr.label = "THR-MMT";
       thr.rng_stream = seed;
       thr.make = [seed] { return make_thr_mmt(0.7, seed); };
+      thr.options.faults = fault_plan;
       plan.cells.push_back(std::move(thr));
     }
     {
       CellSpec megh;
       megh.label = "Megh";
       megh.rng_stream = seed;
-      megh.make = [seed] {
+      megh.make = [seed, tune] {
         MeghConfig config;
         config.seed = seed;
+        if (tune) tune(config);
         return std::make_unique<MeghPolicy>(config);
       };
       megh.options.max_migration_fraction = 0.02;
+      megh.options.faults = fault_plan;
       plan.cells.push_back(std::move(megh));
     }
     return plan;
@@ -98,9 +116,11 @@ std::string without_column(const std::string& line, std::size_t drop) {
 }
 
 /// Run `spec` at seed 42, jobs 1, and compare each named series CSV with
-/// its committed golden, exec_ms excluded.
+/// its committed golden, exec_ms excluded. The run's output lands in
+/// `output` when given.
 void expect_matches_goldens(const ExperimentSpec& spec,
-                            const std::vector<std::string>& names) {
+                            const std::vector<std::string>& names,
+                            ExperimentOutput* output_out = nullptr) {
   const std::filesystem::path golden_dir =
       std::filesystem::path(MEGH_TEST_DATA_DIR) / "scalar_golden";
   const std::filesystem::path out_dir =
@@ -126,6 +146,7 @@ void expect_matches_goldens(const ExperimentSpec& spec,
     unsetenv("MEGH_BENCH_OUT");
   }
 
+  if (output_out != nullptr) *output_out = output;
   ASSERT_EQ(names.size(), output.cells.size());
   for (const std::string& name : names) {
     const std::vector<std::string> got = read_lines(out_dir / name);
@@ -164,6 +185,54 @@ TEST(ScalarGolden, SampledCandidatesFig2DecisionsAreBitIdentical) {
   expect_matches_goldens(
       golden_fig2_spec("fig2_sampled", 100, 130, /*with_thr=*/false),
       {"fig2_sampled_Megh.csv"});
+}
+
+TEST(ScalarGolden, RecoveryUnderFaultsFig2DecisionsAreBitIdentical) {
+  // Aborted migrations and host crashes with every recovery mechanism
+  // armed: down-host masking, retries with backoff and burst rollback to
+  // the periodic critic snapshot all change decisions here. The lowered
+  // temperature lets the Boltzmann weights see the critic, so restoring
+  // (or failing to restore) the snapshot shows in the decisions.
+  FaultPlanConfig faults;
+  faults.enabled = true;
+  faults.seed = 5;
+  faults.migration_abort_rate = 0.5;
+  faults.host_failure_rate = 0.01;
+  ExperimentOutput output;
+  expect_matches_goldens(
+      golden_fig2_spec("fig2_recovery", 24, 36, /*with_thr=*/false,
+                       [](MeghConfig& config) {
+                         config.recovery.enabled = true;
+                         config.recovery.max_retries = 2;
+                         config.recovery.retry_backoff_steps = 1;
+                         config.recovery.rollback_burst_threshold = 1;
+                         config.recovery.checkpoint_interval_steps = 2;
+                         config.temp0 = 0.1;
+                       },
+                       faults),
+      {"fig2_recovery_Megh.csv"}, &output);
+  ASSERT_EQ(output.cells.size(), 1u);
+  const PolicyStats& stats =
+      output.cells[0].result.sim.steps.back().policy_stats;
+  EXPECT_GT(stats.at("faults_seen"), 0.0);
+  EXPECT_GT(stats.at("masked_candidates"), 0.0);
+  EXPECT_GT(stats.at("retries"), 0.0);
+  EXPECT_GT(stats.at("rollbacks"), 0.0);
+}
+
+TEST(ScalarGolden, PaperDeltaFig2DecisionsAreBitIdentical) {
+  // delta <= 0 selects the paper's B0 = (1/d)·I with d = N × M = 864. At
+  // that scale every Q-value is tiny, so the temperature is lowered until
+  // the Boltzmann weights see them: with temp0 = 3 the run equals the
+  // default-delta fig2 golden, while here a critic initialized at any
+  // other d (e.g. (N + 16) × M) decides differently.
+  expect_matches_goldens(
+      golden_fig2_spec("fig2_paper_delta", 24, 36, /*with_thr=*/false,
+                       [](MeghConfig& config) {
+                         config.delta = 0.0;
+                         config.temp0 = 0.001;
+                       }),
+      {"fig2_paper_delta_Megh.csv"});
 }
 
 }  // namespace
