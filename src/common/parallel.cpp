@@ -11,85 +11,6 @@ int default_parallelism(std::size_t items) {
   return std::min<int>(threads, static_cast<int>(items));
 }
 
-void parallel_for(std::size_t count,
-                  const std::function<void(std::size_t)>& fn, int threads) {
-  MEGH_REQUIRE(threads >= 0, "parallel_for: negative thread count");
-  if (count == 0) return;
-  const int workers = threads == 0 ? default_parallelism(count)
-                                   : std::min<int>(threads,
-                                                   static_cast<int>(count));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  // Once any item throws, stop dispatching new iterations: in-flight items
-  // finish (partial results stay consistent) but the remaining index range
-  // is abandoned, so a failure at item 3 of 10'000 does not burn the other
-  // 9'996 simulations before the rethrow.
-  std::atomic<bool> cancelled{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  const auto worker = [&] {
-    while (!cancelled.load(std::memory_order_relaxed)) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= count) return;
-      try {
-        fn(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        cancelled.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-namespace detail {
-
-void parallel_for_chunks(std::size_t num_chunks,
-                         void (*invoke)(void*, std::size_t), void* ctx,
-                         int threads) {
-  MEGH_REQUIRE(threads >= 0, "parallel_for: negative thread count");
-  const int workers =
-      threads == 0 ? default_parallelism(num_chunks)
-                   : std::min<int>(threads, static_cast<int>(num_chunks));
-  if (workers <= 1) {
-    for (std::size_t c = 0; c < num_chunks; ++c) invoke(ctx, c);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> cancelled{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  const auto worker = [&] {
-    while (!cancelled.load(std::memory_order_relaxed)) {
-      const std::size_t c = next.fetch_add(1);
-      if (c >= num_chunks) return;
-      try {
-        invoke(ctx, c);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        cancelled.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-}  // namespace detail
-
 ThreadPool::ThreadPool(int jobs) {
   MEGH_REQUIRE(jobs >= 1, "ThreadPool: jobs must be >= 1");
   workers_.reserve(static_cast<std::size_t>(jobs - 1));
@@ -108,9 +29,13 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::claim_items() {
-  // Same claim/cancel protocol as parallel_for: relaxed atomics are enough
-  // because item results are published by the join barrier in run_erased
-  // (the done_cv_ handshake), not by the counter itself.
+  // Items are claimed one at a time from a shared counter. Once any item
+  // throws, no new ones are dispatched: in-flight items finish (partial
+  // results stay consistent) but the rest of the range is abandoned, so a
+  // failure at item 3 of 10'000 does not burn the other 9'996 before the
+  // rethrow. Relaxed atomics are enough because item results are
+  // published by the join barrier in run_erased (the done_cv_ handshake),
+  // not by the counter itself.
   while (!cancelled_.load(std::memory_order_relaxed)) {
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= count_) return;

@@ -1,22 +1,18 @@
 // Deterministic parallel execution primitives.
 //
-// Three layers, each used where its overhead profile fits:
-//   * parallel_for(count, fn)        — fork-join over std::thread with a
-//     std::function body. Fine for coarse items (one full simulation per
-//     index, as the experiment engine dispatches); the per-call thread
-//     spawn and per-index indirect call are noise at that granularity.
-//   * parallel_for(count, grain, fn) — templated, grain-size-aware overload
-//     for hot shards: indices are claimed in contiguous chunks of `grain`
-//     and the body is invoked directly (inlined), never through a
-//     std::function. Still fork-join; use it when the call is rare but the
-//     per-index work is small.
-//   * ThreadPool / ShardExecutor     — persistent parked workers for work
-//     dispatched thousands of times per run (the sharded simulation step:
-//     per-pod demand refresh, accounting and candidate scans every
-//     interval). Spawning threads per step would cost more than the step.
+// One mechanism: ThreadPool, a set of persistent parked workers that run
+// fn(i) over an index range with the dispatching thread taking part.
+// Everything parallel goes through it —
+//   * ShardExecutor binds a pool to a ShardPlan for work dispatched
+//     thousands of times per run (the sharded simulation step: per-pod
+//     demand refresh, accounting, candidate scans and the per-pod Megh
+//     learners every interval), where spawning threads per step would cost
+//     more than the step;
+//   * the experiment engine builds one pool per experiment and runs one
+//     whole simulation cell per index.
 //
-// Determinism contract: none of these primitives reorder *results* — they
-// only decide which thread computes which item. Callers that fold
+// Determinism contract: the pool never reorders *results* — it only
+// decides which thread computes which item. Callers that fold
 // floating-point accumulations must either keep the fold serial or merge
 // per-shard partials in shard order with an exact (non-reassociating)
 // merge; see docs/PERFORMANCE.md "sharded step".
@@ -26,7 +22,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -41,75 +36,9 @@ namespace megh {
 /// at least 1, capped to the number of items).
 int default_parallelism(std::size_t items);
 
-/// Run fn(i) for i in [0, count) across up to `threads` workers (0 = auto).
-/// The first exception thrown by an item cancels dispatch of not-yet-claimed
-/// indices (in-flight items still finish, so partial results stay
-/// consistent) and is rethrown once every worker has stopped.
-void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
-                  int threads = 0);
-
-/// Map items through fn in parallel, preserving order.
-template <typename T, typename Fn>
-auto parallel_map(const std::vector<T>& items, Fn fn, int threads = 0)
-    -> std::vector<decltype(fn(items.front()))> {
-  using Result = decltype(fn(items.front()));
-  std::vector<Result> out(items.size());
-  parallel_for(
-      items.size(),
-      [&](std::size_t i) { out[i] = fn(items[i]); }, threads);
-  return out;
-}
-
-namespace detail {
-
-/// Shared fork-join chunk dispatcher behind the grained parallel_for
-/// overload: the type-erased body is invoked once per *chunk*, so the
-/// per-index call inside stays a direct (inlinable) call in the caller's
-/// instantiation.
-void parallel_for_chunks(std::size_t num_chunks,
-                         void (*invoke)(void*, std::size_t), void* ctx,
-                         int threads);
-
-}  // namespace detail
-
-/// Grain-size-aware overload: run fn(i) for i in [0, count), claiming
-/// contiguous chunks of `grain` indices at a time. Unlike the
-/// std::function overload, the body is called directly — no per-index
-/// indirection — which is what makes it usable on hot shards where each
-/// index is a handful of arithmetic ops. `threads` as above (0 = auto);
-/// with 1 thread (or a single chunk) the loop runs inline on the caller.
-template <typename Fn>
-void parallel_for(std::size_t count, std::size_t grain, Fn&& fn,
-                  int threads = 0) {
-  MEGH_REQUIRE(grain > 0, "parallel_for: grain must be positive");
-  if (count == 0) return;
-  const std::size_t num_chunks = (count + grain - 1) / grain;
-  struct Body {
-    std::remove_reference_t<Fn>& fn;
-    std::size_t count;
-    std::size_t grain;
-    void run_chunk(std::size_t chunk) {
-      const std::size_t begin = chunk * grain;
-      const std::size_t end = std::min(count, begin + grain);
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }
-  } body{fn, count, grain};
-  if (num_chunks == 1 || threads == 1) {
-    for (std::size_t c = 0; c < num_chunks; ++c) body.run_chunk(c);
-    return;
-  }
-  detail::parallel_for_chunks(
-      num_chunks,
-      [](void* ctx, std::size_t chunk) {
-        static_cast<Body*>(ctx)->run_chunk(chunk);
-      },
-      &body, threads);
-}
-
-/// Persistent worker pool for work dispatched many times per run (the
-/// sharded simulation step). Workers park on a condition variable between
-/// jobs; the dispatching thread participates in every job, so a pool built
-/// for J jobs spawns J-1 threads. Not re-entrant: one job at a time, and a
+/// Persistent worker pool: the one parallel-for. Workers park on a
+/// condition variable between jobs; the dispatching thread participates
+/// in every job, so a pool built for J jobs spawns J-1 threads. Not re-entrant: one job at a time, and a
 /// job's body must not call back into the same pool.
 class ThreadPool {
  public:

@@ -1,34 +1,17 @@
-// Learner checkpointing: persist and restore Megh's learned state so a
+// Policy checkpointing: persist and restore Megh's learned state so a
 // scheduler can be warm-started after a restart or migrated between
 // control-plane nodes — "learn as you go" without forgetting on redeploy.
 //
-// The format is a versioned plain-text file. Every loader parses the
-// version out of the magic line and rejects a mismatched format with a
-// ConfigError that names the version found and the loader to use, instead
-// of tripping over the first structural difference downstream. All writers
-// go through write_file_atomic (common/atomic_file.hpp): temp file, fsync,
-// rename — a crash mid-save never destroys the previous checkpoint.
+// One format, v4, for flat and hierarchical Megh alike (flat Megh is the
+// one-pod case). It is versioned plain text; the loader parses the version
+// out of the magic line and rejects any other generation — v1 (a bare flat
+// learner), v2 (the pre-RNG per-pod container) and v3 (a flat policy with
+// a dense B diagonal) — with a ConfigError that names the version found,
+// instead of tripping over the first structural difference downstream. The
+// file writer goes through write_file_atomic (common/atomic_file.hpp):
+// temp file, fsync, rename — a crash mid-save never destroys the previous
+// checkpoint.
 //
-// v1 — one bare flat learner (save_learner):
-//   megh-checkpoint v1
-//   dim <d> gamma <g>
-//   z <nnz> followed by "index value" lines
-//   theta <nnz> ...
-//   Bdiag <d> followed by d diagonal values
-//   Boffdiag <nnz> followed by "row col value" triplets
-//
-// v3 — a whole MeghPolicy (save_megh_policy): the v1 learner body plus
-//   policy <temp> <baseline> <initialized>
-//   rng <mt19937_64 stream state>
-// The rng line is what makes restore exact: a restored policy's Boltzmann
-// draws continue the saved stream bit-for-bit, so a warm-started run is
-// indistinguishable from one that never stopped (the property the serving
-// daemon's crash recovery is built on; see src/serve). v1 policy files
-// (pre-rng) are rejected loudly — load the learner alone with
-// load_learner, or re-save with save_megh_policy.
-//
-// v4 — the hierarchical per-pod container (core/hierarchical_megh.hpp),
-// superseding v2 by adding each pod's actor RNG stream:
 //   megh-checkpoint v4
 //   pods <P> hosts <M> vms <N>
 //   policy <temp> <baseline> <initialized>
@@ -36,106 +19,78 @@
 //     pod <p> begin <b> end <e> cap <c> next <n> gamma <g>
 //     rng <mt19937_64 stream state>
 //     slots <occupied> followed by "slot vm" lines (ascending slot)
-//     z / theta as in v1 (pod-local indices)
+//     z <nnz> followed by "index value" lines (pod-local indices)
+//     theta <nnz> ...
 //     Bdiag <live> default <d0> followed by "index value" lines — only
 //       materialized rows are stored against the lazy default, because a
 //       cluster-scale pod operator's dense diagonal would dwarf its
 //       learned support
-//     Boffdiag as in v1
+//     Boffdiag <nnz> followed by "row col value" triplets
 //   end
-// Plain text keeps the files diffable and the loader trivially fuzzable;
-// Megh's state is small (Fig. 7: tens of thousands of nonzeros for an
-// 800-PM week) and v4 stores only materialized rows, so compactness is
-// not a concern at any scale.
+// Every index list is strictly ascending; duplicates, unsorted or
+// out-of-range entries and trailing data are rejected. The rng lines are
+// what make restore exact: a restored policy's Boltzmann draws continue the
+// saved streams bit-for-bit, so a warm-started run is indistinguishable
+// from one that never stopped (the property the serving daemon's crash
+// recovery is built on; see src/serve). Plain text keeps the files
+// diffable and the loader trivially fuzzable; storing only materialized
+// rows keeps them small at any scale.
 #pragma once
 
 #include <filesystem>
 #include <iosfwd>
+#include <string>
 
 #include "core/hierarchical_megh.hpp"
-#include "core/lspi.hpp"
-#include "core/megh_policy.hpp"
 
 namespace megh {
 
-/// Write the learner's full state (v1). Throws IoError on I/O failure.
-void save_learner(const LspiLearner& learner,
-                  const std::filesystem::path& path);
-
-/// Restore a learner saved with save_learner (v1) or embedded in a policy
-/// checkpoint (v3 — the policy/rng tail is ignored). The returned learner
-/// resumes exactly (same B, z, θ and counters are reset to zero — counters
-/// are diagnostics, not state). Throws IoError on parse failure and
-/// ConfigError on version/shape mismatch.
-LspiLearner load_learner(const std::filesystem::path& path,
-                         double delta = 1.0, int max_update_support = 0);
-
-/// Checkpoint a whole MeghPolicy (learner + temperature + advantage
-/// baseline + actor RNG stream) as v3. The policy must have been begun
-/// (it owns a learner).
-void save_megh_policy(const MeghPolicy& policy,
+/// Checkpoint a begun policy (every pod's learner, slot map and actor RNG
+/// stream plus the shared temperature and advantage baseline) as v4.
+/// Throws IoError on I/O failure.
+void save_megh_policy(const HierarchicalMeghPolicy& policy,
                       const std::filesystem::path& path);
 
-/// Restore into a MeghPolicy that has already been begun on a datacenter of
-/// the same shape (N × M must match). Requires a v3 file; throws
-/// ConfigError on a version or shape mismatch.
-void load_megh_policy(MeghPolicy& policy, const std::filesystem::path& path);
+/// Restore into a policy begun on a fleet of the same shape and shard plan
+/// (pod count and host ranges must match; per-pod slot capacities come
+/// from the file). Throws IoError on parse failure and ConfigError on a
+/// version or shape mismatch. The open SARSA transition, per-pod retry
+/// queues and rollback snapshots are reset — they are transient, not
+/// learned state (the serving daemon restores the transition itself).
+void load_megh_policy(HierarchicalMeghPolicy& policy,
+                      const std::filesystem::path& path);
 
 /// Stream-level variants of save_megh_policy / load_megh_policy, shared
-/// with the serving daemon's snapshot writer (which embeds the v3 policy
-/// section inside its own state file). `context` names the source in
-/// errors (a path, "<socket>", ...).
-void write_megh_policy(std::ostream& out, const MeghPolicy& policy);
-void read_megh_policy(std::istream& in, MeghPolicy& policy,
+/// with the serving daemon's snapshot writer (which embeds the v4 section
+/// inside its own state file). The reader stops after the section's "end"
+/// line; `context` names the source in errors (a path, "<socket>", ...).
+void write_megh_policy(std::ostream& out,
+                       const HierarchicalMeghPolicy& policy);
+void read_megh_policy(std::istream& in, HierarchicalMeghPolicy& policy,
                       const std::string& context);
 
-/// Checkpoint a hierarchical policy (v4): every pod's learner (with its
-/// slot map and actor RNG stream) plus the shared temperature and
-/// advantage baseline. The policy must have been begun.
-void save_hierarchical_policy(const HierarchicalMeghPolicy& policy,
-                              const std::filesystem::path& path);
-
-/// Restore into a HierarchicalMeghPolicy begun on a fleet of the same
-/// shape and shard plan (pod count and host ranges must match; per-pod
-/// slot capacities come from the file). Requires a v4 file; throws
-/// ConfigError on a version or shape mismatch. Per-pod retry queues and
-/// rollback snapshots are reset — they are transient recovery state, not
-/// learned state.
-void load_hierarchical_policy(HierarchicalMeghPolicy& policy,
-                              const std::filesystem::path& path);
-
-/// Warm-start adapters: MeghPolicy/HierarchicalMeghPolicy variants whose
-/// begin() loads a checkpoint right after the base begin(). The engine
-/// calls begin() at the top of every Simulation::run — a plain policy
-/// loaded before run() silently loses the restored state when begin()
-/// rebuilds the learner. These adapters make `megh_sim --checkpoint-load`
-/// (and any other run-a-restored-policy caller) correct by construction.
-class WarmStartMeghPolicy : public MeghPolicy {
+/// Warm-start adapter: a Megh policy whose begin() loads a checkpoint right
+/// after the base begin(). The engine calls begin() at the top of every
+/// Simulation::run — a plain policy loaded before run() silently loses the
+/// restored state when begin() rebuilds the learners. The adapter makes
+/// `megh_sim --checkpoint-load` (and any other run-a-restored-policy
+/// caller) correct by construction.
+class WarmStartMeghPolicy : public HierarchicalMeghPolicy {
  public:
+  /// Flat Megh (the one-pod layout of MeghPolicy).
   WarmStartMeghPolicy(const MeghConfig& config,
                       std::filesystem::path checkpoint)
-      : MeghPolicy(config), checkpoint_(std::move(checkpoint)) {}
-
-  void begin(const Datacenter& dc, const CostConfig& cost,
-             double interval_s) override {
-    MeghPolicy::begin(dc, cost, interval_s);
-    load_megh_policy(*this, checkpoint_);
-  }
-
- private:
-  std::filesystem::path checkpoint_;
-};
-
-class WarmStartHierarchicalMeghPolicy : public HierarchicalMeghPolicy {
- public:
-  WarmStartHierarchicalMeghPolicy(const HierarchicalMeghConfig& config,
-                                  std::filesystem::path checkpoint)
+      : HierarchicalMeghPolicy(config, OnePod{}),
+        checkpoint_(std::move(checkpoint)) {}
+  /// Hierarchical Megh.
+  WarmStartMeghPolicy(const HierarchicalMeghConfig& config,
+                      std::filesystem::path checkpoint)
       : HierarchicalMeghPolicy(config), checkpoint_(std::move(checkpoint)) {}
 
   void begin(const Datacenter& dc, const CostConfig& cost,
              double interval_s) override {
     HierarchicalMeghPolicy::begin(dc, cost, interval_s);
-    load_hierarchical_policy(*this, checkpoint_);
+    load_megh_policy(*this, checkpoint_);
   }
 
  private:

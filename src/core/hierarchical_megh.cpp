@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <iterator>
 
 #include "common/error.hpp"
 #include "sim/sharding.hpp"
@@ -12,8 +13,8 @@ namespace megh {
 
 namespace {
 
-/// Decorrelate the per-pod RNG streams while keeping pod 0's stream equal
-/// to flat Megh's (seed unchanged) — the single-pod bit-identity contract.
+/// Decorrelate the per-pod RNG streams while keeping pod 0's stream on the
+/// configured seed — the one-pod layout draws exactly the seed's stream.
 std::uint64_t pod_seed(std::uint64_t seed, int pod) {
   return seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(pod));
 }
@@ -29,30 +30,41 @@ bool plans_match(const ShardPlan& a, const ShardPlan& b) {
   return true;
 }
 
+void validate(const MeghConfig& config) {
+  MEGH_REQUIRE(config.max_migration_fraction > 0.0 &&
+                   config.max_migration_fraction <= 1.0,
+               "Megh: max_migration_fraction must lie in (0, 1]");
+  if (config.recovery.enabled) {
+    MEGH_REQUIRE(config.recovery.max_retries >= 0 &&
+                     config.recovery.max_retries <= 16,
+                 "Megh: max_retries must lie in [0, 16]");
+    MEGH_REQUIRE(config.recovery.retry_backoff_steps >= 1,
+                 "Megh: retry_backoff_steps must be >= 1");
+    MEGH_REQUIRE(config.recovery.retry_min_utilization >= 0.0,
+                 "Megh: retry_min_utilization must be >= 0");
+    MEGH_REQUIRE(config.recovery.checkpoint_interval_steps >= 1,
+                 "Megh: checkpoint_interval_steps must be >= 1");
+  }
+}
+
 }  // namespace
 
 HierarchicalMeghPolicy::HierarchicalMeghPolicy(
     const HierarchicalMeghConfig& config)
     : config_(config),
       selector_(config.base.temp0, config.base.epsilon) {
-  MEGH_REQUIRE(config.base.max_migration_fraction > 0.0 &&
-                   config.base.max_migration_fraction <= 1.0,
-               "HierMegh: max_migration_fraction must lie in (0, 1]");
+  validate(config.base);
   MEGH_REQUIRE(config.pod_slot_headroom_min >= 0,
                "HierMegh: pod_slot_headroom_min must be >= 0");
   MEGH_REQUIRE(config.pod_slot_headroom_fraction >= 0.0,
                "HierMegh: pod_slot_headroom_fraction must be >= 0");
-  if (config.base.recovery.enabled) {
-    MEGH_REQUIRE(config.base.recovery.max_retries >= 0 &&
-                     config.base.recovery.max_retries <= 16,
-                 "HierMegh: max_retries must lie in [0, 16]");
-    MEGH_REQUIRE(config.base.recovery.retry_backoff_steps >= 1,
-                 "HierMegh: retry_backoff_steps must be >= 1");
-    MEGH_REQUIRE(config.base.recovery.retry_min_utilization >= 0.0,
-                 "HierMegh: retry_min_utilization must be >= 0");
-    MEGH_REQUIRE(config.base.recovery.checkpoint_interval_steps >= 1,
-                 "HierMegh: checkpoint_interval_steps must be >= 1");
-  }
+}
+
+HierarchicalMeghPolicy::HierarchicalMeghPolicy(const MeghConfig& config,
+                                               OnePod)
+    : one_pod_(true), selector_(config.temp0, config.epsilon) {
+  validate(config);
+  config_.base = config;
 }
 
 void HierarchicalMeghPolicy::begin(const Datacenter& dc,
@@ -60,38 +72,40 @@ void HierarchicalMeghPolicy::begin(const Datacenter& dc,
                                    double interval_s) {
   (void)interval_s;
   basis_ = std::make_unique<ActionBasis>(dc.num_vms(), dc.num_hosts());
-  plan_ = make_step_shards(config_.network.get(), dc.num_hosts());
+  plan_ = one_pod_ ? ShardPlan::single(dc.num_hosts())
+                   : make_step_shards(config_.network.get(), dc.num_hosts());
   beta_ = cost.beta_overload;
   migration_budget_ = std::max(
       1, static_cast<int>(std::ceil(config_.base.max_migration_fraction *
                                     dc.num_vms())));
   pod_of_vm_.assign(static_cast<std::size_t>(dc.num_vms()), -1);
   slot_of_vm_.assign(static_cast<std::size_t>(dc.num_vms()), -1);
+  pod_of_host_.resize(static_cast<std::size_t>(dc.num_hosts()));
+  for (int p = 0; p < plan_.num_shards(); ++p) {
+    std::fill(pod_of_host_.begin() + plan_.shard_begin(p),
+              pod_of_host_.begin() + plan_.shard_end(p), p);
+  }
 
   pods_.clear();
   pods_.resize(static_cast<std::size_t>(plan_.num_shards()));
   for (int p = 0; p < plan_.num_shards(); ++p) {
+    pods_[static_cast<std::size_t>(p)].host_begin = plan_.shard_begin(p);
+    pods_[static_cast<std::size_t>(p)].host_end = plan_.shard_end(p);
+  }
+  collect_members(dc);
+  for (int p = 0; p < plan_.num_shards(); ++p) {
     Pod& pod = pods_[static_cast<std::size_t>(p)];
-    pod.host_begin = plan_.shard_begin(p);
-    pod.host_end = plan_.shard_end(p);
-    const int width = pod.host_end - pod.host_begin;
-    // Initial membership: every VM currently hosted in the range, ascending
-    // (vms_on lists are per-host; a global ascending sort fixes the order).
-    pod.members.clear();
-    for (int h = pod.host_begin; h < pod.host_end; ++h) {
-      for (int vm : dc.vms_on(h)) pod.members.push_back(vm);
-    }
-    std::sort(pod.members.begin(), pod.members.end());
     const int population = static_cast<int>(pod.members.size());
     const int headroom = std::max(
         config_.pod_slot_headroom_min,
         static_cast<int>(std::ceil(config_.pod_slot_headroom_fraction *
                                    population)));
-    pod.cap = population + std::max(1, headroom);
+    // The one-pod layout holds every VM of the fleet and nothing else.
+    reset_pod_slots(pod, one_pod_ ? dc.num_vms()
+                                  : population + std::max(1, headroom));
     pod.next_slot = 0;
-    pod.vm_of_slot.assign(static_cast<std::size_t>(pod.cap), -1);
     pod.free_slots.clear();
-    // Ascending initial assignment: on a single-pod plan slot k is VM k,
+    // Ascending initial assignment: in a fleet-wide pod slot k is VM k,
     // making the pod action index equal the flat basis index.
     for (int vm : pod.members) {
       const int slot = pod.next_slot++;
@@ -99,31 +113,21 @@ void HierarchicalMeghPolicy::begin(const Datacenter& dc,
       pod_of_vm_[static_cast<std::size_t>(vm)] = p;
       slot_of_vm_[static_cast<std::size_t>(vm)] = slot;
     }
-    const std::int64_t dim =
-        static_cast<std::int64_t>(pod.cap) * static_cast<std::int64_t>(width);
     pod.learner = std::make_unique<LspiLearner>(
-        dim, config_.base.gamma, config_.base.delta,
+        static_cast<std::int64_t>(pod.cap) *
+            static_cast<std::int64_t>(pod.host_end - pod.host_begin),
+        config_.base.gamma, config_.base.delta,
         config_.base.max_update_support);
     pod.rng = Rng(pod_seed(config_.base.seed, p));
     pod.pending.clear();
+    // One draw per overloaded host + consolidation + global, each taking at
+    // most one action, all bounded by the budget (+1 for the global draw).
     pod.pending.reserve(static_cast<std::size_t>(migration_budget_) + 2);
-    pod.staged_rollback = false;
-    pod.candidates_of_slot.assign(static_cast<std::size_t>(pod.cap), {});
-    for (std::vector<std::size_t>& list : pod.candidates_of_slot) {
-      list.reserve(static_cast<std::size_t>(
-          config_.base.candidates.targets_per_source + 3));
-    }
-    pod.slot_used.assign(static_cast<std::size_t>(pod.cap), 0);
-    pod.touched_slots.clear();
-    pod.touched_slots.reserve(static_cast<std::size_t>(pod.cap));
-    pod.retries.clear();
     pod.retries.reserve(
         static_cast<std::size_t>(migration_budget_) *
             static_cast<std::size_t>(
                 std::max(1, config_.base.recovery.max_retries)) +
         4);
-    pod.checkpoint = CriticSnapshot{};
-    pod.faults_last_step = 0;
     pod.rollbacks = 0;
     pod.masked_candidates = 0;
     pod.slot_overflows = 0;
@@ -141,14 +145,42 @@ void HierarchicalMeghPolicy::begin(const Datacenter& dc,
   intern_stat_keys();
 }
 
+void HierarchicalMeghPolicy::collect_members(const Datacenter& dc) {
+  for (Pod& pod : pods_) pod.members.clear();
+  // One ascending pass over VM ids keeps every member list sorted.
+  for (int vm = 0; vm < dc.num_vms(); ++vm) {
+    const int host = dc.host_of(vm);
+    if (host == kUnplaced) continue;
+    pods_[static_cast<std::size_t>(pod_of_host_[static_cast<std::size_t>(
+              host)])]
+        .members.push_back(vm);
+  }
+}
+
+void HierarchicalMeghPolicy::reset_pod_slots(Pod& pod, int cap) {
+  pod.cap = cap;
+  pod.vm_of_slot.assign(static_cast<std::size_t>(cap), -1);
+  // A VM is the source of at most no-op + PABFD + pack +
+  // targets_per_source random candidates; reserving that up front means a
+  // slot first selected deep into the run still allocates nothing.
+  pod.candidates_of_slot.assign(static_cast<std::size_t>(cap), {});
+  for (std::vector<std::size_t>& list : pod.candidates_of_slot) {
+    list.reserve(static_cast<std::size_t>(
+        config_.base.candidates.targets_per_source + 3));
+  }
+  pod.slot_used.assign(static_cast<std::size_t>(cap), 0);
+  pod.touched_slots.clear();
+  pod.touched_slots.reserve(static_cast<std::size_t>(cap));
+  // Transient state does not survive a re-slotting.
+  pod.pending.clear();
+  pod.staged_rollback = false;
+  pod.retries.clear();
+  pod.checkpoint = CriticSnapshot{};
+  pod.faults_last_step = 0;
+}
+
 void HierarchicalMeghPolicy::rebuild_membership(Pod& pod, int pod_id,
                                                 const Datacenter& dc) {
-  std::vector<int>& members = pod.members;
-  members.clear();
-  for (int h = pod.host_begin; h < pod.host_end; ++h) {
-    for (int vm : dc.vms_on(h)) members.push_back(vm);
-  }
-  std::sort(members.begin(), members.end());
   // Free the slots of departed VMs. Only pod-local state is touched: the
   // VM's new pod owns (and rewrites) its global pod/slot entries, so two
   // pod phases never write the same word.
@@ -167,6 +199,7 @@ void HierarchicalMeghPolicy::rebuild_membership(Pod& pod, int pod_id,
             std::greater<int>());
   // Assign slots to immigrants; members without a slot (cap exhausted) are
   // dropped from the candidate domain until churn frees one.
+  std::vector<int>& members = pod.members;
   std::size_t w = 0;
   for (int vm : members) {
     const std::int32_t cur_slot = slot_of_vm_[static_cast<std::size_t>(vm)];
@@ -199,12 +232,15 @@ void HierarchicalMeghPolicy::rebuild_membership(Pod& pod, int pod_id,
 
 void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
                                            const StepObservation& obs,
-                                           bool do_update, double share) {
-  MEGH_TRACE_SCOPE("hier_megh.pod_phase");
+                                           bool do_update, double share,
+                                           const ShardExecutor* exec) {
+  MEGH_TRACE_SCOPE("megh.pod_phase");
   Pod& pod = pods_[static_cast<std::size_t>(pod_id)];
   const Datacenter& dc = *obs.dc;
   const bool recovery = config_.base.recovery.enabled;
-  rebuild_membership(pod, pod_id, dc);
+  // A fleet-wide pod never gains or loses a VM: the one-pod slot map
+  // (slot k = VM k) stays as begin() built it.
+  if (!one_pod_) rebuild_membership(pod, pod_id, dc);
 
   std::vector<CandidateAction>& cands = pod.cands.candidates;
   if (pod.members.empty()) {
@@ -217,18 +253,29 @@ void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
     return;
   }
 
-  CandidateDomain domain;
-  domain.host_begin = pod.host_begin;
-  domain.host_end = pod.host_end;
-  domain.vms = pod.members;
-  domain.vm_slot = slot_of_vm_;
-  domain.slot_capacity = pod.cap;
-  // exec stays null: this already runs inside one of its shard workers.
-  generate_candidates(dc, obs.host_util, beta_, *basis_,
-                      config_.base.candidates, pod.rng, pod.cands,
-                      obs.network, nullptr, &domain);
+  if (one_pod_) {
+    // The pod is the fleet and slot k is VM k, so the fleet-wide call is
+    // the pod's call — and its scans fan out over the engine's executor.
+    generate_candidates(dc, obs.host_util, beta_, *basis_,
+                        config_.base.candidates, pod.rng, pod.cands,
+                        obs.network, exec);
+  } else {
+    CandidateDomain domain;
+    domain.host_begin = pod.host_begin;
+    domain.host_end = pod.host_end;
+    domain.vms = pod.members;
+    domain.vm_slot = slot_of_vm_;
+    domain.slot_capacity = pod.cap;
+    generate_candidates(dc, obs.host_util, beta_, *basis_,
+                        config_.base.candidates, pod.rng, pod.cands,
+                        obs.network, nullptr, &domain);
+  }
 
   if (recovery) {
+    // Mask candidates that target a down host: the engine would reject
+    // them, and a draw spent on one both wastes migration budget and
+    // poisons the SARSA transition with a move that cannot happen. No-ops
+    // survive, so "stay put" remains drawable for every source VM.
     if (config_.base.recovery.mask_down_hosts && !obs.host_down.empty()) {
       std::size_t w = 0;
       for (std::size_t i = 0; i < cands.size(); ++i) {
@@ -241,6 +288,9 @@ void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
       }
       cands.resize(w);
     }
+    // Burst rollback: a heavily faulted interval taught the critic from
+    // transitions the faults falsified — restore the last snapshot and
+    // drop the straddling pending transitions.
     if (pod.staged_rollback) {
       pod.learner->restore(pod.checkpoint.B, pod.checkpoint.z,
                            pod.checkpoint.theta);
@@ -251,7 +301,9 @@ void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
     pod.faults_last_step = 0;
   }
 
-  // Pod-local action indices and Q-values.
+  // Pod-local action indices and Q-values. One batched gather scores the
+  // whole candidate set; the per-candidate slot-map misses overlap instead
+  // of serializing.
   std::vector<std::int64_t>& pod_idx = pod.pod_idx;
   std::vector<double>& q = pod.q;
   pod_idx.clear();
@@ -263,10 +315,13 @@ void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
   q.resize(cands.size());
   pod.learner->q_values(pod_idx, q);
 
-  // Close the previous step's transitions against this pod's greedy b.
+  // Close the previous step's transitions: φ_b = this pod's greedy action
+  // at the state we have just arrived in. All pending actions share the
+  // same b, so the batched kernel extracts B.row(b) once.
   if (do_update && !pod.pending.empty() && !cands.empty()) {
     const std::int64_t b = pod_idx[BoltzmannSelector::greedy(q)];
     pod.learner->update_batch(pod.pending, share, b);
+    // θ changed; refresh the candidates' Q-values before acting on them.
     pod.learner->q_values(pod_idx, q);
   }
   pod.pending.clear();
@@ -280,7 +335,9 @@ void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
   }
 
   // Boltzmann weights (selector reads are const and the decay is serial,
-  // so the shared selector is safe here) and the slot → candidates index.
+  // so the shared selector is safe here) and the slot → candidates index,
+  // so excluding a chosen VM's remaining candidates is O(its candidates).
+  // Only the entries dirtied by the previous step are reset.
   pod.weights.reserve(cands.capacity());
   selector_.weights(q, pod.weights);
   for (int slot : pod.touched_slots) {
@@ -300,14 +357,14 @@ void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
 
 void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
                                          std::vector<MigrationAction>& out) {
-  MEGH_REQUIRE(basis_ != nullptr, "HierMegh::decide before begin()");
-  MEGH_TRACE_SCOPE("hier_megh.decide");
+  MEGH_REQUIRE(basis_ != nullptr, "Megh::decide before begin()");
+  MEGH_TRACE_SCOPE("megh.decide");
   const Datacenter& dc = *obs.dc;
   const bool recovery = config_.base.recovery.enabled;
 
   // Serial pre-pass: stage each pod's rollback decision, then compute the
   // global cost share over the transitions that will survive. The baseline
-  // EMA advances exactly when flat Megh's would (an update actually runs).
+  // EMA advances exactly when an update actually runs.
   std::size_t total_pending = 0;
   for (Pod& pod : pods_) {
     pod.staged_rollback =
@@ -340,22 +397,25 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
     emitted_.clear();
   }
 
-  // Parallel pod phase: one shard per pod, each owning its learner.
-  if (obs.exec != nullptr && plans_match(obs.exec->plan(), plan_)) {
+  // Pod phase: one shard per pod, each owning its learner, when the
+  // engine's plan is ours; otherwise serially, lending the executor to the
+  // candidate scans (a lone pod spans several engine shards).
+  if (!one_pod_) collect_members(dc);
+  if (num_pods() > 1 && obs.exec != nullptr &&
+      plans_match(obs.exec->plan(), plan_)) {
     obs.exec->for_shards(
-        [&](int s) { run_pod_phase(s, obs, do_update, share); });
+        [&](int s) { run_pod_phase(s, obs, do_update, share, nullptr); });
   } else {
     for (int p = 0; p < num_pods(); ++p) {
-      run_pod_phase(p, obs, do_update, share);
+      run_pod_phase(p, obs, do_update, share, obs.exec);
     }
   }
 
   // Serial coordinator: all Boltzmann draws, in fixed pod-major order,
   // against the single global budget. Each draw consumes the owning pod's
   // RNG (already advanced by its generation phase), so the schedule is
-  // deterministic at any job count — and equal to flat Megh's single
-  // stream when there is only one pod.
-  MEGH_TRACE_SCOPE("hier_megh.coordinate");
+  // deterministic at any job count.
+  MEGH_TRACE_SCOPE("megh.coordinate");
   const auto take = [&](Pod& pod, int pod_id, std::size_t j) {
     const CandidateAction& c = pod.cands.candidates[j];
     const std::int32_t slot =
@@ -374,6 +434,7 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
         }
       }
     }
+    // Remove every candidate of this VM from further draws.
     for (std::size_t k :
          pod.candidates_of_slot[static_cast<std::size_t>(slot)]) {
       pod.weights[k] = 0.0;
@@ -385,6 +446,10 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
     for (std::size_t j : subset) total += pod.weights[j];
     if (!(total > 0.0) || !std::isfinite(total)) return;
     double r = pod.rng.uniform() * total;
+    // Numerical edge: r can stay positive by epsilon after the full pass.
+    // Fall back to the last *positive-weight* candidate — never one whose
+    // weight was zeroed (already-used VM / non-finite Q), mirroring
+    // Rng::weighted_index.
     std::size_t last_positive = subset.size();
     for (std::size_t k = 0; k < subset.size(); ++k) {
       const std::size_t j = subset[k];
@@ -402,7 +467,9 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
 
   int budget = migration_budget_;
 
-  // Injected retries claim budget first (pods ascending, queue order).
+  // Injected retries: deterministically re-request due aborted migrations
+  // before any Boltzmann draw, claiming budget first (pods ascending, queue
+  // order). A fault-free run never queues a retry.
   if (recovery) {
     for (int p = 0; p < num_pods(); ++p) {
       Pod& pod = pods_[static_cast<std::size_t>(p)];
@@ -411,28 +478,36 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
       for (std::size_t i = 0; i < pod.retries.size(); ++i) {
         const PendingRetry r = pod.retries[i];
         if (r.due_step > obs.step) {
-          pod.retries[keep++] = r;
+          pod.retries[keep++] = r;  // not due yet
           continue;
         }
         const bool target_down =
             !obs.host_down.empty() &&
             obs.host_down[static_cast<std::size_t>(r.target)] != 0;
+        // Stale: the VM moved off its source in the meantime (evacuation
+        // or another action), or an earlier retry already claimed it.
         const std::int32_t slot =
             slot_of_vm_[static_cast<std::size_t>(r.vm)];
         const bool stale =
             dc.host_of(r.vm) != r.source || slot < 0 ||
             pod_of_vm_[static_cast<std::size_t>(r.vm)] != p ||
             pod.slot_used[static_cast<std::size_t>(slot)] != 0;
-        if (target_down || stale) continue;
+        if (target_down || stale) continue;  // drop: the world moved on
+        // Drop retries whose source host is no longer hot enough to be
+        // worth the extra migration downtime (see retry_min_utilization).
         if (config_.base.recovery.retry_min_utilization > 0.0 &&
             obs.host_util[static_cast<std::size_t>(r.source)] <
                 config_.base.recovery.retry_min_utilization) {
           continue;
         }
         if (budget <= 0) {
-          pod.retries[keep++] = r;
+          pod.retries[keep++] = r;  // over budget; try again next step
           continue;
         }
+        // slot_used is only ever reset for slots in the candidate set
+        // (touched_slots), so mark it — and zero the VM's draw weights —
+        // only when the VM is a candidate this step; otherwise no draw
+        // can reach it anyway.
         const std::vector<std::size_t>& vm_cands =
             pod.candidates_of_slot[static_cast<std::size_t>(slot)];
         if (!vm_cands.empty()) {
@@ -451,8 +526,11 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
     }
   }
 
-  // Reactive draws: one per overloaded host, pods ascending then hosts
-  // ascending — the same global host order flat Megh scans.
+  // Reactive draws (Sec. 3.1: react to each overloaded PM): one per
+  // overloaded host, restricted to that host's candidates — its no-ops
+  // stay drawable, so "when to migrate" remains learned. Pods ascending
+  // then hosts ascending: the global host order. Overload response has
+  // first claim on the budget.
   for (int p = 0; p < num_pods() && budget > 0; ++p) {
     Pod& pod = pods_[static_cast<std::size_t>(p)];
     const std::vector<CandidateAction>& cands = pod.cands.candidates;
@@ -471,7 +549,9 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
     }
   }
 
-  // One consolidation draw per pod.
+  // One consolidation draw per pod, restricted to consolidation-source
+  // candidates (their no-ops included, so "leave it where it is" stays
+  // learnable).
   for (int p = 0; p < num_pods() && budget > 0; ++p) {
     Pod& pod = pods_[static_cast<std::size_t>(p)];
     const std::vector<CandidateAction>& cands = pod.cands.candidates;
@@ -499,6 +579,7 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
     --budget;
   }
 
+  // Temperature decay (once per step).
   selector_.decay();
 }
 
@@ -510,6 +591,7 @@ void HierarchicalMeghPolicy::observe_cost(double step_cost) {
 void HierarchicalMeghPolicy::observe_outcomes(
     std::span<const MigrationOutcome> outcomes) {
   if (!config_.base.recovery.enabled) return;
+  // One verdict per emitted action, in emission order (engine contract).
   MEGH_ASSERT(outcomes.size() == emitted_.size(),
               "outcome feedback must match the emitted action list");
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
@@ -522,8 +604,10 @@ void HierarchicalMeghPolicy::observe_outcomes(
     Pod& pod = pods_[static_cast<std::size_t>(e.pod)];
     ++faults_seen_;
     ++pod.faults_last_step;
-    // The VM stayed on its source (inside pod e.pod), so its slot is still
-    // valid: remap the pending transition to the realized no-op.
+    // The realized transition kept the VM on its source (inside pod
+    // e.pod, so its slot is still valid): remap the pending SARSA action
+    // to the no-op so the critic learns from what actually happened
+    // (including the fault's cost), not from a move that never landed.
     pod.pending[e.pending_slot] = pod_index(pod, e.vm, e.source);
     if (o.verdict == MigrationVerdict::kAborted &&
         e.attempt < config_.base.recovery.max_retries) {
@@ -537,17 +621,21 @@ void HierarchicalMeghPolicy::observe_outcomes(
 }
 
 void HierarchicalMeghPolicy::intern_stat_keys() {
+  // The first twelve are flat Megh's keys; the one-pod layout stops there.
+  static constexpr const char* kAggregates[] = {
+      "qtable_nnz",     "theta_nnz",         "lspi_updates",
+      "singular_skips", "truncations",       "b_offdiag_nnz",
+      "temperature",    "migrations_selected", "faults_seen",
+      "retries",        "masked_candidates", "rollbacks",
+      "pods",           "slot_overflows"};
+  const std::size_t emitted = one_pod_ ? 12 : std::size(kAggregates);
   aggregate_keys_.clear();
-  for (const char* name :
-       {"qtable_nnz", "theta_nnz", "lspi_updates", "singular_skips",
-        "truncations", "b_offdiag_nnz", "temperature", "migrations_selected",
-        "faults_seen", "retries", "masked_candidates", "rollbacks", "pods",
-        "slot_overflows"}) {
-    aggregate_keys_.push_back(StatKey::intern(name));
+  for (std::size_t k = 0; k < emitted; ++k) {
+    aggregate_keys_.push_back(StatKey::intern(kAggregates[k]));
   }
   pod_keys_.clear();
   const int pods_with_keys =
-      std::min(num_pods(), config_.per_pod_stats_limit);
+      one_pod_ ? 0 : std::min(num_pods(), config_.per_pod_stats_limit);
   pod_keys_.reserve(static_cast<std::size_t>(pods_with_keys) * 3);
   for (int p = 0; p < pods_with_keys; ++p) {
     const std::string prefix = "pod" + std::to_string(p) + ".";
@@ -558,6 +646,7 @@ void HierarchicalMeghPolicy::intern_stat_keys() {
 }
 
 void HierarchicalMeghPolicy::stats(PolicyStats& out) const {
+  if (aggregate_keys_.empty()) return;  // not begun
 #ifndef NDEBUG
   // The allocation-free-step guarantee: every key this method writes was
   // interned at begin(); a per-step stats() call must not grow the
@@ -572,6 +661,9 @@ void HierarchicalMeghPolicy::stats(PolicyStats& out) const {
     qtable_nnz += static_cast<double>(pod.learner->qtable_nnz());
     theta_nnz += static_cast<double>(pod.learner->theta_nnz());
     lspi_updates += static_cast<double>(pod.learner->updates());
+    // A degenerate Sherman–Morrison denominator silently skips the B
+    // update; surface it (plus truncation pressure and B fill-in) so
+    // snapshots show *why* the critic stalls instead of hiding it.
     singular_skips += static_cast<double>(pod.learner->singular_skips());
     truncations += static_cast<double>(pod.learner->truncations());
     b_offdiag += static_cast<double>(pod.learner->B().offdiag_nnz());
@@ -579,26 +671,25 @@ void HierarchicalMeghPolicy::stats(PolicyStats& out) const {
     rollbacks += static_cast<double>(pod.rollbacks);
     overflows += static_cast<double>(pod.slot_overflows);
   }
-  int k = 0;
-  out.set(aggregate_keys_[static_cast<std::size_t>(k++)], qtable_nnz);
-  out.set(aggregate_keys_[static_cast<std::size_t>(k++)], theta_nnz);
-  out.set(aggregate_keys_[static_cast<std::size_t>(k++)], lspi_updates);
-  out.set(aggregate_keys_[static_cast<std::size_t>(k++)], singular_skips);
-  out.set(aggregate_keys_[static_cast<std::size_t>(k++)], truncations);
-  out.set(aggregate_keys_[static_cast<std::size_t>(k++)], b_offdiag);
-  out.set(aggregate_keys_[static_cast<std::size_t>(k++)],
-          selector_.temperature());
-  out.set(aggregate_keys_[static_cast<std::size_t>(k++)],
-          static_cast<double>(total_migrations_selected_));
-  out.set(aggregate_keys_[static_cast<std::size_t>(k++)],
-          static_cast<double>(faults_seen_));
-  out.set(aggregate_keys_[static_cast<std::size_t>(k++)],
-          static_cast<double>(retries_issued_));
-  out.set(aggregate_keys_[static_cast<std::size_t>(k++)], masked);
-  out.set(aggregate_keys_[static_cast<std::size_t>(k++)], rollbacks);
-  out.set(aggregate_keys_[static_cast<std::size_t>(k++)],
-          static_cast<double>(num_pods()));
-  out.set(aggregate_keys_[static_cast<std::size_t>(k++)], overflows);
+  // Recovery counters stay 0 when recovery is disabled or the run is
+  // fault-free.
+  const double values[] = {qtable_nnz,
+                           theta_nnz,
+                           lspi_updates,
+                           singular_skips,
+                           truncations,
+                           b_offdiag,
+                           selector_.temperature(),
+                           static_cast<double>(total_migrations_selected_),
+                           static_cast<double>(faults_seen_),
+                           static_cast<double>(retries_issued_),
+                           masked,
+                           rollbacks,
+                           static_cast<double>(num_pods()),
+                           overflows};
+  for (std::size_t k = 0; k < aggregate_keys_.size(); ++k) {
+    out.set(aggregate_keys_[k], values[k]);
+  }
   const int pods_with_keys = static_cast<int>(pod_keys_.size()) / 3;
   for (int p = 0; p < pods_with_keys; ++p) {
     const Pod& pod = pods_[static_cast<std::size_t>(p)];
@@ -615,22 +706,22 @@ void HierarchicalMeghPolicy::stats(PolicyStats& out) const {
   }
 #ifndef NDEBUG
   MEGH_ASSERT(StatKey::interned_count() == interned_before,
-              "HierMegh stat keys must be interned at begin(), not per step");
+              "Megh stat keys must be interned at begin(), not per step");
 #endif
 }
 
 const LspiLearner& HierarchicalMeghPolicy::pod_learner(int pod) const {
-  MEGH_REQUIRE(pod >= 0 && pod < num_pods(), "pod index out of range");
-  const auto& learner = pods_[static_cast<std::size_t>(pod)].learner;
-  MEGH_REQUIRE(learner != nullptr, "pod learner not initialized");
-  return *learner;
+  MEGH_REQUIRE(pod >= 0 && pod < num_pods(),
+               "pod index out of range (learner not initialized before "
+               "begin())");
+  return *pods_[static_cast<std::size_t>(pod)].learner;
 }
 
 LspiLearner& HierarchicalMeghPolicy::mutable_pod_learner(int pod) {
-  MEGH_REQUIRE(pod >= 0 && pod < num_pods(), "pod index out of range");
-  const auto& learner = pods_[static_cast<std::size_t>(pod)].learner;
-  MEGH_REQUIRE(learner != nullptr, "pod learner not initialized");
-  return *learner;
+  MEGH_REQUIRE(pod >= 0 && pod < num_pods(),
+               "pod index out of range (learner not initialized before "
+               "begin())");
+  return *pods_[static_cast<std::size_t>(pod)].learner;
 }
 
 int HierarchicalMeghPolicy::pod_host_begin(int pod) const {
@@ -651,6 +742,30 @@ int HierarchicalMeghPolicy::pod_slot_capacity(int pod) const {
 std::span<const int> HierarchicalMeghPolicy::pod_vm_of_slot(int pod) const {
   MEGH_REQUIRE(pod >= 0 && pod < num_pods(), "pod index out of range");
   return pods_[static_cast<std::size_t>(pod)].vm_of_slot;
+}
+
+std::span<const std::int64_t> HierarchicalMeghPolicy::pending_actions(
+    int pod) const {
+  MEGH_REQUIRE(pod >= 0 && pod < num_pods(), "pod index out of range");
+  return pods_[static_cast<std::size_t>(pod)].pending;
+}
+
+void HierarchicalMeghPolicy::restore_pending(
+    int pod, std::span<const std::int64_t> actions) {
+  MEGH_REQUIRE(pod >= 0 && pod < num_pods(), "pod index out of range");
+  Pod& p = pods_[static_cast<std::size_t>(pod)];
+  const std::int64_t dim = p.learner->dim();
+  for (std::int64_t a : actions) {
+    MEGH_REQUIRE(a >= 0 && a < dim, "pending action out of range");
+  }
+  p.pending.assign(actions.begin(), actions.end());
+}
+
+void HierarchicalMeghPolicy::restore_pending_cost(
+    double cost, bool has_cost, long long migrations_selected) {
+  pending_cost_ = cost;
+  has_pending_cost_ = has_cost;
+  total_migrations_selected_ = migrations_selected;
 }
 
 }  // namespace megh

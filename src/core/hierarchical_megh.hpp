@@ -1,6 +1,21 @@
-// Hierarchical two-level Megh: one pod-local LSPI learner per step shard.
+// Megh's learner core: the paper's online reinforcement-learning migration
+// policy (Algorithm 1 + Algorithm 2) — an LSPI critic (core/lspi.hpp), a
+// Boltzmann actor (core/boltzmann.hpp) and the candidate generator
+// (core/candidates.hpp) — decomposed into per-pod learners.
 //
-// Flat Megh projects onto d = N × M basis vectors — at cluster scale
+// Per step:
+//   1. Build each pod's candidate action set and look up every
+//      candidate's Q(a) = θ[a].
+//   2. Close the previous step's SARSA transitions: every action taken at
+//      t−1 is updated with its share of the observed cost C_t and
+//      φ_{π(s_t)} = this step's greedy candidate in its pod (Eq. 10/11).
+//   3. Boltzmann-sample up to ⌈max_migration_fraction · N⌉ actions (one per
+//      VM); sampled no-ops answer "don't migrate".
+//   4. Decay the temperature (Algorithm 2 line 2).
+// The learner never needs a training phase: step 2 runs from the very first
+// interval ("learn as you go").
+//
+// Pods. Flat Megh projects onto d = N × M basis vectors — at cluster scale
 // (100k PMs × 1M VMs) that is d ~ 10¹¹, and even the lazily-materialized
 // critic pays for it in slot-map address space and in serial decide time.
 // The fat tree gives the natural factorization: a pod's VMs migrate mostly
@@ -20,11 +35,14 @@
 // (⌈2%·N⌉). Each draw consumes the *owning pod's* RNG stream, and every
 // stream is advanced deterministically (generation in the pod phase, draws
 // in the serial phase), so decisions are bit-identical at any
-// SimulationConfig::jobs. On a fabric with a single (clipped) pod the
-// domain spans the whole fleet, slot k is VM k, and the pod action index
-// slot·M + h equals the flat basis index vm·M + h — the policy reproduces
-// flat MeghPolicy's decisions bit for bit (with the default delta = 1.0;
-// delta <= 0 selects δ = d_p, which differs from flat's δ = N·M).
+// SimulationConfig::jobs.
+//
+// Flat Megh (MeghPolicy, core/megh_policy.hpp) is the P = 1 case: one pod
+// spanning the fleet with zero slot headroom, so cap = N, slot k is VM k,
+// the pod action index slot·M + h equals the flat basis index vm·M + h,
+// d = N·M (and delta <= 0 means δ = N·M), and the single pod's candidate
+// scans fan out over the engine's executor instead of running inside one
+// of its shards.
 //
 // VM churn is handled by per-pod slot maps: a VM migrating into a pod
 // takes the smallest free slot (departures recycle theirs), so learner
@@ -33,9 +51,10 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
+#include <iosfwd>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -43,12 +62,78 @@
 #include "core/boltzmann.hpp"
 #include "core/candidates.hpp"
 #include "core/lspi.hpp"
-#include "core/megh_policy.hpp"
 #include "sim/network.hpp"
 #include "sim/policy.hpp"
 #include "sim/policy_stats.hpp"
 
 namespace megh {
+
+/// Fault-recovery behaviour (chaos subsystem, src/chaos). All of it is
+/// inert unless `enabled` — and even then every mechanism is a no-op in a
+/// fault-free run, so a recovery-enabled Megh under a zero-rate FaultPlan
+/// makes exactly the decisions a plain Megh makes.
+struct MeghRecoveryConfig {
+  bool enabled = false;
+  /// Drop non-no-op candidates that target a currently-down host before
+  /// the Boltzmann draw (the engine would reject them anyway; masking
+  /// keeps the learner from wasting draws and SARSA credit on them).
+  bool mask_down_hosts = true;
+  /// Re-request an aborted migration up to this many times.
+  int max_retries = 2;
+  /// Steps to wait before the first retry; doubles with each attempt.
+  int retry_backoff_steps = 2;
+  /// Only issue a due retry while the VM's current host runs at or above
+  /// this utilization; retries below it are dropped. Aborted *reactive*
+  /// moves (VM stuck on an overloaded source) are the SLA-relevant ones to
+  /// push through — re-driving consolidation moves only adds migration
+  /// downtime. 0 retries unconditionally.
+  double retry_min_utilization = 0.0;
+  /// When > 0: a step whose outcome feedback reports at least this many
+  /// failed actions (aborts + down targets) in a pod rolls that pod's
+  /// critic back to its last periodic in-memory snapshot, discarding
+  /// updates learned from the fault burst. 0 disables rollback.
+  int rollback_burst_threshold = 0;
+  /// How often (in steps) the in-memory critic snapshot is refreshed.
+  int checkpoint_interval_steps = 64;
+};
+
+struct MeghConfig {
+  double gamma = 0.5;     // discount factor (Sec. 6.1: 50:50 old vs new)
+  double temp0 = 3.0;     // initial Boltzmann temperature (Sec. 6.1)
+  double epsilon = 0.01;  // temperature decay rate (Sec. 6.1)
+  /// δ in B₀ = (1/δ)·I. The paper sets δ = d, but at d ~ 10⁴-10⁶ that
+  /// shrinks every Q-value by 1/d and the Boltzmann weights stay uniform
+  /// for the whole run — the critic never influences the actor. δ = 1
+  /// keeps the identical algorithm with a usable signal scale (the
+  /// ablation bench contrasts both). <= 0 selects the paper's δ = d, per
+  /// pod (d_p; d = N·M for flat Megh).
+  double delta = 1.0;
+  /// Per-step migration budget as a fraction of N (Sec. 6.1: 2%).
+  double max_migration_fraction = 0.02;
+  /// Subtract an exponential moving average of the step cost before the
+  /// critic update (advantage normalization). The paper's Algorithm 1
+  /// accumulates raw costs — with always-positive costs every *tried*
+  /// action looks worse than an untried one, so exploitation degenerates to
+  /// novelty-seeking. A constant baseline only shifts V (Theorem 1/2 are
+  /// unaffected asymptotically) but makes the greedy step meaningful.
+  /// Disable to run the paper-literal update (ablation bench).
+  bool advantage_baseline = true;
+  /// EMA weight for the baseline.
+  double baseline_weight = 0.05;
+  /// Sherman–Morrison factor truncation (see LspiLearner): bounds B's
+  /// fill-in so per-step time stays flat over week-long runs.
+  int max_update_support = 32;
+  /// When false the critic is frozen: decide() still builds candidates,
+  /// reads Q-values and Boltzmann-samples, but the LSPI update is skipped.
+  /// Used by the frozen-critic ablation and by the allocation-count test
+  /// (with the critic frozen, a steady-state step performs zero heap
+  /// allocations; with it learning, the only allocations are the Q-table's
+  /// own growth — the quantity Fig. 7 plots).
+  bool learning_enabled = true;
+  CandidateConfig candidates;
+  MeghRecoveryConfig recovery;
+  std::uint64_t seed = 42;
+};
 
 struct HierarchicalMeghConfig {
   /// Learner/actor/recovery knobs, applied per pod. `base.delta <= 0`
@@ -70,21 +155,36 @@ struct HierarchicalMeghConfig {
   int per_pod_stats_limit = 16;
 };
 
+/// The one Megh implementation: decide, observe, recovery and stats for
+/// any number of pods. Constructed from a HierarchicalMeghConfig it shards
+/// the fleet by fabric pod (or host block); MeghPolicy constructs it with
+/// one fleet-wide pod.
 class HierarchicalMeghPolicy : public MigrationPolicy {
  public:
   explicit HierarchicalMeghPolicy(const HierarchicalMeghConfig& config = {});
 
-  std::string name() const override { return "HierMegh"; }
+  /// "Megh" for the one-pod (flat) layout, "HierMegh" otherwise.
+  std::string name() const override { return one_pod_ ? "Megh" : "HierMegh"; }
   void begin(const Datacenter& dc, const CostConfig& cost,
              double interval_s) override;
-  /// Hot path. The per-pod phase (membership rebuild, candidate
-  /// generation, Q gather, LSPI update, weights) fans out over obs.exec
-  /// when its plan matches ours; the draw coordinator stays serial.
+  /// Hot path: appends into the engine's reused buffer and runs on
+  /// per-pod scratch storage that keeps its capacity across steps. The
+  /// per-pod phase (membership, candidate generation, Q gather, LSPI
+  /// update, weights) fans out over obs.exec when its plan matches ours —
+  /// or, with a single pod, the pod's candidate scans do; the draw
+  /// coordinator stays serial. Decisions are identical at any job count.
   void decide_into(const StepObservation& obs,
                    std::vector<MigrationAction>& out) override;
   void observe_cost(double step_cost) override;
+  /// Recovery feedback (no-op unless config.recovery.enabled): failed
+  /// actions (aborted / down target) have their pending SARSA transition
+  /// remapped to the realized no-op (the VM stayed on its source), and
+  /// aborted migrations are queued for retry with exponential backoff.
   void observe_outcomes(std::span<const MigrationOutcome> outcomes) override;
-  /// Aggregates across pods under flat Megh's key names, plus "pods",
+  /// Aggregates across pods: qtable_nnz, theta_nnz, lspi_updates,
+  /// singular_skips, truncations, b_offdiag_nnz, temperature,
+  /// migrations_selected, faults_seen, retries, masked_candidates and
+  /// rollbacks. With more than a one-pod layout also "pods",
   /// "slot_overflows" and pod<k>.{qtable_nnz,lspi_updates,rollbacks}.
   /// Every key is interned at begin(); a debug build asserts that stats()
   /// itself interns nothing (the allocation-free-step guarantee).
@@ -95,15 +195,8 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
   const LspiLearner& pod_learner(int pod) const;
   LspiLearner& mutable_pod_learner(int pod);
   double temperature() const { return selector_.temperature(); }
-
-  // --- checkpointing hooks (see core/checkpoint.hpp) ---
-  void set_temperature(double temp) { selector_.set_temperature(temp); }
   double cost_baseline() const { return cost_baseline_; }
   bool baseline_initialized() const { return baseline_initialized_; }
-  void set_cost_baseline(double baseline, bool initialized) {
-    cost_baseline_ = baseline;
-    baseline_initialized_ = initialized;
-  }
   /// Pod host range and slot map, read by tests and the checkpoint writer.
   int pod_host_begin(int pod) const;
   int pod_host_end(int pod) const;
@@ -111,10 +204,29 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
   /// slot → VM id (-1 = free), valid for slots < pod_slot_capacity(pod).
   std::span<const int> pod_vm_of_slot(int pod) const;
 
-  friend void save_hierarchical_policy(const HierarchicalMeghPolicy& policy,
-                                       const std::filesystem::path& path);
-  friend void load_hierarchical_policy(HierarchicalMeghPolicy& policy,
-                                       const std::filesystem::path& path);
+  // --- serving hooks (src/serve): the open SARSA transition, captured by
+  // the daemon's snapshots so a recovery mid-step (between Decide and
+  // Observe) resumes with the same pending update a live server holds. A
+  // checkpoint load clears it; restore it afterwards. ---
+  std::span<const std::int64_t> pending_actions(int pod) const;
+  double pending_cost() const { return pending_cost_; }
+  bool has_pending_cost() const { return has_pending_cost_; }
+  long long migrations_selected() const { return total_migrations_selected_; }
+  void restore_pending(int pod, std::span<const std::int64_t> actions);
+  void restore_pending_cost(double cost, bool has_cost,
+                            long long migrations_selected);
+
+  friend void write_megh_policy(std::ostream& out,
+                                const HierarchicalMeghPolicy& policy);
+  friend void read_megh_policy(std::istream& in,
+                               HierarchicalMeghPolicy& policy,
+                               const std::string& context);
+
+ protected:
+  /// The one-pod layout: a single pod spanning the fleet with zero slot
+  /// headroom (flat Megh; see MeghPolicy).
+  struct OnePod {};
+  HierarchicalMeghPolicy(const MeghConfig& config, OnePod);
 
  private:
   /// In-memory critic snapshot for per-pod burst rollback.
@@ -143,7 +255,7 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
     int target;
     int pod;
     std::size_t pending_slot;
-    int attempt;
+    int attempt;  // 0 = fresh Boltzmann draw, >0 = injected retry
   };
 
   /// Everything one pod owns. Mutated only by its own shard during the
@@ -186,16 +298,22 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
     return slot * (pod.host_end - pod.host_begin) + (host - pod.host_begin);
   }
 
+  /// Bucket every placed VM into its pod's member list, ascending.
+  void collect_members(const Datacenter& dc);
+  /// Size a pod's slot-indexed scratch (and its learner) to `cap`.
+  void reset_pod_slots(Pod& pod, int cap);
   void rebuild_membership(Pod& pod, int pod_id, const Datacenter& dc);
   void run_pod_phase(int pod_id, const StepObservation& obs, bool do_update,
-                     double share);
+                     double share, const ShardExecutor* exec);
   void intern_stat_keys();
 
   HierarchicalMeghConfig config_;
+  bool one_pod_ = false;
   BoltzmannSelector selector_;
   std::unique_ptr<ActionBasis> basis_;  // global indices (dedup/telemetry)
   ShardPlan plan_ = ShardPlan::single(1);  // rebuilt by begin()
   std::vector<Pod> pods_;
+  std::vector<std::int32_t> pod_of_host_;  // built by begin()
   // vm → owning pod / slot. Written only by the VM's current pod during
   // the parallel rebuild, so concurrent pod phases never race.
   std::vector<std::int32_t> pod_of_vm_;
@@ -206,6 +324,7 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
   double pending_cost_ = 0.0;
   bool has_pending_cost_ = false;
   long long total_migrations_selected_ = 0;
+  // Advantage baseline (EMA of observed step costs).
   double cost_baseline_ = 0.0;
   bool baseline_initialized_ = false;
 

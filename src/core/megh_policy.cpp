@@ -1,424 +1,8 @@
 #include "core/megh_policy.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/error.hpp"
-#include "telemetry/telemetry.hpp"
-
 namespace megh {
 
 MeghPolicy::MeghPolicy(const MeghConfig& config)
-    : config_(config),
-      rng_(config.seed),
-      selector_(config.temp0, config.epsilon) {
-  MEGH_REQUIRE(config.max_migration_fraction > 0.0 &&
-                   config.max_migration_fraction <= 1.0,
-               "Megh: max_migration_fraction must lie in (0, 1]");
-  if (config.recovery.enabled) {
-    MEGH_REQUIRE(config.recovery.max_retries >= 0 &&
-                     config.recovery.max_retries <= 16,
-                 "Megh: max_retries must lie in [0, 16]");
-    MEGH_REQUIRE(config.recovery.retry_backoff_steps >= 1,
-                 "Megh: retry_backoff_steps must be >= 1");
-    MEGH_REQUIRE(config.recovery.retry_min_utilization >= 0.0,
-                 "Megh: retry_min_utilization must be >= 0");
-    MEGH_REQUIRE(config.recovery.checkpoint_interval_steps >= 1,
-                 "Megh: checkpoint_interval_steps must be >= 1");
-  }
-}
-
-void MeghPolicy::begin(const Datacenter& dc, const CostConfig& cost,
-                       double interval_s) {
-  (void)interval_s;
-  basis_ = std::make_unique<ActionBasis>(dc.num_vms(), dc.num_hosts());
-  learner_ = std::make_unique<LspiLearner>(basis_->dim(), config_.gamma,
-                                           config_.delta,
-                                           config_.max_update_support);
-  beta_ = cost.beta_overload;
-  migration_budget_ = std::max(
-      1, static_cast<int>(std::ceil(config_.max_migration_fraction *
-                                    dc.num_vms())));
-  pending_actions_.clear();
-  // One draw per overloaded host + consolidation + global, each taking at
-  // most one action, all bounded by the budget (+1 for the global draw).
-  pending_actions_.reserve(static_cast<std::size_t>(migration_budget_) + 2);
-  has_pending_cost_ = false;
-  total_migrations_selected_ = 0;
-  cost_baseline_ = 0.0;
-  baseline_initialized_ = false;
-  emitted_.clear();
-  emitted_.reserve(static_cast<std::size_t>(migration_budget_) + 2);
-  retries_.clear();
-  retries_.reserve(
-      static_cast<std::size_t>(migration_budget_) *
-          static_cast<std::size_t>(std::max(1, config_.recovery.max_retries)) +
-      4);
-  checkpoint_ = CriticSnapshot{};
-  last_step_ = -1;
-  faults_last_step_ = 0;
-  faults_seen_ = 0;
-  retries_issued_ = 0;
-  masked_candidates_ = 0;
-  rollbacks_ = 0;
-}
-
-void MeghPolicy::decide_into(const StepObservation& obs,
-                             std::vector<MigrationAction>& out) {
-  MEGH_REQUIRE(basis_ != nullptr, "MeghPolicy::decide before begin()");
-  MEGH_TRACE_SCOPE("megh.decide");
-  const Datacenter& dc = *obs.dc;
-
-  // 1. Candidates and their Q-values. The per-host scans inside fan out
-  // over the engine's shard executor when one is attached (obs.exec);
-  // the result is bit-identical either way.
-  generate_candidates(dc, obs.host_util, beta_, *basis_, config_.candidates,
-                      rng_, scratch_.candidates, obs.network, obs.exec);
-  const bool recovery = config_.recovery.enabled;
-  if (recovery) {
-    last_step_ = obs.step;
-    emitted_.clear();
-    // Mask candidates that target a down host: the engine would reject
-    // them, and a draw spent on one both wastes migration budget and
-    // poisons the SARSA transition with a move that cannot happen. No-ops
-    // survive, so "stay put" remains drawable for every source VM.
-    if (config_.recovery.mask_down_hosts && !obs.host_down.empty()) {
-      std::vector<CandidateAction>& cands = scratch_.candidates.candidates;
-      std::size_t w = 0;
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (!cands[i].is_noop &&
-            obs.host_down[static_cast<std::size_t>(cands[i].host)] != 0) {
-          ++masked_candidates_;
-          continue;
-        }
-        cands[w++] = cands[i];
-      }
-      cands.resize(w);
-    }
-    // Burst rollback: a heavily faulted interval taught the critic from
-    // transitions the faults falsified — restore the last checkpoint and
-    // drop the straddling pending transitions.
-    if (config_.recovery.rollback_burst_threshold > 0 &&
-        faults_last_step_ >= config_.recovery.rollback_burst_threshold &&
-        checkpoint_.valid) {
-      learner_->restore(checkpoint_.B, checkpoint_.z, checkpoint_.theta);
-      pending_actions_.clear();
-      has_pending_cost_ = false;
-      ++rollbacks_;
-    }
-    faults_last_step_ = 0;
-  }
-  const std::vector<CandidateAction>& candidates =
-      scratch_.candidates.candidates;
-  MEGH_ASSERT(!candidates.empty(), "candidate set must never be empty");
-  std::vector<double>& q = scratch_.q;
-  std::vector<std::int64_t>& q_idx = scratch_.q_idx;
-  q.reserve(candidates.capacity());  // worst-case once; no later regrowth
-  q_idx.clear();
-  q_idx.reserve(candidates.capacity());
-  for (const CandidateAction& c : candidates) {
-    q_idx.push_back(c.index);
-  }
-  // One batched gather scores the whole candidate set; the per-candidate
-  // slot-map misses overlap instead of serializing.
-  q.resize(candidates.size());
-  learner_->q_values(q_idx, q);
-
-  // 2. Close the previous step's transitions: φ_b = the greedy action under
-  //    the current policy at the state we have just arrived in.
-  if (config_.learning_enabled && has_pending_cost_ &&
-      !pending_actions_.empty()) {
-    const std::int64_t b = candidates[BoltzmannSelector::greedy(q)].index;
-    double effective_cost = pending_cost_;
-    if (config_.advantage_baseline) {
-      if (!baseline_initialized_) {
-        cost_baseline_ = pending_cost_;
-        baseline_initialized_ = true;
-      }
-      effective_cost = pending_cost_ - cost_baseline_;
-      cost_baseline_ += config_.baseline_weight *
-                        (pending_cost_ - cost_baseline_);
-    }
-    const double share =
-        effective_cost / static_cast<double>(pending_actions_.size());
-    // All pending actions share the same greedy b, so the batched kernel
-    // extracts B.row(b) once instead of once per action.
-    learner_->update_batch(pending_actions_, share, b);
-    // θ changed; refresh the candidates' Q-values before acting on them.
-    learner_->q_values(q_idx, q);
-  }
-  pending_actions_.clear();
-  has_pending_cost_ = false;
-  if (recovery && config_.learning_enabled &&
-      config_.recovery.rollback_burst_threshold > 0 &&
-      obs.step % config_.recovery.checkpoint_interval_steps == 0) {
-    refresh_checkpoint();
-  }
-
-  // 3. Boltzmann-sample actions, at most one per VM. Algorithm 1 picks a
-  //    single action per iteration; the 2% budget (Sec. 6.1) is a ceiling
-  //    reached only under pressure. Per Sec. 3.1 the system reacts to each
-  //    overloaded PM, so we make one draw *restricted to that host's VMs*
-  //    per overloaded host (its no-ops stay drawable — "when to migrate"
-  //    remains learned), plus one global draw, all within the budget.
-  scratch_.weights.reserve(candidates.capacity());
-  selector_.weights(q, scratch_.weights);
-  std::vector<double>& weights = scratch_.weights;
-  // vm → candidate indices, built once per step so excluding a chosen VM's
-  // remaining candidates is O(candidates of that VM), not a rescan of the
-  // whole candidate set on every draw. Only the entries dirtied by the
-  // previous step (touched_vms) are reset, never the whole fleet.
-  std::vector<std::vector<std::size_t>>& candidates_of_vm =
-      scratch_.candidates_of_vm;
-  if (candidates_of_vm.size() != static_cast<std::size_t>(dc.num_vms())) {
-    candidates_of_vm.assign(static_cast<std::size_t>(dc.num_vms()), {});
-    // A VM is the source of at most no-op + PABFD + pack +
-    // targets_per_source random candidates; reserving that up front means a
-    // VM first selected deep into the run still allocates nothing.
-    for (std::vector<std::size_t>& list : candidates_of_vm) {
-      list.reserve(
-          static_cast<std::size_t>(config_.candidates.targets_per_source + 3));
-    }
-    scratch_.vm_used.assign(static_cast<std::size_t>(dc.num_vms()), 0);
-    scratch_.touched_vms.clear();
-    scratch_.touched_vms.reserve(static_cast<std::size_t>(dc.num_vms()));
-  }
-  for (int vm : scratch_.touched_vms) {
-    candidates_of_vm[static_cast<std::size_t>(vm)].clear();
-    scratch_.vm_used[static_cast<std::size_t>(vm)] = 0;
-  }
-  scratch_.touched_vms.clear();
-  for (std::size_t j = 0; j < candidates.size(); ++j) {
-    std::vector<std::size_t>& list =
-        candidates_of_vm[static_cast<std::size_t>(candidates[j].vm)];
-    if (list.empty()) scratch_.touched_vms.push_back(candidates[j].vm);
-    list.push_back(j);
-  }
-  const auto take = [&](std::size_t i) {
-    const CandidateAction& c = candidates[i];
-    std::uint8_t& used = scratch_.vm_used[static_cast<std::size_t>(c.vm)];
-    if (used == 0) {
-      used = 1;
-      pending_actions_.push_back(c.index);
-      if (!c.is_noop) {
-        out.push_back(MigrationAction{c.vm, c.host});
-        ++total_migrations_selected_;
-        if (recovery) {
-          emitted_.push_back(EmittedAction{c.vm, dc.host_of(c.vm), c.host,
-                                           pending_actions_.size() - 1, 0});
-        }
-      }
-    }
-    // Remove every candidate of this VM from further draws.
-    for (std::size_t j : candidates_of_vm[static_cast<std::size_t>(c.vm)]) {
-      weights[j] = 0.0;
-    }
-  };
-  const auto draw_from = [&](const std::vector<std::size_t>& subset) {
-    double total = 0.0;
-    for (std::size_t j : subset) total += weights[j];
-    if (!(total > 0.0) || !std::isfinite(total)) return;
-    double r = rng_.uniform() * total;
-    // Numerical edge: r can stay positive by epsilon after the full pass.
-    // Fall back to the last *positive-weight* candidate — never one whose
-    // weight was zeroed (already-used VM / non-finite Q), mirroring
-    // Rng::weighted_index.
-    std::size_t last_positive = subset.size();
-    for (std::size_t k = 0; k < subset.size(); ++k) {
-      const std::size_t j = subset[k];
-      if (weights[j] > 0.0) last_positive = k;
-      r -= weights[j];
-      if (r <= 0.0) {
-        take(j);
-        return;
-      }
-    }
-    if (last_positive < subset.size()) take(subset[last_positive]);
-  };
-
-  // Injected retries: deterministically re-request due aborted migrations
-  // before any Boltzmann draw, claiming budget first. A fault-free run
-  // never queues a retry, so this is a no-op there.
-  int budget = migration_budget_;
-  if (recovery && !retries_.empty()) {
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < retries_.size(); ++i) {
-      const PendingRetry r = retries_[i];
-      if (r.due_step > obs.step) {
-        retries_[keep++] = r;  // not due yet
-        continue;
-      }
-      const bool target_down =
-          !obs.host_down.empty() &&
-          obs.host_down[static_cast<std::size_t>(r.target)] != 0;
-      // Stale: the VM moved off its source in the meantime (evacuation or
-      // another action), or an earlier retry already claimed it this step.
-      const bool stale =
-          dc.host_of(r.vm) != r.source ||
-          scratch_.vm_used[static_cast<std::size_t>(r.vm)] != 0;
-      if (target_down || stale) continue;  // drop: the world moved on
-      // Drop retries whose source host is no longer hot enough to be worth
-      // the extra migration downtime (see retry_min_utilization).
-      if (config_.recovery.retry_min_utilization > 0.0 &&
-          obs.host_util[static_cast<std::size_t>(r.source)] <
-              config_.recovery.retry_min_utilization) {
-        continue;
-      }
-      if (budget <= 0) {
-        retries_[keep++] = r;  // over budget; try again next step
-        continue;
-      }
-      // vm_used is only ever reset for VMs in the candidate set
-      // (touched_vms), so mark it — and zero the VM's draw weights — only
-      // when the VM is a candidate this step; otherwise no draw can reach
-      // it anyway.
-      const std::vector<std::size_t>& vm_cands =
-          candidates_of_vm[static_cast<std::size_t>(r.vm)];
-      if (!vm_cands.empty()) {
-        scratch_.vm_used[static_cast<std::size_t>(r.vm)] = 1;
-        for (std::size_t j : vm_cands) weights[j] = 0.0;
-      }
-      pending_actions_.push_back(basis_->index(r.vm, r.target));
-      out.push_back(MigrationAction{r.vm, r.target});
-      emitted_.push_back(EmittedAction{r.vm, r.source, r.target,
-                                       pending_actions_.size() - 1,
-                                       r.attempt});
-      ++total_migrations_selected_;
-      ++retries_issued_;
-      --budget;
-    }
-    retries_.resize(keep);
-  }
-
-  // Reactive draws: one per overloaded host, over that host's candidates.
-  // Overload response has first claim on the whole budget.
-  std::vector<std::size_t>& subset = scratch_.subset;
-  subset.reserve(candidates.capacity());
-  for (int h = 0; h < dc.num_hosts() && budget > 0; ++h) {
-    if (obs.host_util[static_cast<std::size_t>(h)] <= beta_) continue;
-    subset.clear();
-    for (std::size_t j = 0; j < candidates.size(); ++j) {
-      if (dc.host_of(candidates[j].vm) == h) subset.push_back(j);
-    }
-    if (subset.empty()) continue;
-    draw_from(subset);
-    --budget;
-  }
-
-  // One consolidation draw: restricted to consolidation-source candidates
-  // (their no-ops included, so "leave it where it is" stays learnable).
-  if (budget > 0) {
-    subset.clear();
-    for (std::size_t j = 0; j < candidates.size(); ++j) {
-      if (candidates[j].group == CandidateGroup::kConsolidation) {
-        subset.push_back(j);
-      }
-    }
-    if (!subset.empty()) {
-      draw_from(subset);
-      --budget;
-    }
-  }
-
-  // One global draw (exploration), if any budget remains.
-  if (budget > 0) {
-    subset.resize(candidates.size());
-    for (std::size_t j = 0; j < candidates.size(); ++j) subset[j] = j;
-    draw_from(subset);
-  }
-
-  // 4. Temperature decay (once per step).
-  selector_.decay();
-}
-
-void MeghPolicy::observe_cost(double step_cost) {
-  pending_cost_ = step_cost;
-  has_pending_cost_ = true;
-}
-
-void MeghPolicy::observe_outcomes(
-    std::span<const MigrationOutcome> outcomes) {
-  if (!config_.recovery.enabled) return;
-  // One verdict per emitted action, in emission order (engine contract).
-  MEGH_ASSERT(outcomes.size() == emitted_.size(),
-              "outcome feedback must match the emitted action list");
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const MigrationOutcome& o = outcomes[i];
-    if (o.verdict != MigrationVerdict::kAborted &&
-        o.verdict != MigrationVerdict::kTargetDown) {
-      continue;
-    }
-    const EmittedAction& e = emitted_[i];
-    ++faults_seen_;
-    ++faults_last_step_;
-    // The realized transition kept the VM on its source: remap the pending
-    // SARSA action to the no-op so the critic learns from what actually
-    // happened (including the fault's cost), not from a move that never
-    // landed.
-    pending_actions_[e.pending_slot] = basis_->index(e.vm, e.source);
-    if (o.verdict == MigrationVerdict::kAborted &&
-        e.attempt < config_.recovery.max_retries) {
-      retries_.push_back(PendingRetry{
-          e.vm, e.source, e.target,
-          last_step_ +
-              config_.recovery.retry_backoff_steps * (1 << e.attempt),
-          e.attempt + 1});
-    }
-  }
-}
-
-void MeghPolicy::refresh_checkpoint() {
-  checkpoint_.B = learner_->B();
-  checkpoint_.z = learner_->z();
-  checkpoint_.theta = learner_->theta();
-  checkpoint_.valid = true;
-}
-
-void MeghPolicy::stats(PolicyStats& out) const {
-  static const StatKey kQtableNnz = StatKey::intern("qtable_nnz");
-  static const StatKey kThetaNnz = StatKey::intern("theta_nnz");
-  static const StatKey kLspiUpdates = StatKey::intern("lspi_updates");
-  static const StatKey kSingularSkips = StatKey::intern("singular_skips");
-  static const StatKey kTruncations = StatKey::intern("truncations");
-  static const StatKey kBOffdiagNnz = StatKey::intern("b_offdiag_nnz");
-  static const StatKey kTemperature = StatKey::intern("temperature");
-  static const StatKey kMigrationsSelected =
-      StatKey::intern("migrations_selected");
-  static const StatKey kFaultsSeen = StatKey::intern("faults_seen");
-  static const StatKey kRetries = StatKey::intern("retries");
-  static const StatKey kMaskedCandidates =
-      StatKey::intern("masked_candidates");
-  static const StatKey kRollbacks = StatKey::intern("rollbacks");
-  if (learner_ != nullptr) {
-    out.set(kQtableNnz, static_cast<double>(learner_->qtable_nnz()));
-    out.set(kThetaNnz, static_cast<double>(learner_->theta_nnz()));
-    out.set(kLspiUpdates, static_cast<double>(learner_->updates()));
-    // A degenerate Sherman–Morrison denominator silently skips the B
-    // update; surface it (plus truncation pressure and B fill-in) so
-    // snapshots show *why* the critic stalls instead of hiding it.
-    out.set(kSingularSkips, static_cast<double>(learner_->singular_skips()));
-    out.set(kTruncations, static_cast<double>(learner_->truncations()));
-    out.set(kBOffdiagNnz, static_cast<double>(learner_->B().offdiag_nnz()));
-  }
-  out.set(kTemperature, selector_.temperature());
-  out.set(kMigrationsSelected,
-          static_cast<double>(total_migrations_selected_));
-  // Recovery counters (satellite view of the chaos subsystem): all stay 0
-  // when recovery is disabled or the run is fault-free.
-  out.set(kFaultsSeen, static_cast<double>(faults_seen_));
-  out.set(kRetries, static_cast<double>(retries_issued_));
-  out.set(kMaskedCandidates, static_cast<double>(masked_candidates_));
-  out.set(kRollbacks, static_cast<double>(rollbacks_));
-}
-
-const LspiLearner& MeghPolicy::learner() const {
-  MEGH_REQUIRE(learner_ != nullptr, "learner not initialized; call begin()");
-  return *learner_;
-}
-
-LspiLearner& MeghPolicy::mutable_learner() {
-  MEGH_REQUIRE(learner_ != nullptr, "learner not initialized; call begin()");
-  return *learner_;
-}
+    : HierarchicalMeghPolicy(config, OnePod{}) {}
 
 }  // namespace megh

@@ -1,233 +1,24 @@
 // Megh: the paper's online reinforcement-learning migration policy
-// (Algorithm 1 + Algorithm 2), assembled from the LSPI critic
-// (core/lspi.hpp), the Boltzmann actor (core/boltzmann.hpp) and the
-// candidate generator (core/candidates.hpp).
+// (Algorithm 1 + Algorithm 2) over the flat projected space d = N × M.
 //
-// Per step:
-//   1. Build the candidate action set and look up each candidate's
-//      Q(a) = θ[a].
-//   2. Close the previous step's SARSA transitions: every action taken at
-//      t−1 is updated with its share of the observed cost C_t and
-//      φ_{π(s_t)} = this step's greedy candidate (Eq. 10/11).
-//   3. Boltzmann-sample up to ⌈max_migration_fraction · N⌉ actions (one per
-//      VM); sampled no-ops answer "don't migrate".
-//   4. Decay the temperature (Algorithm 2 line 2).
-//
-// The learner never needs a training phase: step 2 runs from the very first
-// interval ("learn as you go").
+// Flat Megh is the one-pod configuration of the learner core in
+// core/hierarchical_megh.hpp, which holds the whole algorithm — candidate
+// scoring, SARSA closing, Boltzmann draws, temperature decay, fault
+// recovery and stats. Here the single pod spans the fleet with zero slot
+// headroom: slot k is VM k, the pod action index is the flat basis index
+// vm·M + h, and delta <= 0 selects δ = N·M.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
-#include "core/basis.hpp"
-#include "core/boltzmann.hpp"
-#include "core/candidates.hpp"
-#include "core/lspi.hpp"
-#include "sim/policy.hpp"
+#include "core/hierarchical_megh.hpp"
 
 namespace megh {
 
-/// Fault-recovery behaviour (chaos subsystem, src/chaos). All of it is
-/// inert unless `enabled` — and even then every mechanism is a no-op in a
-/// fault-free run, so a recovery-enabled Megh under a zero-rate FaultPlan
-/// makes exactly the decisions a plain Megh makes.
-struct MeghRecoveryConfig {
-  bool enabled = false;
-  /// Drop non-no-op candidates that target a currently-down host before
-  /// the Boltzmann draw (the engine would reject them anyway; masking
-  /// keeps the learner from wasting draws and SARSA credit on them).
-  bool mask_down_hosts = true;
-  /// Re-request an aborted migration up to this many times.
-  int max_retries = 2;
-  /// Steps to wait before the first retry; doubles with each attempt.
-  int retry_backoff_steps = 2;
-  /// Only issue a due retry while the VM's current host runs at or above
-  /// this utilization; retries below it are dropped. Aborted *reactive*
-  /// moves (VM stuck on an overloaded source) are the SLA-relevant ones to
-  /// push through — re-driving consolidation moves only adds migration
-  /// downtime. 0 retries unconditionally.
-  double retry_min_utilization = 0.0;
-  /// When > 0: a step whose outcome feedback reports at least this many
-  /// failed actions (aborts + down targets) rolls the critic back to the
-  /// last periodic in-memory snapshot, discarding updates learned from the
-  /// fault burst. 0 disables rollback.
-  int rollback_burst_threshold = 0;
-  /// How often (in steps) the in-memory critic snapshot is refreshed.
-  int checkpoint_interval_steps = 64;
-};
-
-struct MeghConfig {
-  double gamma = 0.5;     // discount factor (Sec. 6.1: 50:50 old vs new)
-  double temp0 = 3.0;     // initial Boltzmann temperature (Sec. 6.1)
-  double epsilon = 0.01;  // temperature decay rate (Sec. 6.1)
-  /// δ in B₀ = (1/δ)·I. The paper sets δ = d, but at d ~ 10⁴-10⁶ that
-  /// shrinks every Q-value by 1/d and the Boltzmann weights stay uniform
-  /// for the whole run — the critic never influences the actor. δ = 1
-  /// keeps the identical algorithm with a usable signal scale (the
-  /// ablation bench contrasts both). <= 0 selects the paper's δ = d.
-  double delta = 1.0;
-  /// Per-step migration budget as a fraction of N (Sec. 6.1: 2%).
-  double max_migration_fraction = 0.02;
-  /// Subtract an exponential moving average of the step cost before the
-  /// critic update (advantage normalization). The paper's Algorithm 1
-  /// accumulates raw costs — with always-positive costs every *tried*
-  /// action looks worse than an untried one, so exploitation degenerates to
-  /// novelty-seeking. A constant baseline only shifts V (Theorem 1/2 are
-  /// unaffected asymptotically) but makes the greedy step meaningful.
-  /// Disable to run the paper-literal update (ablation bench).
-  bool advantage_baseline = true;
-  /// EMA weight for the baseline.
-  double baseline_weight = 0.05;
-  /// Sherman–Morrison factor truncation (see LspiLearner): bounds B's
-  /// fill-in so per-step time stays flat over week-long runs.
-  int max_update_support = 32;
-  /// When false the critic is frozen: decide() still builds candidates,
-  /// reads Q-values and Boltzmann-samples, but the LSPI update is skipped.
-  /// Used by the frozen-critic ablation and by the allocation-count test
-  /// (with the critic frozen, a steady-state step performs zero heap
-  /// allocations; with it learning, the only allocations are the Q-table's
-  /// own growth — the quantity Fig. 7 plots).
-  bool learning_enabled = true;
-  CandidateConfig candidates;
-  MeghRecoveryConfig recovery;
-  std::uint64_t seed = 42;
-};
-
-class MeghPolicy : public MigrationPolicy {
+class MeghPolicy : public HierarchicalMeghPolicy {
  public:
   explicit MeghPolicy(const MeghConfig& config = {});
 
-  std::string name() const override { return "Megh"; }
-  void begin(const Datacenter& dc, const CostConfig& cost,
-             double interval_s) override;
-  /// Hot path: appends into the engine's reused buffer and runs entirely on
-  /// per-policy scratch storage — steady-state calls never allocate. The
-  /// candidate scans fan out over obs.exec when the engine passes one.
-  void decide_into(const StepObservation& obs,
-                   std::vector<MigrationAction>& out) override;
-  void observe_cost(double step_cost) override;
-  /// Recovery feedback (no-op unless config.recovery.enabled): failed
-  /// actions (aborted / down target) have their pending SARSA transition
-  /// remapped to the realized no-op (the VM stayed on its source), and
-  /// aborted migrations are queued for retry with exponential backoff.
-  void observe_outcomes(std::span<const MigrationOutcome> outcomes) override;
-  void stats(PolicyStats& out) const override;
-
-  /// Expose the critic for tests and the Q-table growth bench (Fig. 7).
-  const LspiLearner& learner() const;
-  double temperature() const { return selector_.temperature(); }
-
-  // --- checkpointing hooks (see core/checkpoint.hpp) ---
-  LspiLearner& mutable_learner();
-  void set_temperature(double temp) { selector_.set_temperature(temp); }
-  double cost_baseline() const { return cost_baseline_; }
-  bool baseline_initialized() const { return baseline_initialized_; }
-  void set_cost_baseline(double baseline, bool initialized) {
-    cost_baseline_ = baseline;
-    baseline_initialized_ = initialized;
-  }
-  /// The actor's RNG stream, serialized into v3 checkpoints so a restored
-  /// policy's Boltzmann draws continue the saved stream bit-exactly.
-  const Rng& rng() const { return rng_; }
-  Rng& mutable_rng() { return rng_; }
-  const MeghConfig& config() const { return config_; }
-
-  // --- serving hooks (src/serve): the open SARSA transition, captured by
-  // the daemon's snapshots so a recovery mid-step (between Decide and
-  // Observe) resumes with the same pending update a live server holds. ---
-  std::span<const std::int64_t> pending_actions() const {
-    return pending_actions_;
-  }
-  double pending_cost() const { return pending_cost_; }
-  bool has_pending_cost() const { return has_pending_cost_; }
-  long long migrations_selected() const { return total_migrations_selected_; }
-  void restore_pending(std::span<const std::int64_t> actions, double cost,
-                       bool has_cost, long long migrations_selected) {
-    pending_actions_.assign(actions.begin(), actions.end());
-    pending_cost_ = cost;
-    has_pending_cost_ = has_cost;
-    total_migrations_selected_ = migrations_selected;
-  }
-
- private:
-  /// Per-step working storage, reused across decide_into() calls. Every
-  /// container keeps its capacity between steps, so once the run reaches
-  /// steady state a decision touches no heap at all.
-  struct DecideScratch {
-    CandidateScratch candidates;
-    std::vector<double> q;
-    /// Candidate action indices, contiguous for the batched q_values
-    /// gather (the candidate structs themselves are AoS).
-    std::vector<std::int64_t> q_idx;
-    std::vector<double> weights;
-    /// vm → indices into the candidate set; only entries listed in
-    /// `touched_vms` are dirty and cleared lazily at the next step.
-    std::vector<std::vector<std::size_t>> candidates_of_vm;
-    std::vector<int> touched_vms;
-    std::vector<std::uint8_t> vm_used;
-    std::vector<std::size_t> subset;
-  };
-
-  MeghConfig config_;
-  Rng rng_;
-  BoltzmannSelector selector_;
-  std::unique_ptr<ActionBasis> basis_;
-  std::unique_ptr<LspiLearner> learner_;
-  double beta_ = 0.7;
-  int migration_budget_ = 1;
-  DecideScratch scratch_;
-
-  // SARSA bookkeeping: actions sampled at the previous step and the cost
-  // observed for the interval they shaped.
-  std::vector<std::int64_t> pending_actions_;
-  double pending_cost_ = 0.0;
-  bool has_pending_cost_ = false;
-  long long total_migrations_selected_ = 0;
-
-  // Advantage baseline (EMA of observed step costs).
-  double cost_baseline_ = 0.0;
-  bool baseline_initialized_ = false;
-
-  // --- chaos recovery (all empty/zero unless config.recovery.enabled) ---
-  /// One record per non-no-op action emitted last step, in emission order
-  /// (= the engine's outcome order). pending_slot points into
-  /// pending_actions_ so a failed action's transition can be remapped.
-  struct EmittedAction {
-    int vm;
-    int source;
-    int target;
-    std::size_t pending_slot;
-    int attempt;  // 0 = fresh Boltzmann draw, >0 = injected retry
-  };
-  /// An aborted migration waiting to be re-requested.
-  struct PendingRetry {
-    int vm;
-    int source;
-    int target;
-    int due_step;
-    int attempt;
-  };
-  /// In-memory critic snapshot for burst rollback.
-  struct CriticSnapshot {
-    SparseMatrix B;
-    SparseVector z;
-    SparseVector theta;
-    bool valid = false;
-  };
-
-  void refresh_checkpoint();
-
-  std::vector<EmittedAction> emitted_;
-  std::vector<PendingRetry> retries_;
-  CriticSnapshot checkpoint_;
-  int last_step_ = -1;
-  int faults_last_step_ = 0;
-  long long faults_seen_ = 0;
-  long long retries_issued_ = 0;
-  long long masked_candidates_ = 0;
-  long long rollbacks_ = 0;
+  /// The critic, for tests and the Q-table growth bench (Fig. 7).
+  const LspiLearner& learner() const { return pod_learner(0); }
 };
 
 }  // namespace megh

@@ -93,7 +93,7 @@ ExperimentOutput run_experiment_spec(const ExperimentSpec& spec,
   // ---- Shard the cells. Every cell writes only its own slot, so results
   // keep plan order regardless of scheduling.
   output.cells.resize(n);
-  parallel_for(
+  ThreadPool(output.jobs).run(
       n,
       [&](std::size_t i) {
         MEGH_TRACE_SCOPE("engine.cell");
@@ -125,8 +125,7 @@ ExperimentOutput run_experiment_spec(const ExperimentSpec& spec,
         out.result = std::move(result);
         out.wall_ms = watch.elapsed_ms();
         Telemetry::instance().counter("engine.cells_completed").add();
-      },
-      output.jobs);
+      });
 
   if (!config.quiet) {
     for (const CellResult& cell : output.cells) {

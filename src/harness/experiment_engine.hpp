@@ -1,5 +1,5 @@
 // The experiment engine: expands an ExperimentSpec into (policy × seed)
-// cells, shards them across workers with parallel_for, and funnels every
+// cells, shards them across a ThreadPool, and funnels every
 // experiment through one report path — banner, per-cell summary lines,
 // performance table + CSVs, per-step series CSVs, convergence summaries,
 // shape-check verdicts and optional per-cell JSONL traces.

@@ -17,7 +17,9 @@ namespace megh::serve {
 namespace {
 
 constexpr const char* kInitFile = "init.bin";
-constexpr const char* kSnapshotMagic = "megh-serve-snapshot v1";
+/// v2 embeds the policy as a v4 checkpoint (one section per pod pending
+/// list); v1 embedded the retired v3 flat checkpoint.
+constexpr const char* kSnapshotMagic = "megh-serve-snapshot v2";
 
 std::string snapshot_name(std::uint64_t gen) {
   return strf("snap-%020llu.ckpt", static_cast<unsigned long long>(gen));
@@ -55,16 +57,30 @@ std::vector<std::filesystem::path> list_snapshots(
   return snaps;
 }
 
+/// Consume a snapshot's magic line. A snapshot of another format version
+/// is refused with an error naming the version found — before recovery
+/// touches anything in the directory.
+void read_snapshot_magic(std::istream& in, const std::filesystem::path& path) {
+  std::string line;
+  std::getline(in, line);
+  const std::string_view magic = trim(line);
+  if (magic == kSnapshotMagic) return;
+  constexpr std::string_view kPrefix = "megh-serve-snapshot ";
+  if (starts_with(magic, kPrefix)) {
+    throw ConfigError(strf(
+        "serve: snapshot %s has format '%s', but this daemon reads only "
+        "'%s'; recover the directory with the release that wrote it",
+        path.string().c_str(), std::string(magic).c_str(), kSnapshotMagic));
+  }
+  throw IoError("serve: bad snapshot magic in " + path.string());
+}
+
 /// Read just the "seq" field out of a snapshot header (cheap eligibility
 /// check during recovery, before committing to a full parse).
 std::uint64_t snapshot_seq_of(const std::filesystem::path& path) {
   std::ifstream in(path);
   if (!in) throw IoError("serve: cannot open snapshot: " + path.string());
-  std::string magic;
-  std::getline(in, magic);
-  if (trim(magic) != kSnapshotMagic) {
-    throw IoError("serve: bad snapshot magic in " + path.string());
-  }
+  read_snapshot_magic(in, path);
   std::string key;
   std::uint64_t seq = 0;
   if (!(in >> key >> seq) || key != "seq") {
@@ -578,10 +594,13 @@ void MeghServer::write_snapshot(std::ostream& out) {
   for (int vm = 0; vm < num_vms; ++vm) {
     out << strf("%.17g", dc_->vm_utilization(vm)) << '\n';
   }
-  const std::span<const std::int64_t> pending = policy_->pending_actions();
-  out << "pending " << pending.size();
-  for (std::int64_t idx : pending) out << ' ' << idx;
-  out << '\n';
+  out << "pending " << policy_->num_pods() << '\n';
+  for (int p = 0; p < policy_->num_pods(); ++p) {
+    const std::span<const std::int64_t> pending = policy_->pending_actions(p);
+    out << pending.size();
+    for (std::int64_t idx : pending) out << ' ' << idx;
+    out << '\n';
+  }
   out << "pending_cost " << strf("%.17g", policy_->pending_cost()) << " has "
       << (policy_->has_pending_cost() ? 1 : 0) << " selected "
       << policy_->migrations_selected() << '\n';
@@ -592,11 +611,7 @@ void MeghServer::write_snapshot(std::ostream& out) {
 void MeghServer::load_snapshot(const std::filesystem::path& path) {
   std::ifstream in(path);
   if (!in) throw IoError("serve: cannot open snapshot: " + path.string());
-  std::string magic;
-  std::getline(in, magic);
-  if (trim(magic) != kSnapshotMagic) {
-    throw IoError("serve: bad snapshot magic in " + path.string());
-  }
+  read_snapshot_magic(in, path);
   std::string key;
   std::uint64_t seq = 0;
   long long steps = 0;
@@ -649,14 +664,25 @@ void MeghServer::load_snapshot(const std::filesystem::path& path) {
   }
   dc_->set_demands(demands);
 
-  std::size_t pending_count = 0;
-  if (!(in >> key >> pending_count) || key != "pending") {
+  policy_ = std::make_unique<MeghPolicy>(init_.config);
+  policy_->begin(*dc_, init_.cost, init_.interval_s);
+  int pods = 0;
+  if (!(in >> key >> pods) || key != "pending" ||
+      pods != policy_->num_pods()) {
     throw IoError("serve: malformed pending section in " + path.string());
   }
-  std::vector<std::int64_t> pending(pending_count);
-  for (std::int64_t& idx : pending) {
-    if (!(in >> idx)) {
+  std::vector<std::vector<std::int64_t>> pending(
+      static_cast<std::size_t>(pods));
+  for (std::vector<std::int64_t>& actions : pending) {
+    std::size_t count = 0;
+    if (!(in >> count)) {
       throw IoError("serve: truncated pending actions in " + path.string());
+    }
+    actions.resize(count);
+    for (std::int64_t& idx : actions) {
+      if (!(in >> idx)) {
+        throw IoError("serve: truncated pending actions in " + path.string());
+      }
     }
   }
   double pending_cost = 0.0;
@@ -671,10 +697,11 @@ void MeghServer::load_snapshot(const std::filesystem::path& path) {
   std::string rest;
   std::getline(in, rest);
 
-  policy_ = std::make_unique<MeghPolicy>(init_.config);
-  policy_->begin(*dc_, init_.cost, init_.interval_s);
   read_megh_policy(in, *policy_, path.string());
-  policy_->restore_pending(pending, pending_cost, has_cost != 0, selected);
+  for (int p = 0; p < pods; ++p) {
+    policy_->restore_pending(p, pending[static_cast<std::size_t>(p)]);
+  }
+  policy_->restore_pending_cost(pending_cost, has_cost != 0, selected);
 
   std::string tail;
   if (!(in >> tail) || tail != "end") {

@@ -1,9 +1,9 @@
 // Hierarchical two-level Megh: single-pod bit-identity against flat Megh
-// (sampled and enumerated candidate paths, fabric-attached and
-// fabric-free), job-count bit-identity on a 16-pod fabric, per-pod
-// checkpoint kill/restore round-trips, per-pod chaos recovery (masking +
-// burst rollback), the interned-stat-keys allocation-free-step guarantee,
-// and the checkpoint format-version gates.
+// (the one-pod layout of the same core; sampled and enumerated candidate
+// paths, fabric-attached and fabric-free), job-count bit-identity on a
+// 16-pod fabric, per-pod checkpoint kill/restore round-trips, per-pod chaos
+// recovery (masking + burst rollback), the interned-stat-keys
+// allocation-free-step guarantee, and the checkpoint format-version gates.
 #include "core/hierarchical_megh.hpp"
 
 #include <gtest/gtest.h>
@@ -256,12 +256,12 @@ TEST_F(HierCheckpointTest, PerPodKillRestoreRoundTripIsExact) {
     sim.run(trained);
   }
   const auto path = dir_ / "hier.ckpt";
-  save_hierarchical_policy(trained, path);
+  save_megh_policy(trained, path);
 
   HierarchicalMeghPolicy restored(config);
   Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 11);
   restored.begin(dc, CostConfig{}, 300.0);
-  load_hierarchical_policy(restored, path);
+  load_megh_policy(restored, path);
 
   ASSERT_EQ(restored.num_pods(), trained.num_pods());
   EXPECT_DOUBLE_EQ(restored.temperature(), trained.temperature());
@@ -289,7 +289,7 @@ TEST_F(HierCheckpointTest, PerPodKillRestoreRoundTripIsExact) {
   // Byte-level round trip: re-saving the restored policy reproduces the
   // file exactly, so nothing was lost or renormalized in flight.
   const auto resaved = dir_ / "hier2.ckpt";
-  save_hierarchical_policy(restored, resaved);
+  save_megh_policy(restored, resaved);
   EXPECT_EQ(file_contents(path), file_contents(resaved));
 }
 
@@ -309,11 +309,11 @@ TEST_F(HierCheckpointTest, RestoredPodLearnersContinueIdentically) {
     sim.run(trained);
   }
   const auto path = dir_ / "cont.ckpt";
-  save_hierarchical_policy(trained, path);
+  save_megh_policy(trained, path);
   HierarchicalMeghPolicy restored(config);
   Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 11);
   restored.begin(dc, CostConfig{}, 300.0);
-  load_hierarchical_policy(restored, path);
+  load_megh_policy(restored, path);
 
   // Feed both sides of every pod the same post-restore update stream: the
   // critics must stay in lockstep, bit for bit.
@@ -337,36 +337,10 @@ TEST_F(HierCheckpointTest, RestoredPodLearnersContinueIdentically) {
 
 // --- checkpoint format-version gates (satellite fix) ---------------------
 
-TEST_F(HierCheckpointTest, FlatLoaderRejectsV4WithVersionedError) {
-  const Scenario scenario = make_planetlab_scenario(16, 24, 10, 5);
-  const auto fabric = std::make_shared<const FatTreeTopology>(
-      FatTreeTopology::for_hosts(16));
-  HierarchicalMeghConfig config;
-  config.base = base_config(31);
-  config.network = fabric;
-  HierarchicalMeghPolicy policy(config);
-  Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 11);
-  policy.begin(dc, CostConfig{}, 300.0);
-  const auto path = dir_ / "v4.ckpt";
-  save_hierarchical_policy(policy, path);
-  try {
-    load_learner(path);
-    FAIL() << "v4 container must not load as a flat learner";
-  } catch (const ConfigError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("v4"), std::string::npos) << what;
-    EXPECT_NE(what.find("load_hierarchical_policy"), std::string::npos)
-        << what;
-  }
-}
-
 TEST_F(HierCheckpointTest, HierarchicalLoaderRejectsV1WithVersionedError) {
   const auto path = dir_ / "v1.ckpt";
-  {
-    LspiLearner learner(24, 0.5, 1.0);
-    learner.update(3, 1.0, 5);
-    save_learner(learner, path);
-  }
+  std::ofstream(path) << "megh-checkpoint v1\ndim 3 gamma 0.5\nz 0\n"
+                         "theta 0\nBdiag 3\n1\n1\n1\nBoffdiag 0\n";
   const Scenario scenario = make_planetlab_scenario(16, 24, 10, 5);
   HierarchicalMeghConfig config;
   config.base = base_config(31);
@@ -374,26 +348,28 @@ TEST_F(HierCheckpointTest, HierarchicalLoaderRejectsV1WithVersionedError) {
   Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 11);
   policy.begin(dc, CostConfig{}, 300.0);
   try {
-    load_hierarchical_policy(policy, path);
+    load_megh_policy(policy, path);
     FAIL() << "v1 flat checkpoint must not load as a hierarchical container";
   } catch (const ConfigError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("v1"), std::string::npos) << what;
-    EXPECT_NE(what.find("load_learner"), std::string::npos) << what;
   }
 }
 
 TEST_F(HierCheckpointTest, BothLoadersRejectForeignFiles) {
+  // One loader serves both layouts; neither accepts a non-checkpoint.
   const auto path = dir_ / "garbage.ckpt";
   std::ofstream(path) << "definitely not a checkpoint\n";
-  EXPECT_THROW(load_learner(path), ConfigError);
   const Scenario scenario = make_planetlab_scenario(8, 12, 10, 5);
+  Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 11);
+  MeghPolicy flat(base_config(31));
+  flat.begin(dc, CostConfig{}, 300.0);
+  EXPECT_THROW(load_megh_policy(flat, path), ConfigError);
   HierarchicalMeghConfig config;
   config.base = base_config(31);
   HierarchicalMeghPolicy policy(config);
-  Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 11);
   policy.begin(dc, CostConfig{}, 300.0);
-  EXPECT_THROW(load_hierarchical_policy(policy, path), ConfigError);
+  EXPECT_THROW(load_megh_policy(policy, path), ConfigError);
 }
 
 // --- per-pod chaos recovery ----------------------------------------------
@@ -478,6 +454,23 @@ TEST(HierarchicalMeghChaosTest, MaskingAndAbortRecoveryWorkAcrossPods) {
 
 TEST(HierarchicalMeghTest, StatKeysInternedAtBeginNotPerStep) {
   const Scenario scenario = make_planetlab_scenario(16, 24, 20, 5);
+  {
+    // The one-pod (flat) construction: its twelve keys, nothing per pod.
+    MeghPolicy flat(base_config(31));
+    Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 11);
+    flat.begin(dc, CostConfig{}, 300.0);
+    const int after_begin = StatKey::interned_count();
+    PolicyStats stats;
+    flat.stats(stats);
+    EXPECT_EQ(StatKey::interned_count(), after_begin)
+        << "flat stats() interned a key outside begin()";
+    EXPECT_EQ(stats.size(), 12);
+    EXPECT_EQ(stats.count("pods"), 0);
+    Datacenter dc2 = build_datacenter(scenario, InitialPlacement::kRandom, 11);
+    Simulation sim(std::move(dc2), scenario.trace, default_sim_config(0.05));
+    sim.run(flat);
+    EXPECT_EQ(StatKey::interned_count(), after_begin);
+  }
   const auto fabric = std::make_shared<const FatTreeTopology>(
       FatTreeTopology::for_hosts(16));
   HierarchicalMeghConfig config;

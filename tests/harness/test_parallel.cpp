@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 
 #include "baselines/simple_policies.hpp"
 #include "harness/experiment.hpp"
@@ -11,64 +10,36 @@
 namespace megh {
 namespace {
 
+// --- the parallel-for: ThreadPool::run ---------------------------------
+
 TEST(ParallelForTest, VisitsEveryIndexExactlyOnce) {
+  ThreadPool pool(4);
   std::vector<std::atomic<int>> visits(257);
-  parallel_for(visits.size(), [&](std::size_t i) { ++visits[i]; });
+  pool.run(visits.size(), [&](std::size_t i) { ++visits[i]; });
   for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
 }
 
 TEST(ParallelForTest, ZeroItemsIsNoop) {
+  ThreadPool pool(4);
   bool called = false;
-  parallel_for(0, [&](std::size_t) { called = true; });
+  pool.run(0, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
-}
-
-TEST(ParallelForTest, SingleThreadFallback) {
-  std::vector<int> order;
-  parallel_for(5, [&](std::size_t i) { order.push_back(static_cast<int>(i)); },
-               /*threads=*/1);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ParallelForTest, ExceptionPropagates) {
-  std::atomic<int> completed{0};
-  EXPECT_THROW(
-      parallel_for(64,
-                   [&](std::size_t i) {
-                     if (i == 7) throw ConfigError("boom");
-                     ++completed;
-                   },
-                   4),
-      ConfigError);
-  // In-flight items finish; after the failure no new ones are dispatched,
-  // so at most the items claimed before the throw ran.
-  EXPECT_LT(completed.load(), 64);
 }
 
 TEST(ParallelForTest, CancelsRemainingItemsAfterFirstFailure) {
   // Every item throws. A worker that catches an exception sets the cancel
-  // flag before re-checking it, so each worker dispatches exactly one item
-  // and the other 998 are abandoned — without cancellation this would
-  // attempt all 1000.
+  // flag before re-checking it, so each of the two workers (the caller
+  // included) dispatches exactly one item and the other 998 are abandoned
+  // — without cancellation this would attempt all 1000.
+  ThreadPool pool(2);
   std::atomic<int> attempts{0};
-  EXPECT_THROW(parallel_for(1000,
-                            [&](std::size_t) {
-                              ++attempts;
-                              throw ConfigError("boom");
-                            },
-                            /*threads=*/2),
+  EXPECT_THROW(pool.run(1000,
+                        [&](std::size_t) {
+                          ++attempts;
+                          throw ConfigError("boom");
+                        }),
                ConfigError);
   EXPECT_LE(attempts.load(), 2);  // at most one attempt per worker
-}
-
-TEST(ParallelMapTest, PreservesOrder) {
-  std::vector<int> items(50);
-  std::iota(items.begin(), items.end(), 0);
-  const auto doubled =
-      parallel_map(items, [](int x) { return 2 * x; });
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    EXPECT_EQ(doubled[i], 2 * static_cast<int>(i));
-  }
 }
 
 TEST(ParallelExperimentsTest, ConcurrentRunsMatchSequential) {
@@ -82,8 +53,10 @@ TEST(ParallelExperimentsTest, ConcurrentRunsMatchSequential) {
     return run_experiment(scenario, policy, options).sim.totals;
   };
   std::vector<std::uint64_t> seeds{1, 2, 3, 4, 5, 6, 7, 8};
-  const auto parallel_totals = parallel_map(
-      seeds, [&](std::uint64_t s) { return run_one(s); }, 4);
+  std::vector<SimulationTotals> parallel_totals(seeds.size());
+  ThreadPool(4).run(seeds.size(), [&](std::size_t i) {
+    parallel_totals[i] = run_one(seeds[i]);
+  });
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     const auto sequential = run_one(seeds[i]);
     EXPECT_DOUBLE_EQ(parallel_totals[i].total_cost_usd,
@@ -97,43 +70,6 @@ TEST(DefaultParallelismTest, Bounds) {
   EXPECT_GE(default_parallelism(100), 1);
   EXPECT_LE(default_parallelism(2), 2);
   EXPECT_EQ(default_parallelism(0), 1);
-}
-
-// --- grained (template) overload -----------------------------------------
-
-TEST(GrainedParallelForTest, VisitsEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> visits(1027);  // ragged last chunk
-  parallel_for(visits.size(), /*grain=*/64,
-               [&](std::size_t i) { ++visits[i]; }, /*threads=*/4);
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
-TEST(GrainedParallelForTest, SingleChunkRunsInlineInOrder) {
-  std::vector<int> order;
-  parallel_for(5, /*grain=*/8, [&](std::size_t i) {
-    order.push_back(static_cast<int>(i));
-  }, /*threads=*/4);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(GrainedParallelForTest, ZeroItemsIsNoop) {
-  bool called = false;
-  parallel_for(0, /*grain=*/16, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(GrainedParallelForTest, ZeroGrainRejected) {
-  EXPECT_THROW(parallel_for(10, /*grain=*/0, [](std::size_t) {}),
-               ConfigError);
-}
-
-TEST(GrainedParallelForTest, ExceptionPropagates) {
-  EXPECT_THROW(parallel_for(256, /*grain=*/16,
-                            [](std::size_t i) {
-                              if (i == 33) throw ConfigError("boom");
-                            },
-                            /*threads=*/4),
-               ConfigError);
 }
 
 // --- persistent pool ------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 
@@ -273,6 +274,52 @@ TEST_F(ServerRecoveryTest, DamagedDirectoryRefused) {
   }
   std::filesystem::remove(dir / "init.bin");
   EXPECT_THROW(MeghServer{fast_options(dir, 0)}, IoError);
+}
+
+TEST_F(ServerRecoveryTest, PreviousSnapshotVersionRefusedUntouched) {
+  // A directory whose snapshot embeds the retired v3 flat policy section
+  // ("megh-serve-snapshot v1") must be refused at startup with an error
+  // naming that version — and recovery must not modify a single file.
+  const auto dir = root_ / "old";
+  {
+    MeghServer server(fast_options(dir, 0));
+    std::vector<Recorded> log;
+    run_sim(std::make_shared<RecordingTransport>(server, log), 4);
+    server.checkpoint();
+  }
+  std::filesystem::path snapshot;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".ckpt") snapshot = entry.path();
+  }
+  ASSERT_FALSE(snapshot.empty());
+  {
+    std::ifstream in(snapshot);
+    std::string magic, rest;
+    std::getline(in, magic);
+    ASSERT_EQ(magic, "megh-serve-snapshot v2");
+    std::ostringstream body;
+    body << in.rdbuf();
+    std::ofstream(snapshot) << "megh-serve-snapshot v1\n" << body.str();
+  }
+  const auto contents = [&] {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::ostringstream bytes;
+      bytes << in.rdbuf();
+      files[entry.path().filename().string()] = bytes.str();
+    }
+    return files;
+  };
+  const auto before = contents();
+  try {
+    MeghServer server(fast_options(dir, 0));
+    FAIL() << "a v1 snapshot was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("megh-serve-snapshot v1"), std::string::npos) << what;
+  }
+  EXPECT_EQ(contents(), before);
 }
 
 TEST_F(ServerRecoveryTest, TornWalTailIsDroppedAndServerResumes) {

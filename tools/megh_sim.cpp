@@ -78,8 +78,7 @@ std::unique_ptr<MigrationPolicy> make_policy(
     config.base.candidates.network_aware = !network_oblivious;
     config.network = std::move(network);
     if (!checkpoint_load.empty()) {
-      return std::make_unique<WarmStartHierarchicalMeghPolicy>(
-          config, checkpoint_load);
+      return std::make_unique<WarmStartMeghPolicy>(config, checkpoint_load);
     }
     return std::make_unique<HierarchicalMeghPolicy>(config);
   }
@@ -235,18 +234,13 @@ int main(int argc, char** argv) {
     if (checkpoint_every > 0) {
       MEGH_REQUIRE(!checkpoint_save.empty(),
                    "--checkpoint-every needs --checkpoint-save <path>");
-      auto* megh = dynamic_cast<MeghPolicy*>(policy.get());
-      auto* hier = dynamic_cast<HierarchicalMeghPolicy*>(policy.get());
-      MEGH_REQUIRE(megh != nullptr || hier != nullptr,
+      const auto* megh = dynamic_cast<HierarchicalMeghPolicy*>(policy.get());
+      MEGH_REQUIRE(megh != nullptr,
                    "--checkpoint-every only applies to --policy megh | "
                    "hier-megh");
       sim_config.on_step = [=](const StepSnapshot& s) {
         if ((s.step + 1) % checkpoint_every != 0) return;
-        if (megh != nullptr) {
-          save_megh_policy(*megh, checkpoint_save);
-        } else {
-          save_hierarchical_policy(*hier, checkpoint_save);
-        }
+        save_megh_policy(*megh, checkpoint_save);
       };
     }
 
@@ -297,12 +291,9 @@ int main(int argc, char** argv) {
             "--checkpoint-save does not apply to a served policy; ask the "
             "daemon instead: megh_ctl checkpoint --socket <path>");
       }
-      if (const auto* megh = dynamic_cast<const MeghPolicy*>(policy.get())) {
+      if (const auto* megh =
+              dynamic_cast<const HierarchicalMeghPolicy*>(policy.get())) {
         save_megh_policy(*megh, args.get("checkpoint-save"));
-      } else if (const auto* hier =
-                     dynamic_cast<const HierarchicalMeghPolicy*>(
-                         policy.get())) {
-        save_hierarchical_policy(*hier, args.get("checkpoint-save"));
       } else {
         throw ConfigError(
             "--checkpoint-save only applies to --policy megh | hier-megh");
