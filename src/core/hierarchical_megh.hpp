@@ -184,7 +184,7 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
   /// Aggregates across pods: qtable_nnz, theta_nnz, lspi_updates,
   /// singular_skips, truncations, b_offdiag_nnz, temperature,
   /// migrations_selected, faults_seen, retries, masked_candidates and
-  /// rollbacks. With more than a one-pod layout also "pods",
+  /// rollbacks — flat Megh's keys. The hierarchical layout adds "pods",
   /// "slot_overflows" and pod<k>.{qtable_nnz,lspi_updates,rollbacks}.
   /// Every key is interned at begin(); a debug build asserts that stats()
   /// itself interns nothing (the allocation-free-step guarantee).
