@@ -232,8 +232,7 @@ void HierarchicalMeghPolicy::rebuild_membership(Pod& pod, int pod_id,
 
 void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
                                            const StepObservation& obs,
-                                           bool do_update, double share,
-                                           const ShardExecutor* exec) {
+                                           bool do_update, double share) {
   MEGH_TRACE_SCOPE("megh.pod_phase");
   Pod& pod = pods_[static_cast<std::size_t>(pod_id)];
   const Datacenter& dc = *obs.dc;
@@ -255,10 +254,11 @@ void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
 
   if (one_pod_) {
     // The pod is the fleet and slot k is VM k, so the fleet-wide call is
-    // the pod's call — and its scans fan out over the engine's executor.
+    // the pod's call — and, the lone pod running on the caller's thread,
+    // its scans fan out over the engine's executor.
     generate_candidates(dc, obs.host_util, beta_, *basis_,
                         config_.base.candidates, pod.rng, pod.cands,
-                        obs.network, exec);
+                        obs.network, obs.exec);
   } else {
     CandidateDomain domain;
     domain.host_begin = pod.host_begin;
@@ -398,16 +398,15 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
   }
 
   // Pod phase: one shard per pod, each owning its learner, when the
-  // engine's plan is ours; otherwise serially, lending the executor to the
-  // candidate scans (a lone pod spans several engine shards).
+  // engine's plan is ours; otherwise serially on the caller's thread.
   if (!one_pod_) collect_members(dc);
-  if (num_pods() > 1 && obs.exec != nullptr &&
+  if (!one_pod_ && obs.exec != nullptr &&
       plans_match(obs.exec->plan(), plan_)) {
     obs.exec->for_shards(
-        [&](int s) { run_pod_phase(s, obs, do_update, share, nullptr); });
+        [&](int s) { run_pod_phase(s, obs, do_update, share); });
   } else {
     for (int p = 0; p < num_pods(); ++p) {
-      run_pod_phase(p, obs, do_update, share, obs.exec);
+      run_pod_phase(p, obs, do_update, share);
     }
   }
 

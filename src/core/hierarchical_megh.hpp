@@ -304,7 +304,7 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
   void reset_pod_slots(Pod& pod, int cap);
   void rebuild_membership(Pod& pod, int pod_id, const Datacenter& dc);
   void run_pod_phase(int pod_id, const StepObservation& obs, bool do_update,
-                     double share, const ShardExecutor* exec);
+                     double share);
   void intern_stat_keys();
 
   HierarchicalMeghConfig config_;

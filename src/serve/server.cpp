@@ -17,8 +17,8 @@ namespace megh::serve {
 namespace {
 
 constexpr const char* kInitFile = "init.bin";
-/// v2 embeds the policy as a v4 checkpoint (one section per pod pending
-/// list); v1 embedded the retired v3 flat checkpoint.
+/// v2 holds one pending list per pod and embeds the policy as a v4
+/// checkpoint; v1 embedded the retired v3 flat checkpoint.
 constexpr const char* kSnapshotMagic = "megh-serve-snapshot v2";
 
 std::string snapshot_name(std::uint64_t gen) {
