@@ -171,7 +171,7 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
   /// per-pod scratch storage that keeps its capacity across steps. The
   /// per-pod phase (membership, candidate generation, Q gather, LSPI
   /// update, weights) fans out over obs.exec when its plan matches ours —
-  /// or, with a single pod, the pod's candidate scans do; the draw
+  /// in the one-pod layout the pod's candidate scans do instead; the draw
   /// coordinator stays serial. Decisions are identical at any job count.
   void decide_into(const StepObservation& obs,
                    std::vector<MigrationAction>& out) override;
@@ -300,7 +300,8 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
 
   /// Bucket every placed VM into its pod's member list, ascending.
   void collect_members(const Datacenter& dc);
-  /// Size a pod's slot-indexed scratch (and its learner) to `cap`.
+  /// Size a pod's slot map and slot-indexed scratch to `cap` and clear its
+  /// transient state (pending, retries, rollback snapshot).
   void reset_pod_slots(Pod& pod, int cap);
   void rebuild_membership(Pod& pod, int pod_id, const Datacenter& dc);
   void run_pod_phase(int pod_id, const StepObservation& obs, bool do_update,
