@@ -142,6 +142,17 @@ TEST_F(ServerRecoveryTest, FaultFreeServedRunIsBitIdenticalToLocal) {
     EXPECT_EQ(served_result.steps[i].migrations,
               local_result.steps[i].migrations)
         << "step " << i;
+    // The policy's own stats reach the engine unchanged at every step.
+    const PolicyStats& local_stats = local_result.steps[i].policy_stats;
+    const PolicyStats& served_stats = served_result.steps[i].policy_stats;
+    ASSERT_FALSE(local_stats.empty());
+    for (int k = 0; k < local_stats.size(); ++k) {
+      const double* value = served_stats.find(local_stats.key(k));
+      ASSERT_NE(value, nullptr)
+          << "step " << i << " lacks " << local_stats.key(k).name();
+      EXPECT_EQ(*value, local_stats.value(k))
+          << "step " << i << ", " << local_stats.key(k).name();
+    }
   }
 }
 
@@ -488,6 +499,30 @@ TEST_F(ServerRecoveryTest, InvalidInitLeavesTheDirectoryClean) {
   }
   MeghServer after(fast_options(dir, 0));
   EXPECT_TRUE(after.initialized());
+}
+
+TEST_F(ServerRecoveryTest, ProtocolV1DirectoryRecoversToItsRecordedDump) {
+  // A journal written by the protocol-v1 daemon (separate Decide and
+  // Observe records) must recover to the byte-identical state that daemon
+  // dumped for it (tests/data/serve_protocol_v1/README.md).
+  const std::filesystem::path fixture =
+      std::filesystem::path(MEGH_TEST_DATA_DIR) / "serve_protocol_v1";
+  std::ifstream in(fixture / "recovered.dump", std::ios::binary);
+  ASSERT_TRUE(in) << "missing fixture " << fixture;
+  std::ostringstream expected;
+  expected << in.rdbuf();
+
+  const auto dir = root_ / "v1";
+  std::filesystem::copy(fixture / "state", dir);
+  {
+    ServeOptions ro = fast_options(dir, 0);
+    ro.read_only = true;
+    MeghServer server(ro);
+    EXPECT_EQ(server.recovered_seq(), 48u);
+    EXPECT_EQ(dump_of(server), expected.str());
+  }
+  MeghServer writable(fast_options(dir, 0));
+  EXPECT_EQ(dump_of(writable), expected.str());
 }
 
 TEST_F(ServerRecoveryTest, InitIsIdempotentForMatchingFleet) {
