@@ -3,19 +3,19 @@
 // in-process, and the recovery replay rate that bounds restart time.
 //
 //   * BM_ServeDecide/{hosts}/{fsync} — one steady-state served step against
-//     an in-process MeghServer over LocalTransport: a Decide round trip
-//     (decode → WAL append → policy decide → encode) followed by the
-//     matching Observe. fsync=1 adds the append-fdatasync before the ack,
-//     so the pair is the durability price of crash-exact recovery; fsync=0
+//     an in-process MeghServer over LocalTransport: one Decide round trip
+//     carrying the previous step's outcomes (decode → validate → observe +
+//     decide → WAL append → encode). fsync=1 adds the append-fsync before
+//     the ack, the durability price of crash-exact recovery; fsync=0
 //     isolates the protocol + journaling CPU cost. items/s is served
 //     steps/s; wal_bytes_per_step is the journal growth rate.
 //   * BM_ServeCheckpoint/{hosts} — one compaction: atomic learner snapshot
 //     write + WAL rotation + stale-segment GC, on a server that has taken
 //     a handful of steps since the last snapshot.
 //   * BM_ServeRecover/{steps} — cold-start recovery of a directory holding
-//     one snapshot-free WAL with `steps` served steps (2 records each):
-//     MeghServer construction in read-only mode replays the full tail.
-//     items/s is replayed WAL records/s.
+//     one snapshot-free WAL with `steps` served steps (one record each, plus
+//     the final flush): MeghServer construction in read-only mode replays
+//     the full tail. items/s is replayed WAL records/s.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -80,23 +80,23 @@ DecideRequest make_decide_scratch(const InitRequest& init) {
 }
 
 /// Drive `steps` steady-state steps through `client`, starting at
-/// `req.step`. Emitted actions are acknowledged as aborted — there is no
-/// real engine here to arbitrate fit, and an aborted outcome keeps the
-/// placement fixed while still exercising the full decode → journal →
-/// learner-update path on both verbs.
+/// `req.step`: one Decide per step, carrying the previous step's outcomes
+/// in `req.carried`. Emitted actions are acknowledged as aborted — there
+/// is no real engine here to arbitrate fit, and an aborted outcome keeps
+/// the placement fixed while still exercising the full decode → journal →
+/// learner-update path.
 void drive_steps(ServeClient& client, const TraceTable& trace,
                  DecideRequest& req, int steps) {
   const int vms = static_cast<int>(req.vm_util.size());
-  ObserveRequest obs;
-  obs.step_cost = 1.0;
   for (int i = 0; i < steps; ++i, ++req.step) {
     for (int v = 0; v < vms; ++v) {
       req.vm_util[static_cast<std::size_t>(v)] =
           trace.at(v, req.step % trace.num_steps());
     }
-    req.last_step_cost = obs.step_cost;
+    req.last_step_cost = 1.0;
     const DecideResponse resp = client.decide(req);
-    obs.outcomes.clear();
+    ObserveRequest& obs = req.carried.emplace();
+    obs.step_cost = 1.0;
     for (const MigrationAction& a : resp.actions) {
       MigrationOutcome o;
       o.vm = a.vm;
@@ -104,8 +104,14 @@ void drive_steps(ServeClient& client, const TraceTable& trace,
       o.verdict = MigrationVerdict::kAborted;
       obs.outcomes.push_back(o);
     }
-    benchmark::DoNotOptimize(client.observe(obs));
   }
+}
+
+/// Send the observation the last driven step left pending (one Observe).
+void flush(ServeClient& client, DecideRequest& req) {
+  if (!req.carried) return;
+  benchmark::DoNotOptimize(client.observe(*req.carried));
+  req.carried.reset();
 }
 
 void BM_ServeDecide(benchmark::State& state) {
@@ -134,6 +140,7 @@ void BM_ServeDecide(benchmark::State& state) {
   const WalStatusResponse ws = client.wal_status();
   state.counters["wal_bytes_per_step"] =
       req.step > 0 ? static_cast<double>(ws.wal_bytes) / req.step : 0.0;
+  flush(client, req);
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_ServeDecide)
@@ -166,6 +173,7 @@ void BM_ServeCheckpoint(benchmark::State& state) {
     state.ResumeTiming();
     benchmark::DoNotOptimize(client.checkpoint());
   }
+  flush(client, req);
   state.SetItemsProcessed(state.iterations());
   std::filesystem::remove_all(dir);
 }
@@ -194,6 +202,7 @@ void BM_ServeRecover(benchmark::State& state) {
     const TraceTable trace = generate_planetlab(tc);
     DecideRequest req = make_decide_scratch(init);
     drive_steps(client, trace, req, steps);
+    flush(client, req);
   }
   ServeOptions recover_options;
   recover_options.dir = dir;
@@ -202,8 +211,8 @@ void BM_ServeRecover(benchmark::State& state) {
     MeghServer recovered(recover_options);
     benchmark::DoNotOptimize(recovered.recovered_seq());
   }
-  // 2 WAL records per served step (Decide + Observe).
-  state.SetItemsProcessed(state.iterations() * steps * 2);
+  // One WAL record per served step, plus the flush.
+  state.SetItemsProcessed(state.iterations() * (steps + 1));
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_ServeRecover)

@@ -6,10 +6,11 @@ namespace megh {
 
 namespace {
 
-// Slice-by-4 tables for the Castagnoli polynomial (reflected 0x82F63B78),
-// generated once on first use.
+// Slice-by-8 tables for the Castagnoli polynomial (reflected 0x82F63B78),
+// generated once on first use. t[k][b] is the CRC of byte b followed by k
+// zero bytes, so eight table lookups advance the CRC by eight bytes.
 struct Crc32cTables {
-  std::array<std::array<std::uint32_t, 256>, 4> t;
+  std::array<std::array<std::uint32_t, 256>, 8> t;
 
   Crc32cTables() {
     for (std::uint32_t i = 0; i < 256; ++i) {
@@ -19,10 +20,10 @@ struct Crc32cTables {
       }
       t[0][i] = crc;
     }
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      t[1][i] = (t[0][i] >> 8) ^ t[0][t[0][i] & 0xFFu];
-      t[2][i] = (t[1][i] >> 8) ^ t[0][t[1][i] & 0xFFu];
-      t[3][i] = (t[2][i] >> 8) ^ t[0][t[2][i] & 0xFFu];
+    for (std::size_t k = 1; k < t.size(); ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
   }
 };
@@ -32,22 +33,29 @@ const Crc32cTables& tables() {
   return instance;
 }
 
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::uint8_t> data, std::uint32_t seed) {
   const auto& t = tables().t;
   std::uint32_t crc = ~seed;
-  std::size_t i = 0;
-  for (; i + 4 <= data.size(); i += 4) {
-    crc ^= static_cast<std::uint32_t>(data[i]) |
-           (static_cast<std::uint32_t>(data[i + 1]) << 8) |
-           (static_cast<std::uint32_t>(data[i + 2]) << 16) |
-           (static_cast<std::uint32_t>(data[i + 3]) << 24);
-    crc = t[3][crc & 0xFFu] ^ t[2][(crc >> 8) & 0xFFu] ^
-          t[1][(crc >> 16) & 0xFFu] ^ t[0][crc >> 24];
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
-  for (; i < data.size(); ++i) {
-    crc = (crc >> 8) ^ t[0][(crc ^ data[i]) & 0xFFu];
+  for (; n > 0; ++p, --n) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFu];
   }
   return ~crc;
 }

@@ -27,6 +27,15 @@ std::uint32_t ServeClient::hello() {
   return version;
 }
 
+void ServeClient::check_protocol() {
+  const std::uint32_t version = hello();
+  if (version != kProtocolVersion) {
+    throw Error(strf("daemon speaks protocol v%u, this client v%u",
+                     static_cast<unsigned>(version),
+                     static_cast<unsigned>(kProtocolVersion)));
+  }
+}
+
 void ServeClient::init(const InitRequest& req) {
   transport_->roundtrip(MsgType::kInit, encode_init(req));
 }
@@ -64,6 +73,7 @@ void ServeClient::shutdown() {
 
 void RemoteMeghPolicy::begin(const Datacenter& dc, const CostConfig& cost,
                              double interval_s) {
+  client_.check_protocol();
   InitRequest req;
   req.interval_s = interval_s;
   req.cost = cost;
@@ -87,7 +97,7 @@ void RemoteMeghPolicy::begin(const Datacenter& dc, const CostConfig& cost,
     req.host_vms[static_cast<std::size_t>(h)].assign(vms.begin(), vms.end());
   }
   client_.init(req);
-  outcome_cache_.clear();
+  decide_scratch_.carried.reset();
   stats_cache_.clear();
 }
 
@@ -104,24 +114,31 @@ void RemoteMeghPolicy::decide_into(const StepObservation& obs,
   }
   req.host_down.assign(obs.host_down.begin(), obs.host_down.end());
   DecideResponse resp = client_.decide(req);
+  // Acknowledged, so the daemon applied the carried observation.
+  req.carried.reset();
+  stats_cache_ = std::move(resp.stats);
   out.insert(out.end(), resp.actions.begin(), resp.actions.end());
+}
+
+ObserveRequest& RemoteMeghPolicy::pending() {
+  if (!decide_scratch_.carried) decide_scratch_.carried.emplace();
+  return *decide_scratch_.carried;
 }
 
 void RemoteMeghPolicy::observe_outcomes(
     std::span<const MigrationOutcome> outcomes) {
-  // Cached, not sent: the engine reports outcomes and the step cost as two
-  // callbacks, but they describe one interval — shipping them together
-  // keeps the WAL at one record per engine phase.
-  outcome_cache_.assign(outcomes.begin(), outcomes.end());
+  pending().outcomes.assign(outcomes.begin(), outcomes.end());
 }
 
 void RemoteMeghPolicy::observe_cost(double step_cost) {
-  ObserveRequest req;
-  req.step_cost = step_cost;
-  req.outcomes = outcome_cache_;
-  ObserveResponse resp = client_.observe(req);
+  pending().step_cost = step_cost;
+}
+
+void RemoteMeghPolicy::flush() {
+  if (!decide_scratch_.carried) return;
+  ObserveResponse resp = client_.observe(*decide_scratch_.carried);
+  decide_scratch_.carried.reset();
   stats_cache_ = std::move(resp.stats);
-  outcome_cache_.clear();
 }
 
 void RemoteMeghPolicy::stats(PolicyStats& out) const {

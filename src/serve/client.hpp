@@ -54,6 +54,9 @@ class ServeClient {
       : transport_(std::move(transport)) {}
 
   std::uint32_t hello();
+  /// Hello, then throw an Error naming both versions unless the daemon
+  /// speaks kProtocolVersion.
+  void check_protocol();
   void init(const InitRequest& req);
   DecideResponse decide(const DecideRequest& req);
   ObserveResponse observe(const ObserveRequest& req);
@@ -67,12 +70,18 @@ class ServeClient {
   std::shared_ptr<ServeTransport> transport_;
 };
 
-/// MigrationPolicy adapter: the engine runs its ordinary step loop; every
-/// callback becomes a protocol request. begin() ships the fleet (Init),
-/// decide_into() round-trips a Decide, and observe_outcomes +
-/// observe_cost fold into one Observe whose response carries the policy
-/// stats the engine asks for right afterwards — stats() then answers from
-/// that cache, so a steady-state step costs exactly two round trips.
+/// MigrationPolicy adapter: the engine runs its ordinary step loop over a
+/// policy that lives in the daemon. begin() checks the protocol version
+/// and ships the fleet (Init). observe_outcomes + observe_cost are
+/// buffered, and decide_into() sends them inside the next step's Decide,
+/// whose response also carries the policy stats the engine asks for at the
+/// end of the step — stats() answers from that cache. A steady-state step
+/// therefore costs one round trip and one journal record. The last step's
+/// observation has no Decide to ride on: call flush() after the run.
+///
+/// The cached stats are the policy's as of the Decide, before the step's
+/// observation applies; Megh's observe_* change no stat while its fault
+/// recovery is off, and the daemon always runs it off.
 ///
 /// Fault-free served runs are bit-identical to running the same MeghConfig
 /// locally. Under a fault plan the daemon reconciles forced evacuations
@@ -97,12 +106,18 @@ class RemoteMeghPolicy : public MigrationPolicy {
   void observe_outcomes(std::span<const MigrationOutcome> outcomes) override;
   void stats(PolicyStats& out) const override;
 
+  /// Send the buffered observation of the last step as one Observe; a
+  /// no-op when nothing is pending.
+  void flush();
+
  private:
+  /// The observation waiting for the next Decide (created on demand).
+  ObserveRequest& pending();
+
   ServeClient client_;
   MeghConfig config_;
   std::shared_ptr<const FatTreeTopology> network_;
-  DecideRequest decide_scratch_;
-  std::vector<MigrationOutcome> outcome_cache_;
+  DecideRequest decide_scratch_;  // .carried holds the pending observation
   std::vector<StatEntry> stats_cache_;
 };
 

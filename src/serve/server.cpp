@@ -267,6 +267,9 @@ void MeghServer::apply_init(const InitRequest& req) {
 }
 
 void MeghServer::validate_decide(const DecideRequest& req) {
+  // The carried outcomes are checked against the mirror as it stands; the
+  // host_of checks below concern the placement after them.
+  if (req.carried) validate_observe(*req.carried);
   const int num_vms = dc_->num_vms();
   const int num_hosts = dc_->num_hosts();
   MEGH_REQUIRE(static_cast<int>(req.vm_util.size()) == num_vms &&
@@ -303,6 +306,7 @@ void MeghServer::validate_decide(const DecideRequest& req) {
 
 void MeghServer::apply_decide(const DecideRequest& req,
                               std::vector<MigrationAction>& out) {
+  if (req.carried) apply_observe(*req.carried);
   const int num_vms = dc_->num_vms();
 
   // Reconcile the placement mirror against the authoritative host_of
@@ -468,7 +472,11 @@ void MeghServer::init(const InitRequest& req) {
 }
 
 DecideResponse MeghServer::decide(const DecideRequest& req) {
-  const std::vector<std::uint8_t> payload = encode_decide(req);
+  return decide(req, encode_decide(req));
+}
+
+DecideResponse MeghServer::decide(const DecideRequest& req,
+                                  std::span<const std::uint8_t> payload) {
   std::lock_guard<std::mutex> lock(mutex_);
   MEGH_REQUIRE(initialized_, "serve: Decide before Init");
   MEGH_REQUIRE(!options_.read_only, "serve: read-only server");
@@ -491,11 +499,16 @@ DecideResponse MeghServer::decide(const DecideRequest& req) {
   Telemetry::instance().counter("serve.decide").add(1);
   DecideResponse resp;
   resp.actions = actions_;
+  fill_policy_stats(resp.stats);
   return resp;
 }
 
 ObserveResponse MeghServer::observe(const ObserveRequest& req) {
-  const std::vector<std::uint8_t> payload = encode_observe(req);
+  return observe(req, encode_observe(req));
+}
+
+ObserveResponse MeghServer::observe(const ObserveRequest& req,
+                                    std::span<const std::uint8_t> payload) {
   std::lock_guard<std::mutex> lock(mutex_);
   MEGH_REQUIRE(initialized_, "serve: Observe before Init");
   MEGH_REQUIRE(!options_.read_only, "serve: read-only server");
@@ -511,7 +524,7 @@ ObserveResponse MeghServer::observe(const ObserveRequest& req) {
   ++observes_;
   Telemetry::instance().counter("serve.observe").add(1);
   ObserveResponse resp;
-  fill_stats(resp.stats);
+  fill_policy_stats(resp.stats);
   return resp;
 }
 
@@ -552,7 +565,7 @@ WalStatusResponse MeghServer::wal_status() {
   return resp;
 }
 
-void MeghServer::fill_stats(std::vector<StatEntry>& out) {
+void MeghServer::fill_policy_stats(std::vector<StatEntry>& out) {
   stats_scratch_.clear();
   policy_->stats(stats_scratch_);
   out.clear();
@@ -561,6 +574,10 @@ void MeghServer::fill_stats(std::vector<StatEntry>& out) {
     out.push_back(StatEntry{std::string(stats_scratch_.key(i).name()),
                             stats_scratch_.value(i)});
   }
+}
+
+void MeghServer::fill_stats(std::vector<StatEntry>& out) {
+  fill_policy_stats(out);
   out.push_back(StatEntry{"serve.decides", static_cast<double>(decides_)});
   out.push_back(StatEntry{"serve.observes", static_cast<double>(observes_)});
   out.push_back(StatEntry{"serve.steps", static_cast<double>(steps_)});
@@ -784,11 +801,11 @@ std::vector<std::uint8_t> MeghServer::handle(
         init(decode_init(payload));
         return ok_response({});
       case MsgType::kDecide:
-        return ok_response(encode_decide_response(decide(
-            decode_decide(payload))));
+        return ok_response(encode_decide_response(
+            decide(decode_decide(payload), payload)));
       case MsgType::kObserve:
-        return ok_response(encode_stats(observe(
-            decode_observe(payload)).stats));
+        return ok_response(
+            encode_stats(observe(decode_observe(payload), payload).stats));
       case MsgType::kCheckpoint:
         return ok_response(encode_checkpoint_response(checkpoint()));
       case MsgType::kStats:

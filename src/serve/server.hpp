@@ -13,8 +13,10 @@
 //      the directory.
 //   2. Every mutating request (Decide, Observe) is validated, applied,
 //      and only then appended to the WAL and fsynced — all before it is
-//      acknowledged. The journal stores the request bytes, not state
-//      deltas: replay re-executes them through the same apply path, so
+//      acknowledged. A Decide carries the previous step's observation, so
+//      a served step costs one record. The journal stores the request
+//      bytes as received, not state deltas: replay re-executes them
+//      through the same apply path, so
 //      recovered state is bit-identical — same learner, same RNG
 //      position, same pending SARSA transition, same placement mirror.
 //      Because only fully-applied requests reach the journal, replay can
@@ -95,9 +97,15 @@ class MeghServer {
 
   // Typed API (throws on error). Each call locks the state mutex; requests
   // serialize in arrival order, which is what keeps the WAL a total order.
+  // Decide and Observe journal `payload`, the request as received, which
+  // must decode to `req`; the one-argument forms encode `req` first.
   void init(const InitRequest& req);
   DecideResponse decide(const DecideRequest& req);
+  DecideResponse decide(const DecideRequest& req,
+                        std::span<const std::uint8_t> payload);
   ObserveResponse observe(const ObserveRequest& req);
+  ObserveResponse observe(const ObserveRequest& req,
+                          std::span<const std::uint8_t> payload);
   CheckpointResponse checkpoint();
   StatsResponse stats_response();
   WalStatusResponse wal_status();
@@ -116,12 +124,14 @@ class MeghServer {
  private:
   void recover();
   void apply_init(const InitRequest& req);
+  /// Applies the carried observation (if any), then decides.
   void apply_decide(const DecideRequest& req,
                     std::vector<MigrationAction>& out);
   void apply_observe(const ObserveRequest& req);
   /// Client-input checks, run before any mutation (and before anything is
   /// journaled): a request that fails here gets an error response and
-  /// leaves state, journal, and RNG stream untouched.
+  /// leaves state, journal, and RNG stream untouched. validate_decide
+  /// covers the carried observation too.
   void validate_decide(const DecideRequest& req);
   void validate_observe(const ObserveRequest& req);
   /// Latch the daemon into a refuse-all-mutations state after a failure
@@ -132,6 +142,8 @@ class MeghServer {
   void write_snapshot(std::ostream& out);
   void load_snapshot(const std::filesystem::path& path);
   CheckpointResponse compact_locked(std::unique_lock<std::mutex>& lock);
+  /// The policy's own stats; fill_stats appends the serve.* counters.
+  void fill_policy_stats(std::vector<StatEntry>& out);
   void fill_stats(std::vector<StatEntry>& out);
   void compaction_loop();
 
@@ -157,7 +169,7 @@ class MeghServer {
 
   // Counters (also exported via Stats and serve.* telemetry).
   long long decides_ = 0;
-  long long observes_ = 0;
+  long long observes_ = 0;  // Observe requests: end-of-run flushes
   long long steps_ = 0;
   long long compactions_ = 0;
   long long replayed_records_ = 0;

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
@@ -23,22 +24,67 @@ const char* msg_type_name(MsgType type) {
   return "Unknown";
 }
 
-void WireWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v & 0xff));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
+namespace {
 
-void WireWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+
+/// Append `v` little-endian.
+template <typename U>
+void put_le(std::vector<std::uint8_t>& buf, U v) {
+  const std::size_t at = buf.size();
+  buf.resize(at + sizeof(U));
+  if constexpr (kLittleEndian) {
+    std::memcpy(buf.data() + at, &v, sizeof(U));
+  } else {
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      buf[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
   }
 }
 
-void WireWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+template <typename U>
+U get_le(const std::uint8_t* in) {
+  U v = 0;
+  if constexpr (kLittleEndian) {
+    std::memcpy(&v, in, sizeof(U));
+  } else {
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      v |= static_cast<U>(static_cast<U>(in[i]) << (8 * i));
+    }
+  }
+  return v;
+}
+
+/// Unsigned integer of T's width: the wire form of a double or an int32.
+template <typename T>
+using WireBits =
+    std::conditional_t<sizeof(T) == 8, std::uint64_t, std::uint32_t>;
+
+template <typename T>
+void put_array(std::vector<std::uint8_t>& buf, std::span<const T> values) {
+  put_le(buf, static_cast<std::uint32_t>(values.size()));
+  if constexpr (kLittleEndian) {
+    const std::size_t at = buf.size();
+    buf.resize(at + values.size_bytes());
+    if (!values.empty()) {
+      std::memcpy(buf.data() + at, values.data(), values.size_bytes());
+    }
+  } else {
+    for (const T v : values) put_le(buf, std::bit_cast<WireBits<T>>(v));
   }
 }
+
+[[noreturn]] void truncated(const char* what) {
+  throw IoError(strf("wire: truncated payload reading %s", what));
+}
+
+}  // namespace
+
+void WireWriter::u16(std::uint16_t v) { put_le(buf_, v); }
+
+void WireWriter::u32(std::uint32_t v) { put_le(buf_, v); }
+
+void WireWriter::u64(std::uint64_t v) { put_le(buf_, v); }
 
 void WireWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
@@ -51,13 +97,13 @@ void WireWriter::bytes(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
-namespace {
-
-[[noreturn]] void truncated(const char* what) {
-  throw IoError(strf("wire: truncated payload reading %s", what));
+void WireWriter::f64s(std::span<const double> values) {
+  put_array(buf_, values);
 }
 
-}  // namespace
+void WireWriter::i32s(std::span<const std::int32_t> values) {
+  put_array(buf_, values);
+}
 
 std::uint8_t WireReader::u8() {
   if (remaining() < 1) truncated("u8");
@@ -66,30 +112,21 @@ std::uint8_t WireReader::u8() {
 
 std::uint16_t WireReader::u16() {
   if (remaining() < 2) truncated("u16");
-  std::uint16_t v = static_cast<std::uint16_t>(
-      data_[pos_] | (static_cast<std::uint16_t>(data_[pos_ + 1]) << 8));
+  const std::uint16_t v = get_le<std::uint16_t>(data_.data() + pos_);
   pos_ += 2;
   return v;
 }
 
 std::uint32_t WireReader::u32() {
   if (remaining() < 4) truncated("u32");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
+  const std::uint32_t v = get_le<std::uint32_t>(data_.data() + pos_);
   pos_ += 4;
   return v;
 }
 
 std::uint64_t WireReader::u64() {
   if (remaining() < 8) truncated("u64");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
+  const std::uint64_t v = get_le<std::uint64_t>(data_.data() + pos_);
   pos_ += 8;
   return v;
 }
@@ -101,6 +138,28 @@ std::string WireReader::str() {
   std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
   pos_ += len;
   return s;
+}
+
+template <typename T>
+void WireReader::array(std::vector<T>& out, const char* what) {
+  out.resize(count(sizeof(T), what));
+  const std::uint8_t* in = data_.data() + pos_;
+  if constexpr (kLittleEndian) {
+    if (!out.empty()) std::memcpy(out.data(), in, out.size() * sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = std::bit_cast<T>(get_le<WireBits<T>>(in + i * sizeof(T)));
+    }
+  }
+  pos_ += out.size() * sizeof(T);
+}
+
+void WireReader::f64s(std::vector<double>& out, const char* what) {
+  array(out, what);
+}
+
+void WireReader::i32s(std::vector<std::int32_t>& out, const char* what) {
+  array(out, what);
 }
 
 void WireReader::expect_done(const char* what) const {
@@ -296,74 +355,11 @@ InitRequest decode_init(std::span<const std::uint8_t> payload) {
   return req;
 }
 
-// --- Decide ---------------------------------------------------------------
+// --- Observe / Decide / Stats --------------------------------------------
 
-std::vector<std::uint8_t> encode_decide(const DecideRequest& req) {
-  WireWriter w;
-  w.i32(req.step);
-  w.f64(req.last_step_cost);
-  w.u32(static_cast<std::uint32_t>(req.vm_util.size()));
-  for (double u : req.vm_util) w.f64(u);
-  w.u32(static_cast<std::uint32_t>(req.host_util.size()));
-  for (double u : req.host_util) w.f64(u);
-  w.u32(static_cast<std::uint32_t>(req.host_of.size()));
-  for (int h : req.host_of) w.i32(h);
-  w.u32(static_cast<std::uint32_t>(req.host_down.size()));
-  w.bytes(req.host_down);
-  return w.take();
-}
+namespace {
 
-DecideRequest decode_decide(std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  DecideRequest req;
-  req.step = r.i32();
-  req.last_step_cost = r.f64();
-  const std::size_t n_vm = r.count(8, "vm_util");
-  req.vm_util.resize(n_vm);
-  for (double& u : req.vm_util) u = r.f64();
-  const std::size_t n_host = r.count(8, "host_util");
-  req.host_util.resize(n_host);
-  for (double& u : req.host_util) u = r.f64();
-  const std::size_t n_of = r.count(4, "host_of");
-  req.host_of.resize(n_of);
-  for (int& h : req.host_of) h = r.i32();
-  const std::size_t n_down = r.count(1, "host_down");
-  req.host_down.resize(n_down);
-  for (std::uint8_t& b : req.host_down) b = r.u8();
-  r.expect_done("Decide");
-  return req;
-}
-
-std::vector<std::uint8_t> encode_decide_response(const DecideResponse& resp) {
-  WireWriter w;
-  w.u32(static_cast<std::uint32_t>(resp.actions.size()));
-  for (const MigrationAction& a : resp.actions) {
-    w.i32(a.vm);
-    w.i32(a.target_host);
-  }
-  return w.take();
-}
-
-DecideResponse decode_decide_response(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  DecideResponse resp;
-  const std::size_t n = r.count(8, "actions");
-  resp.actions.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    MigrationAction a;
-    a.vm = r.i32();
-    a.target_host = r.i32();
-    resp.actions.push_back(a);
-  }
-  r.expect_done("DecideResponse");
-  return resp;
-}
-
-// --- Observe --------------------------------------------------------------
-
-std::vector<std::uint8_t> encode_observe(const ObserveRequest& req) {
-  WireWriter w;
+void put_observe(WireWriter& w, const ObserveRequest& req) {
   w.f64(req.step_cost);
   w.u32(static_cast<std::uint32_t>(req.outcomes.size()));
   for (const MigrationOutcome& o : req.outcomes) {
@@ -371,11 +367,9 @@ std::vector<std::uint8_t> encode_observe(const ObserveRequest& req) {
     w.i32(o.target_host);
     w.u8(static_cast<std::uint8_t>(o.verdict));
   }
-  return w.take();
 }
 
-ObserveRequest decode_observe(std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
+ObserveRequest get_observe(WireReader& r) {
   ObserveRequest req;
   req.step_cost = r.f64();
   const std::size_t n = r.count(9, "outcomes");
@@ -391,24 +385,18 @@ ObserveRequest decode_observe(std::span<const std::uint8_t> payload) {
     o.verdict = static_cast<MigrationVerdict>(verdict);
     req.outcomes.push_back(o);
   }
-  r.expect_done("Observe");
   return req;
 }
 
-// --- Stats / WalStatus / Checkpoint --------------------------------------
-
-std::vector<std::uint8_t> encode_stats(std::span<const StatEntry> stats) {
-  WireWriter w;
+void put_stats(WireWriter& w, std::span<const StatEntry> stats) {
   w.u32(static_cast<std::uint32_t>(stats.size()));
   for (const StatEntry& s : stats) {
     w.str(s.name);
     w.f64(s.value);
   }
-  return w.take();
 }
 
-std::vector<StatEntry> decode_stats(std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
+std::vector<StatEntry> get_stats(WireReader& r) {
   const std::size_t n = r.count(12, "stats");
   std::vector<StatEntry> stats;
   stats.reserve(n);
@@ -418,9 +406,98 @@ std::vector<StatEntry> decode_stats(std::span<const std::uint8_t> payload) {
     s.value = r.f64();
     stats.push_back(std::move(s));
   }
+  return stats;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_decide(const DecideRequest& req) {
+  WireWriter w;
+  w.reserve(4 + 8 + 4 * 4 + 8 * (req.vm_util.size() + req.host_util.size()) +
+            4 * req.host_of.size() + req.host_down.size() +
+            (req.carried ? 12 + 9 * req.carried->outcomes.size() : 0));
+  w.i32(req.step);
+  w.f64(req.last_step_cost);
+  w.f64s(req.vm_util);
+  w.f64s(req.host_util);
+  w.i32s(req.host_of);
+  w.u32(static_cast<std::uint32_t>(req.host_down.size()));
+  w.bytes(req.host_down);
+  if (req.carried) put_observe(w, *req.carried);
+  return w.take();
+}
+
+DecideRequest decode_decide(std::span<const std::uint8_t> payload) {
+  WireReader r(payload);
+  DecideRequest req;
+  req.step = r.i32();
+  req.last_step_cost = r.f64();
+  r.f64s(req.vm_util, "vm_util");
+  r.f64s(req.host_util, "host_util");
+  r.i32s(req.host_of, "host_of");
+  const std::size_t n_down = r.count(1, "host_down");
+  req.host_down.resize(n_down);
+  for (std::uint8_t& b : req.host_down) b = r.u8();
+  if (!r.done()) req.carried = get_observe(r);
+  r.expect_done("Decide");
+  return req;
+}
+
+std::vector<std::uint8_t> encode_decide_response(const DecideResponse& resp) {
+  WireWriter w;
+  w.u32(static_cast<std::uint32_t>(resp.actions.size()));
+  for (const MigrationAction& a : resp.actions) {
+    w.i32(a.vm);
+    w.i32(a.target_host);
+  }
+  put_stats(w, resp.stats);
+  return w.take();
+}
+
+DecideResponse decode_decide_response(
+    std::span<const std::uint8_t> payload) {
+  WireReader r(payload);
+  DecideResponse resp;
+  const std::size_t n = r.count(8, "actions");
+  resp.actions.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    MigrationAction a;
+    a.vm = r.i32();
+    a.target_host = r.i32();
+    resp.actions.push_back(a);
+  }
+  resp.stats = get_stats(r);
+  r.expect_done("DecideResponse");
+  return resp;
+}
+
+std::vector<std::uint8_t> encode_observe(const ObserveRequest& req) {
+  WireWriter w;
+  put_observe(w, req);
+  return w.take();
+}
+
+ObserveRequest decode_observe(std::span<const std::uint8_t> payload) {
+  WireReader r(payload);
+  ObserveRequest req = get_observe(r);
+  r.expect_done("Observe");
+  return req;
+}
+
+std::vector<std::uint8_t> encode_stats(std::span<const StatEntry> stats) {
+  WireWriter w;
+  put_stats(w, stats);
+  return w.take();
+}
+
+std::vector<StatEntry> decode_stats(std::span<const std::uint8_t> payload) {
+  WireReader r(payload);
+  std::vector<StatEntry> stats = get_stats(r);
   r.expect_done("Stats");
   return stats;
 }
+
+// --- WalStatus / Checkpoint ------------------------------------------------
 
 std::vector<std::uint8_t> encode_wal_status(const WalStatusResponse& resp) {
   WireWriter w;

@@ -6,10 +6,10 @@
 // status byte (0 = ok, anything else = error) followed by the body on
 // success or a string (u32 length + bytes) carrying the server's exception
 // text on failure. The same payload encodings double as the WAL record
-// payloads — a journaled Decide/Observe request replays through the exact
-// decode path a live request takes, which is what makes recovery a replay
-// of the original request stream rather than a second serialization format
-// to keep honest.
+// payloads — a Decide/Observe request is journaled as the bytes received
+// and replays through the exact decode path a live request takes, which is
+// what makes recovery a replay of the original request stream rather than
+// a second serialization format to keep honest.
 //
 // Everything is explicit-width and bounds-checked: WireReader throws
 // IoError (never reads past the buffer) so a truncated or fuzzed payload is
@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -36,8 +37,9 @@ namespace megh::serve {
 enum class MsgType : std::uint16_t {
   kHello = 0,       // liveness probe; response body = protocol version (u32)
   kInit = 1,        // ship fleet + configs; idempotent on a recovered server
-  kDecide = 2,      // one interval's observation -> migration actions
-  kObserve = 3,     // realized outcomes + step cost; response carries stats
+  kDecide = 2,      // previous step's outcomes + this step's observation
+                    // -> migration actions + policy stats
+  kObserve = 3,     // end-of-run flush of the last step's outcomes + cost
   kCheckpoint = 4,  // force a compaction now
   kStats = 5,       // policy stats + serve.* counters
   kWalStatus = 6,   // journal/compaction introspection
@@ -46,7 +48,8 @@ enum class MsgType : std::uint16_t {
 };
 
 /// Protocol version echoed by kHello; bumped on any frame/payload change.
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/// v2: Decide carries the previous step's Observe and answers with stats.
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 const char* msg_type_name(MsgType type);
 
@@ -62,6 +65,11 @@ class WireWriter {
   void f64(double v);
   void str(std::string_view s);
   void bytes(std::span<const std::uint8_t> data);
+  /// u32 count, then the elements — copied in bulk on little-endian hosts.
+  void f64s(std::span<const double> values);
+  void i32s(std::span<const std::int32_t> values);
+
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   const std::vector<std::uint8_t>& out() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -85,6 +93,10 @@ class WireReader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
   std::string str();
+  /// Counterparts of WireWriter::f64s / i32s: a validated count, then the
+  /// elements into `out` (resized to fit).
+  void f64s(std::vector<double>& out, const char* what);
+  void i32s(std::vector<std::int32_t>& out, const char* what);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }
@@ -97,6 +109,9 @@ class WireReader {
   std::size_t count(std::size_t min_element_bytes, const char* what);
 
  private:
+  template <typename T>
+  void array(std::vector<T>& out, const char* what);
+
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };
@@ -120,6 +135,16 @@ struct InitRequest {
   std::vector<std::vector<int>> host_vms;  // ordered VM list per host
 };
 
+/// The engine's verdict on the last Decide plus the realized step cost.
+/// Applied migrations are replayed into the mirror in outcome order (the
+/// engine applies in request order, so the orders coincide). It travels
+/// inside the next Decide, or alone as kObserve to flush the last step of
+/// a run.
+struct ObserveRequest {
+  double step_cost = 0.0;
+  std::vector<MigrationOutcome> outcomes;
+};
+
 /// kDecide: one interval's observation. host_util ships precomputed (the
 /// engine's own values) rather than being recomputed server-side, and
 /// host_of is the authoritative placement — the server reconciles its
@@ -132,18 +157,10 @@ struct DecideRequest {
   std::vector<double> host_util;
   std::vector<int> host_of;
   std::vector<std::uint8_t> host_down;  // empty, or one byte per host
-};
-
-struct DecideResponse {
-  std::vector<MigrationAction> actions;
-};
-
-/// kObserve: the engine's verdict on the last Decide plus the realized step
-/// cost. Applied migrations are replayed into the mirror in outcome order
-/// (the engine applies in request order, so the orders coincide).
-struct ObserveRequest {
-  double step_cost = 0.0;
-  std::vector<MigrationOutcome> outcomes;
+  /// The previous step's observation, applied before this step decides.
+  /// Encoded as a trailing section only when present, so a v1 Decide (no
+  /// section) decodes unchanged.
+  std::optional<ObserveRequest> carried;
 };
 
 struct StatEntry {
@@ -151,8 +168,16 @@ struct StatEntry {
   double value = 0.0;
 };
 
-/// Observe's response piggybacks the policy stats the engine will ask for
-/// immediately afterwards, saving a round trip per step.
+/// The actions plus the policy's own stats after deciding — what the
+/// engine asks for at the end of the step. The daemon's serve.* counters
+/// are not included: they differ across a restart, and a recovered daemon
+/// must answer byte-identically.
+struct DecideResponse {
+  std::vector<MigrationAction> actions;
+  std::vector<StatEntry> stats;
+};
+
+/// The policy's own stats after the flushed observation.
 struct ObserveResponse {
   std::vector<StatEntry> stats;
 };

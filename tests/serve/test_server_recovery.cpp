@@ -14,6 +14,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/string_util.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "sim/placement.hpp"
@@ -29,7 +30,8 @@ struct Recorded {
   std::vector<std::uint8_t> response;  // raw, status byte included
 };
 
-/// Forwards to a MeghServer and tapes every exchange.
+/// Forwards to a MeghServer and tapes every exchange except Hello, which
+/// changes nothing: the tape is Init, then one request per WAL seq.
 class RecordingTransport : public ServeTransport {
  public:
   RecordingTransport(MeghServer& server, std::vector<Recorded>& log)
@@ -37,6 +39,7 @@ class RecordingTransport : public ServeTransport {
   std::vector<std::uint8_t> roundtrip(
       MsgType type, std::span<const std::uint8_t> payload) override {
     std::vector<std::uint8_t> raw = server_->handle(type, payload);
+    if (type == MsgType::kHello) return unwrap_response(type, raw);
     log_->push_back(Recorded{
         type, std::vector<std::uint8_t>(payload.begin(), payload.end()), raw});
     return unwrap_response(type, raw);
@@ -84,6 +87,7 @@ class ServerRecoveryTest : public ::testing::Test {
     const TraceTable trace = generate_planetlab(tc);
     Simulation sim(std::move(dc), trace, SimulationConfig{});
     sim.run(policy, steps);
+    policy.flush();
   }
 
   /// Record the full request/response stream of an uninterrupted run.
@@ -94,6 +98,33 @@ class ServerRecoveryTest : public ::testing::Test {
     run_sim(std::make_shared<RecordingTransport>(server, log), steps);
     if (dump != nullptr) *dump = dump_of(server);
     return log;
+  }
+
+  /// Decide responses of a server recovered from a snapshot: the actions
+  /// byte-identical, and every stat equal except the learner's history
+  /// counters, which a snapshot does not carry (LspiLearner::restore keeps
+  /// the restoring learner's own), so they restart at the snapshot.
+  static void expect_same_decision(std::span<const std::uint8_t> got,
+                                   std::span<const std::uint8_t> want,
+                                   const std::string& where) {
+    ASSERT_FALSE(got.empty());
+    ASSERT_EQ(got[0], 0) << where;
+    const DecideResponse g = decode_decide_response(got.subspan(1));
+    const DecideResponse w = decode_decide_response(want.subspan(1));
+    EXPECT_EQ(encode_decide_response({g.actions, {}}),
+              encode_decide_response({w.actions, {}}))
+        << where;
+    ASSERT_EQ(g.stats.size(), w.stats.size()) << where;
+    for (std::size_t k = 0; k < w.stats.size(); ++k) {
+      EXPECT_EQ(g.stats[k].name, w.stats[k].name) << where;
+      if (w.stats[k].name == "lspi_updates" ||
+          w.stats[k].name == "singular_skips" ||
+          w.stats[k].name == "truncations") {
+        continue;
+      }
+      EXPECT_EQ(g.stats[k].value, w.stats[k].value)
+          << where << ", " << w.stats[k].name;
+    }
   }
 
   static std::string dump_of(MeghServer& server) {
@@ -160,7 +191,7 @@ TEST_F(ServerRecoveryTest, KillAtEveryRequestBoundaryRecoversExactly) {
   std::string ref_dump;
   const std::vector<Recorded> log =
       record_reference(root_ / "ref", /*steps=*/12, &ref_dump);
-  ASSERT_GE(log.size(), 25u);  // init + 2 per step
+  ASSERT_EQ(log.size(), 14u);  // init + one Decide per step + the flush
 
   for (std::size_t kill_at = 1; kill_at < log.size(); ++kill_at) {
     const auto dir = root_ / ("victim_" + std::to_string(kill_at));
@@ -192,7 +223,8 @@ TEST_F(ServerRecoveryTest, KillAtEveryRequestBoundaryRecoversExactly) {
 TEST_F(ServerRecoveryTest, KillPointsWithCompactionAndCheckpointsRecover) {
   std::string ref_dump;
   const std::vector<Recorded> log =
-      record_reference(root_ / "ref", /*steps=*/30, &ref_dump);
+      record_reference(root_ / "ref", /*steps=*/60, &ref_dump);
+  ASSERT_EQ(log.size(), 62u);
 
   // A handful of kill points across a longer run, now with aggressive
   // compaction and explicit mid-stream checkpoints in the mix.
@@ -212,8 +244,8 @@ TEST_F(ServerRecoveryTest, KillPointsWithCompactionAndCheckpointsRecover) {
       const std::vector<std::uint8_t> response =
           after.handle(log[i].type, log[i].payload);
       if (log[i].type == MsgType::kDecide) {
-        EXPECT_EQ(response, log[i].response)
-            << "kill at " << kill_at << ", request " << i;
+        expect_same_decision(response, log[i].response,
+                             strf("kill at %zu, request %zu", kill_at, i));
       }
     }
     after.checkpoint();  // compaction after recovery must also be sound
@@ -411,32 +443,78 @@ TEST_F(ServerRecoveryTest, InvalidRequestsRejectedWithoutJournalingOrDrift) {
     ASSERT_GE(placed_vm, 0);
 
     auto expect_rejected = [&](MsgType type,
-                               const std::vector<std::uint8_t>& payload) {
+                               const std::vector<std::uint8_t>& payload,
+                               const std::string& reason) {
       const std::uint64_t seq_before = server.next_seq();
+      const std::string dump_before = dump_of(server);
       const std::vector<std::uint8_t> response = server.handle(type, payload);
       ASSERT_FALSE(response.empty());
       EXPECT_EQ(response[0], 1) << "invalid request must be refused";
+      WireReader r(std::span<const std::uint8_t>(response).subspan(1));
+      const std::string what = r.str();
+      EXPECT_NE(what.find(reason), std::string::npos) << what;
       EXPECT_EQ(server.next_seq(), seq_before)
           << "a rejected request must never reach the journal";
+      EXPECT_EQ(dump_of(server), dump_before)
+          << "a rejected request must not mutate anything";
     };
 
     DecideRequest bad_shape = valid;
     bad_shape.vm_util.pop_back();
-    expect_rejected(MsgType::kDecide, encode_decide(bad_shape));
+    expect_rejected(MsgType::kDecide, encode_decide(bad_shape),
+                    "shape does not match");
 
     DecideRequest bad_host = valid;
     bad_host.host_of[0] = static_cast<int>(init.hosts.size()) + 5;
-    expect_rejected(MsgType::kDecide, encode_decide(bad_host));
+    expect_rejected(MsgType::kDecide, encode_decide(bad_host),
+                    "host_of entry out of range");
 
     ObserveRequest bad_range;
     bad_range.outcomes.push_back(MigrationOutcome{
         static_cast<int>(init.vms.size()), 0, MigrationVerdict::kApplied});
-    expect_rejected(MsgType::kObserve, encode_observe(bad_range));
+    expect_rejected(MsgType::kObserve, encode_observe(bad_range),
+                    "outcome out of range");
 
     ObserveRequest same_host;  // "applied" no-op move = diverged mirror
     same_host.outcomes.push_back(
         MigrationOutcome{placed_vm, placed_host, MigrationVerdict::kApplied});
-    expect_rejected(MsgType::kObserve, encode_observe(same_host));
+    expect_rejected(MsgType::kObserve, encode_observe(same_host),
+                    "does not fit");
+
+    // A valid Decide whose carried observation is invalid is refused whole:
+    // neither the observation nor the decision applies.
+    DecideRequest carried_range = valid;
+    carried_range.carried = bad_range;
+    expect_rejected(MsgType::kDecide, encode_decide(carried_range),
+                    "outcome out of range");
+
+    // Applied migrations onto the smallest host until it overflows by RAM.
+    int target = 0;
+    for (int h = 1; h < static_cast<int>(init.hosts.size()); ++h) {
+      if (init.hosts[static_cast<std::size_t>(h)].ram_mb <
+          init.hosts[static_cast<std::size_t>(target)].ram_mb) {
+        target = h;
+      }
+    }
+    double ram = 0.0;
+    for (int vm : init.host_vms[static_cast<std::size_t>(target)]) {
+      ram += init.vms[static_cast<std::size_t>(vm)].ram_mb;
+    }
+    DecideRequest carried_overfill = valid;
+    carried_overfill.carried.emplace();
+    for (std::size_t h = 0; h < init.host_vms.size(); ++h) {
+      if (static_cast<int>(h) == target) continue;
+      for (int vm : init.host_vms[h]) {
+        if (ram > init.hosts[static_cast<std::size_t>(target)].ram_mb) break;
+        carried_overfill.carried->outcomes.push_back(
+            MigrationOutcome{vm, target, MigrationVerdict::kApplied});
+        ram += init.vms[static_cast<std::size_t>(vm)].ram_mb;
+      }
+    }
+    ASSERT_GT(ram, init.hosts[static_cast<std::size_t>(target)].ram_mb)
+        << "the fleet cannot overfill its smallest host";
+    expect_rejected(MsgType::kDecide, encode_decide(carried_overfill),
+                    "does not fit");
 
     // The rejections consumed no RNG draws and mutated nothing: the rest
     // of the taped run must replay bit-identically.
@@ -499,6 +577,43 @@ TEST_F(ServerRecoveryTest, InvalidInitLeavesTheDirectoryClean) {
   }
   MeghServer after(fast_options(dir, 0));
   EXPECT_TRUE(after.initialized());
+}
+
+/// Answers Hello with a fixed version and tapes every other verb.
+class VersionTransport : public ServeTransport {
+ public:
+  explicit VersionTransport(std::uint32_t version) : version_(version) {}
+  std::vector<std::uint8_t> roundtrip(
+      MsgType type, std::span<const std::uint8_t>) override {
+    if (type != MsgType::kHello) {
+      others.push_back(type);
+      throw Error("unexpected request");
+    }
+    WireWriter w;
+    w.u32(version_);
+    return w.take();
+  }
+  std::vector<MsgType> others;
+
+ private:
+  std::uint32_t version_;
+};
+
+TEST(RemoteMeghPolicyTest, BeginRefusesAnotherProtocolVersionBeforeInit) {
+  auto transport = std::make_shared<VersionTransport>(1);
+  RemoteMeghPolicy policy(transport, MeghConfig{});
+  Rng rng(5);
+  Datacenter dc(standard_host_fleet(4), sample_vm_fleet(4, rng));
+  try {
+    policy.begin(dc, CostConfig{}, 300.0);
+    FAIL() << "a v1 daemon was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("v1"), std::string::npos) << what;
+    EXPECT_NE(what.find(strf("v%u", kProtocolVersion)), std::string::npos)
+        << what;
+  }
+  EXPECT_TRUE(transport->others.empty()) << "Init was sent anyway";
 }
 
 TEST_F(ServerRecoveryTest, ProtocolV1DirectoryRecoversToItsRecordedDump) {

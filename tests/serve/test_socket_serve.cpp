@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <thread>
 
@@ -65,21 +66,21 @@ TEST_F(SocketServeTest, ServesSimulationAndAdminVerbsOverSocket) {
     const TraceTable trace = generate_planetlab(tc);
     Simulation sim(std::move(dc), trace, SimulationConfig{});
     sim.run(policy, kSteps);
+    policy.flush();
 
-    // Admin verbs on a second connection, mid-flight style.
+    // Admin verbs on a second connection, mid-flight style. One record per
+    // step, each Decide carrying the previous step's outcomes, plus the
+    // flush of the last step.
     ServeClient admin(std::make_shared<SocketTransport>(socket_path_));
     const WalStatusResponse wal = admin.wal_status();
-    EXPECT_EQ(wal.next_seq, static_cast<std::uint64_t>(2 * kSteps + 1));
+    EXPECT_EQ(wal.next_seq, static_cast<std::uint64_t>(kSteps + 2));
     const CheckpointResponse ckpt = admin.checkpoint();
-    EXPECT_EQ(ckpt.snapshot_seq, static_cast<std::uint64_t>(2 * kSteps));
-    bool saw_decides = false;
-    for (const StatEntry& s : admin.stats()) {
-      if (s.name == "serve.decides") {
-        saw_decides = true;
-        EXPECT_EQ(s.value, static_cast<double>(kSteps));
-      }
-    }
-    EXPECT_TRUE(saw_decides);
+    EXPECT_EQ(ckpt.snapshot_seq, static_cast<std::uint64_t>(kSteps + 1));
+    std::map<std::string, double> stats;
+    for (const StatEntry& s : admin.stats()) stats[s.name] = s.value;
+    EXPECT_EQ(stats["serve.decides"], static_cast<double>(kSteps));
+    EXPECT_EQ(stats["serve.observes"], 1.0);
+    EXPECT_EQ(stats["serve.steps"], static_cast<double>(kSteps));
     admin.drain();
     // Draining refuses new connections but keeps this one alive.
     EXPECT_NO_THROW(admin.wal_status());

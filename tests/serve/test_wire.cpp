@@ -79,12 +79,72 @@ TEST(WireTest, DecideRoundTripPreservesDoublesBitExactly) {
 TEST(WireTest, DecideResponseRoundTrip) {
   DecideResponse resp;
   resp.actions = {{2, 1}, {5, 0}};
+  resp.stats = {{"temperature", 0.125}, {"lspi_updates", 40.0}};
   const DecideResponse out =
       decode_decide_response(encode_decide_response(resp));
   ASSERT_EQ(out.actions.size(), 2u);
   EXPECT_EQ(out.actions[0].vm, 2);
   EXPECT_EQ(out.actions[0].target_host, 1);
   EXPECT_EQ(out.actions[1].vm, 5);
+  ASSERT_EQ(out.stats.size(), 2u);
+  EXPECT_EQ(out.stats[0].name, "temperature");
+  EXPECT_EQ(out.stats[0].value, 0.125);
+  EXPECT_EQ(out.stats[1].value, 40.0);
+}
+
+DecideRequest sample_decide() {
+  DecideRequest req;
+  req.step = 7;
+  req.last_step_cost = 2.5;
+  req.vm_util = {0.25, 0.5, 0.75};
+  req.host_util = {0.4, 0.6};
+  req.host_of = {0, 1, -1};
+  return req;
+}
+
+TEST(WireTest, DecideCarriesThePreviousObservation) {
+  DecideRequest req = sample_decide();
+  req.carried.emplace();
+  req.carried->step_cost = 0.1 + 0.2;
+  req.carried->outcomes = {{1, 0, MigrationVerdict::kApplied},
+                           {0, 1, MigrationVerdict::kTargetDown}};
+  const DecideRequest out = decode_decide(encode_decide(req));
+  EXPECT_EQ(out.vm_util, req.vm_util);
+  EXPECT_EQ(out.host_of, req.host_of);
+  ASSERT_TRUE(out.carried.has_value());
+  EXPECT_EQ(out.carried->step_cost, req.carried->step_cost);
+  ASSERT_EQ(out.carried->outcomes.size(), 2u);
+  EXPECT_EQ(out.carried->outcomes[0].vm, 1);
+  EXPECT_EQ(out.carried->outcomes[1].verdict, MigrationVerdict::kTargetDown);
+
+  // The section is exactly an Observe payload appended to the v1 Decide.
+  DecideRequest bare = req;
+  bare.carried.reset();
+  std::vector<std::uint8_t> joined = encode_decide(bare);
+  const std::vector<std::uint8_t> observe = encode_observe(*req.carried);
+  joined.insert(joined.end(), observe.begin(), observe.end());
+  EXPECT_EQ(joined, encode_decide(req));
+}
+
+TEST(WireTest, DecideWithoutSectionDecodesAsBefore) {
+  // A v1 Decide (how the v1 daemon journaled every Decide) has no
+  // trailing section and decodes with nothing carried.
+  const DecideRequest out = decode_decide(encode_decide(sample_decide()));
+  EXPECT_FALSE(out.carried.has_value());
+  EXPECT_EQ(out.step, 7);
+}
+
+TEST(WireTest, TruncatedCarriedSectionRejected) {
+  DecideRequest req = sample_decide();
+  const std::size_t bare = encode_decide(req).size();
+  req.carried.emplace();
+  req.carried->outcomes = {{1, 0, MigrationVerdict::kApplied}};
+  const std::vector<std::uint8_t> full = encode_decide(req);
+  for (std::size_t cut = bare + 1; cut < full.size(); ++cut) {
+    const std::vector<std::uint8_t> part(
+        full.begin(), full.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_THROW(decode_decide(part), Error) << "cut at " << cut;
+  }
 }
 
 TEST(WireTest, ObserveRoundTrip) {

@@ -40,11 +40,7 @@ int main(int argc, char** argv) {
     serve::ServeClient client(std::make_shared<serve::SocketTransport>(
         args.get("socket"),
         static_cast<int>(args.get_int("connect-timeout-ms"))));
-    const std::uint32_t version = client.hello();
-    if (version != serve::kProtocolVersion) {
-      throw Error(strf("daemon speaks protocol v%u, this client v%u",
-                       version, serve::kProtocolVersion));
-    }
+    client.check_protocol();
 
     if (verb == "stats") {
       for (const serve::StatEntry& entry : client.stats()) {

@@ -251,6 +251,9 @@ int main(int argc, char** argv) {
     }
 
     const SimulationResult result = sim.run(*policy, steps);
+    if (auto* served = dynamic_cast<serve::RemoteMeghPolicy*>(policy.get())) {
+      served->flush();  // the last step's outcomes and cost
+    }
 
     // --- report ---
     std::printf("\n%s on %s: %d PMs, %d VMs, %d steps\n",
