@@ -471,10 +471,6 @@ void MeghServer::init(const InitRequest& req) {
   Telemetry::instance().counter("serve.init").add(1);
 }
 
-DecideResponse MeghServer::decide(const DecideRequest& req) {
-  return decide(req, encode_decide(req));
-}
-
 DecideResponse MeghServer::decide(const DecideRequest& req,
                                   std::span<const std::uint8_t> payload) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -501,10 +497,6 @@ DecideResponse MeghServer::decide(const DecideRequest& req,
   resp.actions = actions_;
   fill_policy_stats(resp.stats);
   return resp;
-}
-
-ObserveResponse MeghServer::observe(const ObserveRequest& req) {
-  return observe(req, encode_observe(req));
 }
 
 ObserveResponse MeghServer::observe(const ObserveRequest& req,

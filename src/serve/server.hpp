@@ -16,9 +16,9 @@
 //      acknowledged. A Decide carries the previous step's observation, so
 //      a served step costs one record. The journal stores the request
 //      bytes as received, not state deltas: replay re-executes them
-//      through the same apply path, so
-//      recovered state is bit-identical — same learner, same RNG
-//      position, same pending SARSA transition, same placement mirror.
+//      through the same apply path, so recovered state is bit-identical —
+//      same learner, same RNG position, same pending SARSA transition,
+//      same placement mirror.
 //      Because only fully-applied requests reach the journal, replay can
 //      never fail on a journaled record. If a request fails *after* the
 //      in-memory mutation began, or a WAL append fails after the
@@ -97,13 +97,11 @@ class MeghServer {
 
   // Typed API (throws on error). Each call locks the state mutex; requests
   // serialize in arrival order, which is what keeps the WAL a total order.
-  // Decide and Observe journal `payload`, the request as received, which
-  // must decode to `req`; the one-argument forms encode `req` first.
+  // Decide and Observe journal `payload`, the request exactly as received,
+  // which must decode to `req`.
   void init(const InitRequest& req);
-  DecideResponse decide(const DecideRequest& req);
   DecideResponse decide(const DecideRequest& req,
                         std::span<const std::uint8_t> payload);
-  ObserveResponse observe(const ObserveRequest& req);
   ObserveResponse observe(const ObserveRequest& req,
                           std::span<const std::uint8_t> payload);
   CheckpointResponse checkpoint();

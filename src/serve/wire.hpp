@@ -170,8 +170,8 @@ struct StatEntry {
 
 /// The actions plus the policy's own stats after deciding — what the
 /// engine asks for at the end of the step. The daemon's serve.* counters
-/// are not included: they differ across a restart, and a recovered daemon
-/// must answer byte-identically.
+/// are not included: they change across a restart, which would make a
+/// recovered daemon's answers differ from an uninterrupted one's.
 struct DecideResponse {
   std::vector<MigrationAction> actions;
   std::vector<StatEntry> stats;

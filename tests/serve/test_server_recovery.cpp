@@ -193,6 +193,17 @@ TEST_F(ServerRecoveryTest, KillAtEveryRequestBoundaryRecoversExactly) {
       record_reference(root_ / "ref", /*steps=*/12, &ref_dump);
   ASSERT_EQ(log.size(), 14u);  // init + one Decide per step + the flush
 
+  // WAL seq i holds request i, byte for byte as it arrived.
+  const WalScan scan = scan_wal(root_ / "ref");
+  ASSERT_EQ(scan.records.size(), log.size() - 1);
+  for (std::size_t i = 1; i < log.size(); ++i) {
+    const WalRecord& record = scan.records[i - 1];
+    EXPECT_EQ(record.seq, i);
+    EXPECT_EQ(record.type, static_cast<std::uint16_t>(log[i].type));
+    EXPECT_EQ(record.payload, log[i].payload) << "seq " << i;
+  }
+  EXPECT_EQ(log.back().type, MsgType::kObserve);
+
   for (std::size_t kill_at = 1; kill_at < log.size(); ++kill_at) {
     const auto dir = root_ / ("victim_" + std::to_string(kill_at));
     {
@@ -292,8 +303,10 @@ TEST_F(ServerRecoveryTest, ReadOnlyRejectsMutationsAndOpensNoWriter) {
   {
     MeghServer server(ro);
     DecideRequest req;  // shape doesn't matter; must be rejected first
-    EXPECT_THROW(server.decide(req), Error);
-    EXPECT_THROW(server.observe(ObserveRequest{}), Error);
+    EXPECT_THROW(server.decide(req, encode_decide(req)), Error);
+    EXPECT_THROW(server.observe(ObserveRequest{},
+                                encode_observe(ObserveRequest{})),
+                 Error);
     // Admin verbs still work.
     EXPECT_FALSE(server.stats_response().stats.empty());
   }
