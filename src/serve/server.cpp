@@ -348,7 +348,7 @@ void MeghServer::validate_observe(const ObserveRequest& req) {
   // Dry-run the applied outcomes against a copy of the mirror's RAM
   // occupancy so apply_observe cannot fail mid-stream. Deltas here vs the
   // mirror's list-order re-sums can disagree within ulps of the fits()
-  // epsilon; the poison latch in observe() covers that residue.
+  // epsilon; the poison latch in observe() and decide() covers that residue.
   ram_scratch_.resize(static_cast<std::size_t>(num_hosts));
   for (int h = 0; h < num_hosts; ++h) {
     ram_scratch_[static_cast<std::size_t>(h)] = dc_->host_ram_used(h);
