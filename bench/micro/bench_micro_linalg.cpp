@@ -1,15 +1,16 @@
-// Micro-benchmarks (google-benchmark): the Sec. 5.2 complexity claims in
+// Micro-benchmarks (google-benchmark): the Sec. 5.2 complexity claim in
 // isolation — a Sherman–Morrison step on the sparse structure is
-// near-constant time regardless of d, while dense inversion is O(d³) and a
-// dense Sherman–Morrison update O(d²).
+// near-constant time regardless of d.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/lspi.hpp"
-#include "linalg/sherman_morrison.hpp"
+#include "linalg/sparse_matrix.hpp"
+#include "linalg/sparse_vector.hpp"
 
 namespace megh {
 namespace {
@@ -68,10 +69,9 @@ BENCHMARK(BM_SparseRank1UnitFactors)->Arg(1 << 18)->Arg(841600);
 
 void BM_LspiUpdateBatch(benchmark::State& state) {
   // Per-step multi-action update: Megh closes every pending action against
-  // the same greedy next action, so update_batch reuses B.row(b) and
-  // software-pipelines the actions' random loads. Time is per batch;
-  // items/s is per update — compare across batch sizes for the
-  // amortization.
+  // the same greedy next action, so update_batch reuses B.row(b) across
+  // the batch. Time is per batch; items/s is per update — compare across
+  // batch sizes for the amortization.
   const std::int64_t d = 841600;
   const auto batch = static_cast<std::size_t>(state.range(0));
   LspiLearner learner(d, 0.5);
@@ -90,41 +90,6 @@ void BM_LspiUpdateBatch(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * batch));
 }
 BENCHMARK(BM_LspiUpdateBatch)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_DenseShermanMorrison(benchmark::State& state) {
-  const std::int64_t d = state.range(0);
-  DenseMatrix B = DenseMatrix::identity(d, 1.0 / static_cast<double>(d));
-  Rng rng(1);
-  std::vector<double> u(static_cast<std::size_t>(d), 0.0);
-  std::vector<double> v(static_cast<std::size_t>(d), 0.0);
-  for (auto _ : state) {
-    const auto a = rng.index(static_cast<std::size_t>(d));
-    const auto b = rng.index(static_cast<std::size_t>(d));
-    u.assign(static_cast<std::size_t>(d), 0.0);
-    v.assign(static_cast<std::size_t>(d), 0.0);
-    u[a] = 1.0;
-    v[a] = 1.0;
-    v[b] -= 0.5;
-    sherman_morrison_update(B, u, v);
-    benchmark::DoNotOptimize(B.at(0, 0));
-  }
-}
-BENCHMARK(BM_DenseShermanMorrison)->Arg(1 << 6)->Arg(1 << 8)->Arg(1 << 10);
-
-void BM_DenseFullInverse(benchmark::State& state) {
-  const std::int64_t d = state.range(0);
-  Rng rng(2);
-  DenseMatrix m = DenseMatrix::identity(d, 2.0);
-  for (std::int64_t i = 0; i < d; ++i) {
-    for (std::int64_t j = 0; j < d; ++j) {
-      m.at(i, j) += rng.normal(0.0, 0.05);
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m.inverse());
-  }
-}
-BENCHMARK(BM_DenseFullInverse)->Arg(1 << 5)->Arg(1 << 7)->Arg(1 << 8);
 
 void BM_SparseMatrixRowExtraction(benchmark::State& state) {
   const std::int64_t d = 1 << 16;

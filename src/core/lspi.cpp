@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/prefetch.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace megh {
@@ -15,7 +14,6 @@ LspiLearner::LspiLearner(std::int64_t dim, double gamma, double delta,
     : dim_(dim),
       gamma_(gamma),
       max_update_support_(max_update_support),
-      fast_path_ok_(max_update_support == 0 || max_update_support >= 2),
       rank1_counter_(&Telemetry::instance().counter("lspi.rank1_updates")),
       singular_counter_(
           &Telemetry::instance().counter("lspi.singular_skips")),
@@ -137,25 +135,6 @@ bool LspiLearner::update_fused(std::int64_t a, double cost, std::int64_t b,
                                const SparseVector& row_b) {
   ++updates_;
 
-  // Kick off the kernel's independent random loads together: the slot-map
-  // entries at a and b plus B's row/column map entries — the only d-sized
-  // arrays left on the path. The kernel is latency-bound on these misses;
-  // overlapping them is most of the cost.
-  MEGH_PREFETCH(slot_of_.data() + a);
-  if (b != a) MEGH_PREFETCH(slot_of_.data() + b);
-  B_.prefetch_unit_update(a, b);
-
-  // Steady state: with the paper's δ = d initialization the rank-1
-  // off-diagonal products sit below the zero tolerance and B stays
-  // diagonal, so u and w have at most 1 and 2 entries and the whole
-  // update reduces to a handful of scalar ops (update_fused_diagonal).
-  double diag_a = 0.0;
-  if (fast_path_ok_ && !force_general_ && row_b.nnz() <= 1 &&
-      B_.diagonal_only(a, &diag_a) &&
-      std::abs(diag_a) >= kZeroTolerance) {
-    return update_fused_diagonal(a, cost, b, row_b, diag_a);
-  }
-
   // u = B e_a (column a), w = (e_a − γ e_b)ᵀ B (row a minus γ·row b) —
   // both extracted into flat sorted scratch, merged in place.
   B_.col_into(a, u_scratch_);
@@ -198,80 +177,6 @@ bool LspiLearner::update_fused(std::int64_t a, double cost, std::int64_t b,
   return touches_row_b;
 }
 
-bool LspiLearner::update_fused_diagonal(std::int64_t a, double cost,
-                                        std::int64_t b,
-                                        const SparseVector& row_b,
-                                        double diag_a) {
-  // Every expression below keeps the exact shape of the operation the
-  // general path would perform on the same state, so the two paths are
-  // bit-identical (the forced-general equivalence test pins this down).
-  //
-  // u = B e_a = {a: diag_a} (col a is diagonal-only). No truncation:
-  // supports 1 and 2 are within every max_update_support this path
-  // accepts (fast_path_ok_).
-  //
-  // w = row(a) − γ·row(b) = {a: diag_a} axpy'd with row_b's single entry;
-  // mirror SparseVector::axpy's merge: an index collision sums in place
-  // (kept at |·| >= tolerance), a disjoint entry lands scaled and is
-  // pruned when |−γ| < 1 leaves it below tolerance (γ < 1 always here).
-  SparseMatrix::Entry w[2];
-  std::size_t wn = 0;
-  std::int64_t ib = 0;
-  double vb = 0.0;
-  bool have_b = false;
-  if (gamma_ != 0.0 && row_b.nnz() == 1) {
-    ib = row_b.indices()[0];
-    vb = row_b.values()[0];
-    have_b = true;
-  }
-  if (have_b && ib == a) {
-    const double nv = diag_a + -gamma_ * vb;
-    if (std::abs(nv) >= kZeroTolerance) {
-      w[wn++] = SparseMatrix::Entry{a, nv};
-    }
-  } else {
-    if (have_b) {
-      const double nv = -gamma_ * vb;
-      if (std::abs(nv) >= kZeroTolerance) {
-        vb = nv;
-      } else {
-        have_b = false;
-      }
-    }
-    if (have_b && ib < a) w[wn++] = SparseMatrix::Entry{ib, vb};
-    w[wn++] = SparseMatrix::Entry{a, diag_a};
-    if (have_b && ib > a) w[wn++] = SparseMatrix::Entry{ib, vb};
-  }
-
-  // Denominator: 1 + u[a] − γ u[b] with u = {a: diag_a}.
-  const double u_b = b == a ? diag_a : 0.0;
-  const double denom = 1.0 + diag_a - gamma_ * u_b;
-
-  slot_add(slot(a).z, z_nnz_, cost);
-  if (std::abs(denom) < 1e-12) {
-    // Singular update: keep B as-is (θ' = B z' = θ + C·u); θ axpy over
-    // u's single entry, skipped entirely at zero coefficient exactly like
-    // theta_axpy.
-    ++singular_skips_;
-    singular_counter_->add(1);
-    if (cost != 0.0) slot_add(slot(a).theta, theta_nnz_, cost * diag_a);
-    return false;
-  }
-
-  // w·z in ascending index order, as in the general path.
-  double wz = 0.0;
-  for (std::size_t k = 0; k < wn; ++k) wz += w[k].val * slot_z(w[k].col);
-  const double coef = cost - wz / denom;
-  if (coef != 0.0) slot_add(slot(a).theta, theta_nnz_, coef * diag_a);
-
-  const bool touches_row_b = b == a;  // u.get(b) != 0, |diag_a| >= tol
-  B_.unit_rank1_diagonal(a, diag_a, std::span<const SparseMatrix::Entry>(w, wn),
-                         -1.0 / denom);
-  rank1_counter_->add(1);
-  fill_gauge_->set(static_cast<double>(B_.offdiag_nnz()));
-  return touches_row_b;
-}
-
 void LspiLearner::update(std::int64_t a, double cost, std::int64_t b) {
   const std::int64_t actions[1] = {a};
   update_batch(std::span<const std::int64_t>(actions, 1), cost, b);
@@ -292,31 +197,8 @@ void LspiLearner::update_batch(std::span<const std::int64_t> actions,
   MEGH_ASSERT(b >= 0 && b < dim_,
               "LSPI update: next-action index out of range");
   MEGH_TRACE_SCOPE("lspi.update");
-  // Stage A: kick off every batch action's slot-map loads (plus b's) up
-  // front — the maps are the only d-sized arrays, their entries are
-  // independent random misses, and the batch is small (budget-bounded),
-  // so all of them can be in flight together.
-  MEGH_PREFETCH(slot_of_.data() + b);
-  B_.prefetch_unit_update(b, b);
-  for (std::size_t k = 0; k < actions.size(); ++k) {
-    MEGH_ASSERT(actions[k] >= 0 && actions[k] < dim_,
-                "LSPI update: action index out of range");
-    MEGH_PREFETCH(slot_of_.data() + actions[k]);
-    B_.prefetch_unit_update(actions[k], actions[k]);
-  }
-  // Stage B: by the time the prefetch loop above has issued everything,
-  // the first map entries have arrived; resolve each one and start the
-  // dependent payload loads (B row header, z/θ slot pair) behind it. The
-  // first resolve stalls on its map load, but every payload line is then
-  // in flight together — two overlapped latency rounds for the whole
-  // batch instead of a serial map→payload chain per action. (These are
-  // hints: if an update later grows the payload arrays, the stale lines
-  // are simply unused.)
-  B_.prefetch_row_payload(b);
-  prefetch_slot_payload(b);
-  for (std::size_t k = 0; k < actions.size(); ++k) {
-    B_.prefetch_row_payload(actions[k]);
-    prefetch_slot_payload(actions[k]);
+  for (const std::int64_t a : actions) {
+    MEGH_ASSERT(a >= 0 && a < dim_, "LSPI update: action index out of range");
   }
   bool row_b_valid = false;
   for (std::size_t k = 0; k < actions.size(); ++k) {

@@ -32,9 +32,8 @@
 // dependent loads, and w·z streams w's sorted support against the slots.
 // z[i] and θ[i] are interleaved in one 16-byte slot because every update
 // touches both at the same action index — one cache line serves the pair.
-// The kernel's few random loads (map entries of a and b, B's row headers)
-// are software-prefetched up front so their miss latency overlaps. Sparse
-// views are materialized on demand (checkpointing, tests) in O(support).
+// Sparse views are materialized on demand (checkpointing, tests) in
+// O(support).
 #pragma once
 
 #include <cstdint>
@@ -42,8 +41,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/huge_alloc.hpp"
-#include "common/prefetch.hpp"
+#include "common/zero_lazy_buffer.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "linalg/sparse_vector.hpp"
 
@@ -118,12 +116,6 @@ class LspiLearner {
   /// Sherman–Morrison factors clipped to max_update_support entries.
   long long truncations() const { return truncations_; }
 
-  /// Test hook: route every update through the general merge kernel even
-  /// when the diagonal fast path applies. The equivalence property test
-  /// drives a forced-general twin against a normal learner and compares
-  /// the learned state bit for bit.
-  void force_general_path_for_tests(bool force) { force_general_ = force; }
-
  private:
   void truncate_support(SparseVector& v, std::int64_t keep1,
                         std::int64_t keep2);
@@ -133,15 +125,6 @@ class LspiLearner {
   /// (the caller must then refresh its cached row_b).
   bool update_fused(std::int64_t a, double cost, std::int64_t b,
                     const SparseVector& row_b);
-
-  /// Steady-state body: row/col a is diagonal-only in B (diag_a, with
-  /// |diag_a| >= tolerance) and row_b has at most one entry, so
-  /// u = {a: diag_a} and w has at most two entries. Performs the same
-  /// arithmetic as update_fused's general path in the same order —
-  /// bit-identical by construction (enforced by the forced-general
-  /// equivalence test) — without the scratch-vector merge machinery.
-  bool update_fused_diagonal(std::int64_t a, double cost, std::int64_t b,
-                             const SparseVector& row_b, double diag_a);
 
   /// One accumulator slot: z[i] and θ[i] share a cache line because the
   /// update kernel touches both at the same action index.
@@ -169,13 +152,6 @@ class LspiLearner {
     return s != 0 ? slots_[static_cast<std::size_t>(s - 1)].z : 0.0;
   }
 
-  /// Second pipeline stage (see SparseMatrix::prefetch_row_payload): once
-  /// i's map entry has arrived, start the z/θ slot load behind it.
-  void prefetch_slot_payload(std::int64_t i) const {
-    const std::int32_t s = slot_of_[static_cast<std::size_t>(i)];
-    if (s != 0) MEGH_PREFETCH(&slots_[static_cast<std::size_t>(s - 1)]);
-  }
-
   /// slot += v with pruning to exact zero below tolerance and incremental
   /// nnz maintenance — the dense twin of SparseVector::add.
   static void slot_add(double& slot, std::size_t& nnz, double v);
@@ -186,11 +162,6 @@ class LspiLearner {
   std::int64_t dim_;
   double gamma_;
   int max_update_support_;
-  // True when the diagonal fast path may run: factors of support 1 and 2
-  // must be exempt from truncation (and its counter), which holds for
-  // max_update_support 0 (exact) or >= 2.
-  bool fast_path_ok_;
-  bool force_general_ = false;
   // Cached telemetry handles (registered at construction; the registry
   // never destroys them) — spares the hot path the function-local-static
   // guard loads.
@@ -201,17 +172,12 @@ class LspiLearner {
   SparseMatrix B_;
   // Interleaved z/θ accumulators with exact-zero pruning; *_nnz_ counts
   // entries with magnitude >= kZeroTolerance. Stored like B's rows: the
-  // only d-sized structure is a lazily-zeroed int32 slot map (huge-page
-  // backed, 0 = virgin), and materialized slots pack densely in touch
-  // order. Creating the d-slot accumulator is O(1) and the live
-  // slots fit in cache while the untouched map reads off the kernel's
-  // shared zero page.
+  // only d-sized structure is a lazily-zeroed int32 slot map (0 = virgin),
+  // and materialized slots pack densely in touch order. Creating the
+  // d-slot accumulator is O(1) and the live slots fit in cache while the
+  // untouched map reads off the kernel's shared zero page.
   ZeroLazyBuffer<std::int32_t> slot_of_;
-  // Huge-page backed: the slot array outgrows L2 on long runs and the
-  // kernel's accesses into it are random, so 4 KiB pages would add a
-  // nested page walk to every slot load (and drop the software
-  // prefetches whose translation misses — see huge_alloc.hpp).
-  std::vector<Slot, HugePageAllocator<Slot>> slots_;  // compact, touch order
+  std::vector<Slot> slots_;                  // compact, touch order
   std::vector<std::int64_t> index_of_slot_;  // slot → action index
   std::size_t z_nnz_ = 0;
   std::size_t theta_nnz_ = 0;

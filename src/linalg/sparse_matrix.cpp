@@ -204,76 +204,6 @@ SparseVector SparseMatrix::col(Index c) const {
   return out;
 }
 
-void SparseMatrix::row_diff_into(Index a, Index b, double gamma,
-                                 SparseVector& out) const {
-  MEGH_ASSERT(a >= 0 && a < n_ && b >= 0 && b < n_,
-              "row_diff index out of range");
-  // Expand both rows (diagonal included) and merge with coefficients
-  // (1, −γ). Sorted two-pointer walk over flat spans; no temporaries.
-  out.clear();
-  const std::span<const Entry> ra = entries_of(a);
-  const std::span<const Entry> rb = entries_of(b);
-  out.reserve(ra.size() + rb.size() + 2);
-
-  // Virtual cursors that splice the dense diagonal entry into each row's
-  // sorted walk.
-  std::size_t ia = 0, ib = 0;
-  const double diag_a = diag_of(a);
-  const double diag_b = diag_of(b);
-  bool diag_a_left = std::abs(diag_a) >= kZeroTolerance;
-  bool diag_b_left = std::abs(diag_b) >= kZeroTolerance;
-  const auto next_a = [&](Index& c, double& v) {
-    const bool row_left = ia < ra.size();
-    if (diag_a_left && (!row_left || a < ra[ia].col)) {
-      c = a;
-      v = diag_a;
-      diag_a_left = false;
-      return true;
-    }
-    if (row_left) {
-      c = ra[ia].col;
-      v = ra[ia].val;
-      ++ia;
-      return true;
-    }
-    return false;
-  };
-  const auto next_b = [&](Index& c, double& v) {
-    const bool row_left = ib < rb.size();
-    if (diag_b_left && (!row_left || b < rb[ib].col)) {
-      c = b;
-      v = diag_b;
-      diag_b_left = false;
-      return true;
-    }
-    if (row_left) {
-      c = rb[ib].col;
-      v = rb[ib].val;
-      ++ib;
-      return true;
-    }
-    return false;
-  };
-
-  Index ca = 0, cb = 0;
-  double va = 0.0, vb = 0.0;
-  bool have_a = next_a(ca, va);
-  bool have_b = next_b(cb, vb);
-  while (have_a || have_b) {
-    if (have_a && (!have_b || ca < cb)) {
-      out.push_back(ca, va);
-      have_a = next_a(ca, va);
-    } else if (have_b && (!have_a || cb < ca)) {
-      out.push_back(cb, -gamma * vb);
-      have_b = next_b(cb, vb);
-    } else {
-      out.push_back(ca, va - gamma * vb);
-      have_a = next_a(ca, va);
-      have_b = next_b(cb, vb);
-    }
-  }
-}
-
 SparseVector SparseMatrix::multiply(const SparseVector& x) const {
   SparseVector y(n_);
   for (const auto& [c, xv] : x.entries()) {
@@ -364,55 +294,6 @@ void SparseMatrix::rank1_update(const SparseVector& u, const SparseVector& v,
     touch(r).diag += coef * v.get(r);
     merge_into_row(r, coef, v);
   }
-}
-
-void SparseMatrix::unit_rank1_diagonal(Index a, double ua,
-                                       std::span<const Entry> w,
-                                       double scale) {
-  // Mirrors rank1_update(u, w, scale) for u = {a: ua}: the guards, the
-  // diagonal expression and the off-diagonal products keep the general
-  // path's exact shapes so the two are bit-identical. Like the general
-  // merge, every row this update can touch — a itself plus the column
-  // headers of w's support — is materialized, even when the product
-  // prunes below tolerance.
-  if (scale == 0.0) return;
-  check(a, a);
-  const double coef = scale * ua;
-  if (coef == 0.0) return;
-  touch(a);
-  for (const Entry& e : w) {
-    if (e.col != a) touch(e.col);
-  }
-  Row& row = rows_[static_cast<std::size_t>(
-      slot_of_[static_cast<std::size_t>(a)] - 1)];
-  MEGH_ASSERT(row.entries.empty() && row.cols.empty(),
-              "unit_rank1_diagonal requires a diagonal-only index");
-  double wa = 0.0;
-  for (const Entry& e : w) {
-    if (e.col == a) wa = e.val;
-  }
-  row.diag += coef * wa;
-  for (const Entry& e : w) {
-    if (e.col == a) continue;
-    const double nv = coef * e.val;
-    if (std::abs(nv) >= kZeroTolerance) {
-      // w is sorted and the row was empty, so appends stay sorted.
-      row.entries.push_back(Entry{e.col, nv});
-      register_col(e.col, a);
-      ++offdiag_nnz_;
-    }
-  }
-}
-
-DenseMatrix SparseMatrix::to_dense() const {
-  DenseMatrix out(n_, n_, 0.0);
-  for (Index r = 0; r < n_; ++r) {
-    out.at(r, r) = diag_of(r);
-    for (const Entry& e : entries_of(r)) {
-      out.at(r, e.col) = e.val;
-    }
-  }
-  return out;
 }
 
 }  // namespace megh

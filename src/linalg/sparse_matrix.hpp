@@ -5,15 +5,12 @@
 // B = T⁻¹ needs (Sec. 5.2 of the paper): B starts as δ⁻¹·I — pure diagonal —
 // and every Sherman–Morrison step adds a rank-1 term whose factors are unit
 // basis vectors, touching only a handful of rows/columns. Each row is one
-// 32-byte header (dense diagonal value + the off-diagonal entry vector)
-// so touching a row costs a single cache line for the diagonal-dominated
-// steady state; off-diagonal entries live in one contiguous array sorted by
-// column, so a rank-1 update is a linear merge per touched row (no hash
-// probes, no ordered-set bookkeeping) and row extraction is a contiguous
-// copy. A per-column sorted list of row indices (values stay row-owned)
-// keeps column extraction O(nnz(col) · log nnz(row)). The unit-update hot
-// path is memory-latency-bound, so `prefetch_unit_update` lets callers
-// overlap the row/column header fetches for an upcoming (a, b) pair.
+// header (dense diagonal value + the off-diagonal entry vector); off-diagonal
+// entries live in one contiguous array sorted by column, so a rank-1 update
+// is a linear merge per touched row (no hash probes, no ordered-set
+// bookkeeping) and row extraction is a contiguous copy. A per-column sorted
+// list of row indices (values stay row-owned) keeps column extraction
+// O(nnz(col) · log nnz(row)).
 //
 // Row headers materialize lazily and live compacted: the only d-sized
 // structure is a lazily-zeroed int32 slot map (0 = virgin row), and
@@ -31,9 +28,7 @@
 #include <span>
 #include <vector>
 
-#include "common/huge_alloc.hpp"
-#include "common/prefetch.hpp"
-#include "linalg/dense_matrix.hpp"
+#include "common/zero_lazy_buffer.hpp"
 #include "linalg/sparse_vector.hpp"
 
 namespace megh {
@@ -99,11 +94,6 @@ class SparseMatrix {
   void row_into(Index r, SparseVector& out) const;
   void col_into(Index c, SparseVector& out) const;
 
-  /// out = row(a) − gamma·row(b), fused into one sorted merge — the
-  /// Sherman–Morrison factor w = (e_a − γ e_b)ᵀ B without intermediate
-  /// row materialization.
-  void row_diff_into(Index a, Index b, double gamma, SparseVector& out) const;
-
   /// y = M x for sparse x (cost: sum over x's nonzeros of column nnz).
   SparseVector multiply(const SparseVector& x) const;
 
@@ -111,57 +101,6 @@ class SparseMatrix {
   /// supp(u), O(nnz(row) + nnz(v)) amortized per row.
   void rank1_update(const SparseVector& u, const SparseVector& v,
                     double scale);
-
-  /// Fast-path probe: true when index r carries no off-diagonal
-  /// structure — row r stores no entries and no other row holds column
-  /// r — so both M e_r and e_rᵀ M reduce to the single diagonal value,
-  /// written to *diag. Virgin rows qualify (they read as default_diag·I).
-  bool diagonal_only(Index r, double* diag) const {
-    const std::int32_t s = slot_of_[static_cast<std::size_t>(r)];
-    if (s == 0) {
-      *diag = default_diag_;
-      return true;
-    }
-    const Row& row = rows_[static_cast<std::size_t>(s - 1)];
-    if (!row.entries.empty() || !row.cols.empty()) return false;
-    *diag = row.diag;
-    return true;
-  }
-
-  /// M += scale * u wᵀ specialized for u = {a: ua} landing on a
-  /// diagonal-only index a (see diagonal_only); `w` holds sorted
-  /// (col, val) pairs. Bit-identical to rank1_update on the same inputs —
-  /// same guards, same expression shapes, same row materialization — but
-  /// skips the generic merge machinery. This is the Sherman–Morrison
-  /// steady state: with δ = d initialization the rank-1 off-diagonal
-  /// products sit below kZeroTolerance and B stays diagonal, so the hot
-  /// update degenerates to a couple of scalar ops.
-  void unit_rank1_diagonal(Index a, double ua, std::span<const Entry> w,
-                           double scale);
-
-  /// Materialize (tests/small dims only).
-  DenseMatrix to_dense() const;
-
-  /// Hint the caches about an upcoming unit Sherman–Morrison update with
-  /// factors supported on {a, b}: the slot-map entries of a and b are the
-  /// kernel's independent random loads into the only d-sized array;
-  /// prefetching them together overlaps their miss latency. The row
-  /// payloads behind them pack into a cache-sized dense array and need no
-  /// hint. (The map is huge-page backed, so the prefetches' translations
-  /// stay TLB-resident and the hints are not dropped.)
-  void prefetch_unit_update(Index a, Index b) const {
-    MEGH_PREFETCH(slot_of_.data() + a);
-    if (b != a) MEGH_PREFETCH(slot_of_.data() + b);
-  }
-
-  /// Second pipeline stage: once r's slot-map entry has arrived (a prior
-  /// prefetch_unit_update), start the load of the row header behind it.
-  /// The compact row array outgrows the cache on long runs, so this is a
-  /// second dependent random load worth overlapping across a batch.
-  void prefetch_row_payload(Index r) const {
-    const std::int32_t s = slot_of_[static_cast<std::size_t>(r)];
-    if (s != 0) MEGH_PREFETCH(&rows_[static_cast<std::size_t>(s - 1)]);
-  }
 
  private:
   void check(Index r, Index c) const {
@@ -182,8 +121,7 @@ class SparseMatrix {
   /// off-diagonal entries, and the column's adjacency all ride in one
   /// 64-byte cache-line-aligned header, so everything the unit-update
   /// kernel needs about index i (B[i][i], row i, which rows hold column i)
-  /// is one random load. The diagonal-dominated steady state touches
-  /// exactly two such lines per update (indices a and b).
+  /// is one random load.
   struct alignas(64) Row {
     double diag = 0.0;
     std::vector<Entry> entries;  // off-diagonal row entries, sorted by col
@@ -232,16 +170,9 @@ class SparseMatrix {
   Index n_ = 0;
   double default_diag_ = 0.0;
   // The only d-sized structure: index → 1 + slot in rows_, 0 = virgin.
-  // Lazily zeroed and huge-page backed — the hot path's random lookups
-  // stay TLB-resident, untouched ranges read off the shared zero page.
+  // Lazily zeroed — untouched ranges read off the shared zero page.
   ZeroLazyBuffer<std::int32_t> slot_of_;
-  // Huge-page backed like the map: at d ~ 10⁶ the row headers are a
-  // multi-megabyte array hit at random, and keeping its translations
-  // TLB-resident is worth as much as keeping the data cached (each 4 KiB
-  // page walk costs a dependent memory access chain under
-  // virtualization). Element count is O(support), so the huge-page
-  // footprint still tracks what was learned.
-  std::vector<Row, HugePageAllocator<Row>> rows_;  // materialization order
+  std::vector<Row> rows_;             // materialization order
   std::vector<Index> index_of_slot_; // slot → matrix index (reverse map)
   std::size_t offdiag_nnz_ = 0;
   std::vector<Entry> scratch_row_;  // merge workspace (avoids realloc)

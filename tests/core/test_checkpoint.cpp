@@ -9,6 +9,7 @@
 
 #include "common/rng.hpp"
 #include "core/megh_policy.hpp"
+#include "oracle/dense_matrix.hpp"
 #include "sim/placement.hpp"
 #include "sim/simulation.hpp"
 #include "trace/planetlab_synth.hpp"
@@ -68,7 +69,7 @@ void expect_same_learner(const LspiLearner& a, const LspiLearner& b) {
   for (std::int64_t i = 0; i < a.dim(); ++i) {
     EXPECT_DOUBLE_EQ(a.q_value(i), b.q_value(i)) << i;
   }
-  EXPECT_LT(b.B().to_dense().max_abs_diff(a.B().to_dense()), 1e-15);
+  EXPECT_LT(to_dense(b.B()).max_abs_diff(to_dense(a.B())), 1e-15);
   EXPECT_EQ(a.z().nnz(), b.z().nnz());
 }
 

@@ -19,6 +19,7 @@
 #include "core/checkpoint.hpp"
 #include "core/megh_policy.hpp"
 #include "harness/scenario.hpp"
+#include "oracle/dense_matrix.hpp"
 #include "sim/placement.hpp"
 #include "sim/sharding.hpp"
 #include "sim/simulation.hpp"
@@ -275,7 +276,7 @@ TEST_F(HierCheckpointTest, PerPodKillRestoreRoundTripIsExact) {
     for (std::int64_t i = 0; i < a.dim(); ++i) {
       EXPECT_DOUBLE_EQ(a.q_value(i), b.q_value(i)) << "pod " << p;
     }
-    EXPECT_LT(b.B().to_dense().max_abs_diff(a.B().to_dense()), 1e-15)
+    EXPECT_LT(to_dense(b.B()).max_abs_diff(to_dense(a.B())), 1e-15)
         << "pod " << p;
     EXPECT_EQ(a.z().nnz(), b.z().nnz()) << "pod " << p;
     EXPECT_EQ(restored.pod_slot_capacity(p), trained.pod_slot_capacity(p));
@@ -330,7 +331,7 @@ TEST_F(HierCheckpointTest, RestoredPodLearnersContinueIdentically) {
       b.update(act, cost, next);
       EXPECT_DOUBLE_EQ(a.q_value(act), b.q_value(act)) << "pod " << p;
     }
-    EXPECT_LT(b.B().to_dense().max_abs_diff(a.B().to_dense()), 1e-15)
+    EXPECT_LT(to_dense(b.B()).max_abs_diff(to_dense(a.B())), 1e-15)
         << "pod " << p;
   }
 }

@@ -5,8 +5,28 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
+
+#if defined(__linux__)
+#include <unistd.h>
+#endif
+
 #include "common/rng.hpp"
-#include "linalg/dense_matrix.hpp"
+#include "oracle/dense_matrix.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define MEGH_RSS_TEST_DISABLED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MEGH_RSS_TEST_DISABLED 1
+#endif
+#endif
+#ifndef MEGH_RSS_TEST_DISABLED
+#define MEGH_RSS_TEST_DISABLED 0
+#endif
 
 namespace megh {
 namespace {
@@ -61,7 +81,7 @@ TEST_P(LspiAlgebraProperty, ThetaEqualsBTimesZAndBIsInverseOfT) {
 
     const DenseMatrix b_dense = t.inverse();
     // B tracks T⁻¹.
-    EXPECT_LT(learner.B().to_dense().max_abs_diff(b_dense), 1e-7)
+    EXPECT_LT(to_dense(learner.B()).max_abs_diff(b_dense), 1e-7)
         << "B diverged at step " << step;
     // θ = B z, exposed through q_value.
     const auto theta = b_dense.multiply(z);
@@ -189,6 +209,61 @@ TEST(LspiTest, RestorePreservesLifetimeCounters) {
   EXPECT_EQ(learner.updates(), updates + 1);
   EXPECT_GE(learner.singular_skips(), skips);
   EXPECT_GE(learner.truncations(), truncations);
+}
+
+#if defined(__linux__)
+/// Resident set size in bytes, from /proc/self/statm (second field, pages).
+double resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  long long size_pages = 0;
+  long long resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return static_cast<double>(resident_pages) *
+         static_cast<double>(sysconf(_SC_PAGESIZE));
+}
+
+/// True when the kernel backs every anonymous mapping with transparent
+/// huge pages, committing 2 MiB per first write however little is written.
+bool thp_always() {
+  std::ifstream mode("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  std::getline(mode, line);
+  return line.find("[always]") != std::string::npos;
+}
+#endif
+
+// The learn-as-you-go footprint contract: a learner's d-sized slot maps
+// (θ/z and B's rows) are zero-initialized lazily, so creating, updating
+// and restoring a d ~ 10⁶ learner commits only the pages it writes.
+// Eager zeroing of the two int32 maps would commit 8 × 2 × 841600 × 4 B
+// ≈ 54 MiB here.
+TEST(LspiTest, SlotMapsStayLazyThroughUpdateAndRestore) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "resident memory is read from /proc/self/statm";
+#else
+  if (MEGH_RSS_TEST_DISABLED) {
+    GTEST_SKIP() << "AddressSanitizer shadow memory dominates resident size";
+  }
+  if (thp_always()) {
+    GTEST_SKIP() << "transparent huge pages are on for every mapping";
+  }
+  const std::int64_t dim = 841600;  // the paper's PlanetLab d = 1052 x 800
+  const double before = resident_bytes();
+  std::vector<std::unique_ptr<LspiLearner>> learners;
+  for (int k = 0; k < 8; ++k) {
+    learners.push_back(std::make_unique<LspiLearner>(dim, 0.5));
+    learners.back()->update(1000 * k, 1.0, dim - 1 - 1000 * k);
+  }
+  for (auto& learner : learners) {
+    learner->restore(learner->B(), learner->z(), learner->theta());
+  }
+  const double grown_mib = (resident_bytes() - before) / (1024.0 * 1024.0);
+  EXPECT_LT(grown_mib, 8.0);
+  for (const auto& learner : learners) {
+    EXPECT_EQ(learner->updates(), 1);
+    EXPECT_EQ(learner->theta_nnz(), 1u);
+  }
+#endif
 }
 
 }  // namespace

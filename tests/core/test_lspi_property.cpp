@@ -18,8 +18,8 @@
 
 #include "common/rng.hpp"
 #include "core/lspi.hpp"
-#include "linalg/dense_matrix.hpp"
-#include "linalg/sherman_morrison.hpp"
+#include "oracle/dense_matrix.hpp"
+#include "oracle/sherman_morrison.hpp"
 
 namespace megh {
 namespace {
@@ -71,7 +71,7 @@ void expect_learner_matches(const LspiLearner& learner,
   for (std::int64_t i = 0; i < dim; ++i) {
     EXPECT_NEAR(learner.q_value(i), ref.theta(i), kTol) << "theta[" << i << "]";
   }
-  const DenseMatrix b = learner.B().to_dense();
+  const DenseMatrix b = to_dense(learner.B());
   for (std::int64_t r = 0; r < dim; ++r) {
     for (std::int64_t c = 0; c < dim; ++c) {
       EXPECT_NEAR(b.at(r, c), ref.B().at(r, c), kTol)
@@ -110,13 +110,13 @@ TEST(LspiPropertyTest, SingularDenominatorSkipsRankOneButFoldsCost) {
   B.set(a, a, 1.0);
   B.set(b, a, 4.0);
   learner.restore(std::move(B), SparseVector(dim), SparseVector(dim));
-  const DenseMatrix before = learner.B().to_dense();
+  const DenseMatrix before = to_dense(learner.B());
 
   learner.update(a, 3.0, b);
 
   EXPECT_EQ(learner.singular_skips(), 1);
   // B must be untouched; θ' = θ + C·u = C·(column a of B).
-  const DenseMatrix after = learner.B().to_dense();
+  const DenseMatrix after = to_dense(learner.B());
   for (std::int64_t r = 0; r < dim; ++r) {
     for (std::int64_t c = 0; c < dim; ++c) {
       EXPECT_EQ(after.at(r, c), before.at(r, c));
@@ -260,7 +260,7 @@ TEST(LspiPropertyTest, TruncatedFactorsMatchDenseReplay) {
     }
 
     EXPECT_GT(learner.truncations(), 0);
-    const DenseMatrix got = learner.B().to_dense();
+    const DenseMatrix got = to_dense(learner.B());
     for (std::int64_t r = 0; r < dim; ++r) {
       EXPECT_NEAR(learner.q_value(r), theta[static_cast<std::size_t>(r)], kTol)
           << "theta[" << r << "]";
@@ -301,93 +301,11 @@ TEST(LspiPropertyTest, UpdateBatchBitIdenticalToUpdateLoop) {
     EXPECT_EQ(batched.q_value(i), looped.q_value(i)) << "theta[" << i << "]";
     EXPECT_EQ(batched.z().get(i), looped.z().get(i)) << "z[" << i << "]";
   }
-  const DenseMatrix lhs = batched.B().to_dense();
-  const DenseMatrix rhs = looped.B().to_dense();
+  const DenseMatrix lhs = to_dense(batched.B());
+  const DenseMatrix rhs = to_dense(looped.B());
   for (std::int64_t r = 0; r < dim; ++r) {
     for (std::int64_t c = 0; c < dim; ++c) {
       EXPECT_EQ(lhs.at(r, c), rhs.at(r, c)) << "B(" << r << ", " << c << ")";
-    }
-  }
-}
-
-void expect_bitwise_twin(const LspiLearner& fast, const LspiLearner& general) {
-  const std::int64_t dim = fast.dim();
-  EXPECT_EQ(fast.updates(), general.updates());
-  EXPECT_EQ(fast.singular_skips(), general.singular_skips());
-  EXPECT_EQ(fast.truncations(), general.truncations());
-  EXPECT_EQ(fast.theta_nnz(), general.theta_nnz());
-  EXPECT_EQ(fast.qtable_nnz(), general.qtable_nnz());
-  EXPECT_EQ(fast.B().live_rows(), general.B().live_rows());
-  EXPECT_EQ(fast.B().offdiag_nnz(), general.B().offdiag_nnz());
-  for (std::int64_t i = 0; i < dim; ++i) {
-    EXPECT_EQ(fast.q_value(i), general.q_value(i)) << "theta[" << i << "]";
-    EXPECT_EQ(fast.z().get(i), general.z().get(i)) << "z[" << i << "]";
-  }
-  const DenseMatrix lhs = fast.B().to_dense();
-  const DenseMatrix rhs = general.B().to_dense();
-  for (std::int64_t r = 0; r < dim; ++r) {
-    for (std::int64_t c = 0; c < dim; ++c) {
-      EXPECT_EQ(lhs.at(r, c), rhs.at(r, c)) << "B(" << r << ", " << c << ")";
-    }
-  }
-}
-
-// The diagonal fast path (update_fused_diagonal) must be bit-identical to
-// the general merge kernel — same θ, z, B, counters and row
-// materialization — across these regimes: δ large enough that B stays
-// exactly diagonal forever (every update takes the fast path, as in the
-// full-scale simulation), δ small so fill-in appears at once (the fast
-// path fires only until a row gains structure, then hands over
-// mid-stream), and truncating learners where both paths interleave.
-TEST(LspiPropertyTest, DiagonalFastPathMatchesGeneralPathBitwise) {
-  struct Regime {
-    double delta;
-    double gamma;
-    int max_update_support;
-  };
-  const Regime regimes[] = {
-      {2.0e6, 0.9, 0},  // pruned steady state: B diagonal for the whole run
-      {50.0, 0.9, 0},   // dense-ish fill-in: general path takes over
-      {50.0, 0.5, 3},   // truncating learner, mixed paths
-      {2.0e6, 0.0, 0},  // γ = 0: w reduces to row a alone
-      {1.0, 0.5, 4},    // B = I: heavy fill-in under the truncation schedule
-  };
-  const std::int64_t dim = 48;
-  for (const Regime& regime : regimes) {
-    for (unsigned seed = 1; seed <= 3; ++seed) {
-      Rng rng(900 + seed);
-      LspiLearner fast(dim, regime.gamma, regime.delta,
-                       regime.max_update_support);
-      LspiLearner general(dim, regime.gamma, regime.delta,
-                          regime.max_update_support);
-      general.force_general_path_for_tests(true);
-      std::vector<std::int64_t> actions;
-      for (int step = 0; step < 120; ++step) {
-        actions.clear();
-        const int count = 1 + static_cast<int>(rng.index(4));
-        for (int k = 0; k < count; ++k) {
-          actions.push_back(static_cast<std::int64_t>(
-              rng.index(static_cast<std::size_t>(dim))));
-        }
-        const auto b = static_cast<std::int64_t>(
-            rng.index(static_cast<std::size_t>(dim)));
-        const double cost = rng.normal(1.0, 0.5);
-        fast.update_batch(actions, cost, b);
-        general.update_batch(actions, cost, b);
-      }
-      expect_bitwise_twin(fast, general);
-      if (regime.max_update_support > 0) {
-        EXPECT_GT(fast.truncations(), 0)
-            << "schedule must exercise the truncation path";
-      }
-      if (regime.delta > 1.0e6) {
-        // Confirms the regime really is the pruned steady state, i.e. the
-        // fast path was eligible on every single update.
-        EXPECT_EQ(fast.B().offdiag_nnz(), 0u);
-      } else {
-        // Fill-in appeared, so the general kernel demonstrably ran too.
-        EXPECT_GT(fast.B().offdiag_nnz(), 0u);
-      }
     }
   }
 }

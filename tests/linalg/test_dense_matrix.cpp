@@ -1,4 +1,4 @@
-#include "linalg/dense_matrix.hpp"
+#include "oracle/dense_matrix.hpp"
 
 #include <gtest/gtest.h>
 

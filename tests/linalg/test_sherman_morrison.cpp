@@ -2,7 +2,7 @@
 // room of Megh's O(#migrations) update (paper Eq. 11). The sparse production
 // path must agree with dense Gauss–Jordan inversion after arbitrary
 // sequences of the unit-vector rank-1 updates Megh performs.
-#include "linalg/sherman_morrison.hpp"
+#include "oracle/sherman_morrison.hpp"
 
 #include <gtest/gtest.h>
 
@@ -64,7 +64,7 @@ TEST_P(UnitUpdateProperty, SparseInverseTracksDense) {
     std::vector<double> v_dense = v.to_dense();
     t.rank1_update(u_dense, v_dense, 1.0);
     ASSERT_TRUE(sherman_morrison_update(b_sparse, u, v));
-    EXPECT_LT(b_sparse.to_dense().max_abs_diff(t.inverse()), 1e-7)
+    EXPECT_LT(to_dense(b_sparse).max_abs_diff(t.inverse()), 1e-7)
         << "n=" << n << " gamma=" << gamma << " step=" << step;
   }
 }
@@ -84,7 +84,7 @@ TEST(ShermanMorrisonSparseTest, UpdateTouchesOnlyRelevantRowsAndCols) {
   v.set(7, 1.0);
   v.add(12, -0.5);
   ASSERT_TRUE(sherman_morrison_update(b, u, v));
-  const DenseMatrix dense = b.to_dense();
+  const DenseMatrix dense = to_dense(b);
   for (int r = 0; r < n; ++r) {
     for (int c = 0; c < n; ++c) {
       if (r == c) continue;

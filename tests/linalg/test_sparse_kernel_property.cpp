@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "linalg/dense_matrix.hpp"
-#include "linalg/sherman_morrison.hpp"
+#include "oracle/dense_matrix.hpp"
+#include "oracle/sherman_morrison.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "linalg/sparse_vector.hpp"
 
@@ -96,7 +96,7 @@ TEST(SparseKernelProperty, Rank1RowMergeAtEveryBoundary) {
     for (const std::int64_t c : {3, 5, 7}) {
       sparse.set(1, c, static_cast<double>(c));
     }
-    DenseMatrix dense = sparse.to_dense();
+    DenseMatrix dense = to_dense(sparse);
     SparseVector u(dim);
     u.push_back(1, 1.0);
     SparseVector v(dim);
@@ -117,7 +117,7 @@ TEST(SparseKernelProperty, MultiplyMatchesDense) {
           static_cast<std::int64_t>(rng.index(static_cast<std::size_t>(dim))),
           rng.normal(0.0, 1.0));
   }
-  const DenseMatrix dense = m.to_dense();
+  const DenseMatrix dense = to_dense(m);
   for (unsigned seed = 1; seed <= 4; ++seed) {
     Rng xr(100 + seed);
     const SparseVector x = random_sparse(xr, dim, 10);
@@ -168,7 +168,7 @@ TEST(SparseKernelProperty, ExtractionRoundTripsThroughRank1Fill) {
     const SparseVector v = random_sparse(rng, dim, 5);
     m.rank1_update(u, v, rng.normal(0.0, 0.5));
   }
-  const DenseMatrix dense = m.to_dense();
+  const DenseMatrix dense = to_dense(m);
   SparseVector scratch(dim);
   for (std::int64_t i = 0; i < dim; ++i) {
     m.row_into(i, scratch);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "oracle/dense_matrix.hpp"
 
 namespace megh {
 namespace {
@@ -54,7 +55,7 @@ TEST(SparseMatrixTest, MultiplyMatchesDense) {
   x.set(1, 2.0);
   x.set(4, -1.0);
   const SparseVector y = m.multiply(x);
-  const auto y_dense = m.to_dense().multiply(x.to_dense());
+  const auto y_dense = to_dense(m).multiply(x.to_dense());
   for (int i = 0; i < 6; ++i) {
     EXPECT_NEAR(y.get(i), y_dense[static_cast<std::size_t>(i)], 1e-12);
   }
@@ -67,10 +68,10 @@ TEST(SparseMatrixTest, Rank1UpdateMatchesDense) {
   u.set(2, 2.0);
   v.set(2, 3.0);
   v.set(4, -1.0);
-  DenseMatrix reference = m.to_dense();
+  DenseMatrix reference = to_dense(m);
   reference.rank1_update(u.to_dense(), v.to_dense(), -0.5);
   m.rank1_update(u, v, -0.5);
-  EXPECT_LT(m.to_dense().max_abs_diff(reference), 1e-12);
+  EXPECT_LT(to_dense(m).max_abs_diff(reference), 1e-12);
 }
 
 TEST(SparseMatrixTest, RowColAdjacencyStaysConsistentAfterErase) {
@@ -91,91 +92,6 @@ TEST(SparseMatrixTest, NnzCountsDiagonalAndOffDiagonal) {
   m.set(0, 2, 4.0);
   EXPECT_EQ(m.nnz(), 3u);  // two diagonal + one off-diagonal
   EXPECT_EQ(m.offdiag_nnz(), 1u);
-}
-
-TEST(SparseMatrixTest, DiagonalOnlyProbe) {
-  SparseMatrix m(5, 0.25);
-  double diag = 0.0;
-  EXPECT_TRUE(m.diagonal_only(3, &diag));  // virgin row
-  EXPECT_DOUBLE_EQ(diag, 0.25);
-  m.set(3, 3, 2.0);
-  EXPECT_TRUE(m.diagonal_only(3, &diag));  // live but diagonal
-  EXPECT_DOUBLE_EQ(diag, 2.0);
-  m.set(3, 1, 7.0);
-  EXPECT_FALSE(m.diagonal_only(3, &diag));  // row entry
-  EXPECT_FALSE(m.diagonal_only(1, &diag));  // column adjacency
-  m.set(3, 1, 0.0);
-  EXPECT_TRUE(m.diagonal_only(3, &diag));
-  EXPECT_TRUE(m.diagonal_only(1, &diag));
-}
-
-// unit_rank1_diagonal must leave exactly the state rank1_update leaves —
-// values bit for bit, plus the same row materialization and nnz
-// accounting — across w shapes (empty, diagonal hit, off-diagonal above
-// and below tolerance, both sides of a) and scales including the
-// degenerate zero-coefficient guards.
-TEST(SparseMatrixTest, UnitRank1DiagonalMatchesRank1Update) {
-  Rng rng(123);
-  const std::int64_t n = 12;
-  for (int trial = 0; trial < 200; ++trial) {
-    const auto a =
-        static_cast<std::int64_t>(rng.index(static_cast<std::size_t>(n)));
-    const auto c =
-        static_cast<std::int64_t>(rng.index(static_cast<std::size_t>(n)));
-    // Like the learner's factors, every stored magnitude stays >= the zero
-    // tolerance; a 3e-12 w value makes the *product* coef·w straddle the
-    // tolerance across trials, exercising both prune outcomes.
-    double ua = 0.0;
-    if (trial % 7 != 0) {
-      ua = rng.normal(0.0, 1.0);
-      if (std::abs(ua) < 1e-6) ua = 0.5;
-    }
-    const double scale = trial % 11 == 0 ? 0.0 : rng.normal(0.0, 1.0);
-    const double wv = trial % 5 == 0 ? 3e-12 : rng.normal(0.0, 1.0);
-
-    SparseMatrix general(n, 1.0 / static_cast<double>(n));
-    // Unrelated structure away from row/col a keeps the probe honest.
-    const auto r2 =
-        static_cast<std::int64_t>(rng.index(static_cast<std::size_t>(n)));
-    const auto c2 =
-        static_cast<std::int64_t>(rng.index(static_cast<std::size_t>(n)));
-    if (r2 != a && c2 != a && r2 != c2) general.set(r2, c2, 3.5);
-    SparseMatrix fast = general;
-
-    // w: sorted pairs over {a} ∪ {c}, sometimes colliding, sometimes empty.
-    std::vector<SparseMatrix::Entry> w;
-    SparseVector wv_sparse(n);
-    if (trial % 13 != 0) {
-      if (c == a) {
-        w.push_back({a, wv});
-      } else if (c < a) {
-        w.push_back({c, wv});
-        w.push_back({a, ua != 0.0 ? ua : 0.5});
-      } else {
-        w.push_back({a, ua != 0.0 ? ua : 0.5});
-        w.push_back({c, wv});
-      }
-    }
-    for (const auto& e : w) wv_sparse.push_back(e.col, e.val);
-    SparseVector u(n);
-    if (ua != 0.0) u.push_back(a, ua);
-
-    double diag = 0.0;
-    ASSERT_TRUE(fast.diagonal_only(a, &diag));
-    general.rank1_update(u, wv_sparse, scale);
-    fast.unit_rank1_diagonal(a, ua, {w.data(), w.size()}, scale);
-
-    EXPECT_EQ(fast.live_rows(), general.live_rows());
-    EXPECT_EQ(fast.offdiag_nnz(), general.offdiag_nnz());
-    const DenseMatrix lhs = fast.to_dense();
-    const DenseMatrix rhs = general.to_dense();
-    for (std::int64_t r = 0; r < n; ++r) {
-      for (std::int64_t col = 0; col < n; ++col) {
-        EXPECT_EQ(lhs.at(r, col), rhs.at(r, col))
-            << "trial " << trial << " B(" << r << ", " << col << ")";
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "linalg/dense_matrix.hpp"
+#include "oracle/dense_matrix.hpp"
 
 #include <cmath>
 
@@ -112,6 +112,16 @@ double DenseMatrix::max_abs_diff(const DenseMatrix& other) const {
     m = std::max(m, std::abs(data_[i] - other.data_[i]));
   }
   return m;
+}
+
+DenseMatrix to_dense(const SparseMatrix& m) {
+  DenseMatrix out(m.dim(), m.dim(), 0.0);
+  for (SparseMatrix::Index r = 0; r < m.dim(); ++r) {
+    const SparseVector row = m.row(r);
+    for (const auto& [c, v] : row.entries()) out.at(r, c) = v;
+    out.at(r, r) = m.get(r, r);  // stored even below the zero tolerance
+  }
+  return out;
 }
 
 }  // namespace megh

@@ -1,7 +1,6 @@
-// Dense row-major matrix. This is the *reference* implementation: small
-// enough problems (tests, MadVM's per-VM tables, property checks against the
-// sparse Sherman–Morrison path) use it directly; Megh's production path never
-// materializes a dense d×d matrix.
+// Dense row-major matrix: the test oracle that the sparse kernels are
+// checked against on small dimensions. Megh itself never materializes a
+// dense d×d matrix, so this lives with the tests, not in megh_linalg.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +8,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "linalg/sparse_matrix.hpp"
 
 namespace megh {
 
@@ -65,5 +65,8 @@ class DenseMatrix {
   std::int64_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// Materialize a sparse matrix densely (small dimensions only).
+DenseMatrix to_dense(const SparseMatrix& m);
 
 }  // namespace megh

@@ -1,4 +1,4 @@
-#include "linalg/sherman_morrison.hpp"
+#include "oracle/sherman_morrison.hpp"
 
 #include <cmath>
 #include <vector>

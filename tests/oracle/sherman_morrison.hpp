@@ -8,15 +8,15 @@
 // reducing the per-step cost from O(d³) (Gauss–Jordan) to, with the sparse
 // layout, O(nnz touched).
 //
-// Two implementations live here:
-//  * a dense reference (for tests and small problems), and
-//  * the sparse production version over SparseMatrix.
+// Test oracles for the learner's fused kernel (core/lspi.cpp), which
+// applies this identity for unit factors directly: a dense reference, and
+// a general sparse version over SparseMatrix.
 #pragma once
 
 #include <span>
 
-#include "linalg/dense_matrix.hpp"
 #include "linalg/sparse_matrix.hpp"
+#include "oracle/dense_matrix.hpp"
 
 namespace megh {
 
@@ -27,8 +27,7 @@ namespace megh {
 bool sherman_morrison_update(DenseMatrix& B, std::span<const double> u,
                              std::span<const double> v);
 
-/// Sparse production version; identical contract over SparseMatrix /
-/// SparseVector.
+/// Sparse version; identical contract over SparseMatrix / SparseVector.
 bool sherman_morrison_update(SparseMatrix& B, const SparseVector& u,
                              const SparseVector& v);
 
