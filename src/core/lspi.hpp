@@ -13,10 +13,13 @@
 // identity — never a dense d-vector refresh. This realizes the paper's
 // O(#migrations) per-step cost claim (Sec. 5.2).
 //
-// The update kernel is fused: the factors u = B e_a and
+// Every update runs through one fused kernel: the factors u = B e_a and
 // w = (e_a − γ e_b)ᵀ B are extracted into flat sorted scratch buffers
 // (reused across calls — zero steady-state allocation), the denominator,
 // w·z, the θ axpy and the B rank-1 merge all run on those contiguous spans.
+// It has no special case for the diagonal steady state B keeps at δ = d:
+// there u and w have one or two entries and the general merges are already
+// cheap next to the step around them.
 // `update_batch` additionally amortizes row b across a step's multi-action
 // update: Megh closes every pending action against the same greedy b, so
 // B.row(b) is extracted once and re-extracted only when a rank-1 update
