@@ -60,17 +60,6 @@ void InsertOnlyIndexSet::rehash(std::size_t min_slots) {
 
 namespace {
 
-/// Record the candidate-set size (cumulative count + last-set gauge) on
-/// every exit path of generate_candidates.
-void record_candidates(std::size_t count) {
-  static Counter& generated =
-      Telemetry::instance().counter("megh.candidates_generated");
-  static Gauge& size_gauge =
-      Telemetry::instance().gauge("megh.candidate_set_size");
-  generated.add(static_cast<long long>(count));
-  size_gauge.set(static_cast<double>(count));
-}
-
 bool target_feasible(const Datacenter& dc, std::span<const double> host_util,
                      int vm, int host, double util_ceiling) {
   if (!dc.fits(vm, host)) return false;
@@ -173,7 +162,6 @@ void generate_candidates(const Datacenter& dc,
   if (reachable_dim <= config.full_enumeration_limit) {
     enumerate_all(dc, host_util, basis, config.target_util_ceiling, network,
                   domain, scratch.candidates);
-    record_candidates(scratch.candidates.size());
     return;
   }
 
@@ -546,7 +534,6 @@ void generate_candidates(const Datacenter& dc,
       ++added;
     }
   }
-  record_candidates(out.size());
 }
 
 std::vector<CandidateAction> generate_candidates(

@@ -246,6 +246,7 @@ void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
     // A fully evacuated pod has nothing to decide; its pending transitions
     // (if any) have no candidate set to close against, so they are dropped.
     cands.clear();
+    pod.candidates_generated = 0;
     pod.pending.clear();
     pod.staged_rollback = false;
     if (recovery) pod.faults_last_step = 0;
@@ -270,6 +271,7 @@ void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
                         config_.base.candidates, pod.rng, pod.cands,
                         obs.network, nullptr, &domain);
   }
+  pod.candidates_generated = cands.size();
 
   if (recovery) {
     // Mask candidates that target a down host: the engine would reject
@@ -620,14 +622,14 @@ void HierarchicalMeghPolicy::observe_outcomes(
 }
 
 void HierarchicalMeghPolicy::intern_stat_keys() {
-  // The first twelve are flat Megh's keys; the one-pod layout stops there.
+  // The first thirteen are flat Megh's keys; the one-pod layout stops there.
   static constexpr const char* kAggregates[] = {
       "qtable_nnz",     "theta_nnz",         "lspi_updates",
       "singular_skips", "truncations",       "b_offdiag_nnz",
       "temperature",    "migrations_selected", "faults_seen",
       "retries",        "masked_candidates", "rollbacks",
-      "pods",           "slot_overflows"};
-  const std::size_t emitted = one_pod_ ? 12 : std::size(kAggregates);
+      "candidates",     "pods",              "slot_overflows"};
+  const std::size_t emitted = one_pod_ ? 13 : std::size(kAggregates);
   aggregate_keys_.clear();
   for (std::size_t k = 0; k < emitted; ++k) {
     aggregate_keys_.push_back(StatKey::intern(kAggregates[k]));
@@ -654,7 +656,7 @@ void HierarchicalMeghPolicy::stats(PolicyStats& out) const {
 #endif
   double qtable_nnz = 0.0, theta_nnz = 0.0, lspi_updates = 0.0;
   double singular_skips = 0.0, truncations = 0.0, b_offdiag = 0.0;
-  double masked = 0.0, rollbacks = 0.0, overflows = 0.0;
+  double masked = 0.0, rollbacks = 0.0, candidates = 0.0, overflows = 0.0;
   for (const Pod& pod : pods_) {
     if (pod.learner == nullptr) continue;
     qtable_nnz += static_cast<double>(pod.learner->qtable_nnz());
@@ -668,6 +670,7 @@ void HierarchicalMeghPolicy::stats(PolicyStats& out) const {
     b_offdiag += static_cast<double>(pod.learner->B().offdiag_nnz());
     masked += static_cast<double>(pod.masked_candidates);
     rollbacks += static_cast<double>(pod.rollbacks);
+    candidates += static_cast<double>(pod.candidates_generated);
     overflows += static_cast<double>(pod.slot_overflows);
   }
   // Recovery counters stay 0 when recovery is disabled or the run is
@@ -684,6 +687,7 @@ void HierarchicalMeghPolicy::stats(PolicyStats& out) const {
                            static_cast<double>(retries_issued_),
                            masked,
                            rollbacks,
+                           candidates,
                            static_cast<double>(num_pods()),
                            overflows};
   for (std::size_t k = 0; k < aggregate_keys_.size(); ++k) {

@@ -276,6 +276,7 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
     bool staged_rollback = false;       // decided serially pre-fan-out
     // --- per-step scratch (all capacity-stable after begin) ---
     CandidateScratch cands;
+    std::size_t candidates_generated = 0;  // this step's set, pre-masking
     std::vector<std::int64_t> pod_idx;  // candidate → pod-local index
     std::vector<double> q;
     std::vector<double> weights;

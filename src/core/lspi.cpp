@@ -14,12 +14,6 @@ LspiLearner::LspiLearner(std::int64_t dim, double gamma, double delta,
     : dim_(dim),
       gamma_(gamma),
       max_update_support_(max_update_support),
-      rank1_counter_(&Telemetry::instance().counter("lspi.rank1_updates")),
-      singular_counter_(
-          &Telemetry::instance().counter("lspi.singular_skips")),
-      truncation_counter_(
-          &Telemetry::instance().counter("lspi.truncations")),
-      fill_gauge_(&Telemetry::instance().gauge("lspi.b_offdiag_nnz")),
       u_scratch_(dim > 0 ? dim : 0),
       w_scratch_(dim > 0 ? dim : 0),
       row_b_scratch_(dim > 0 ? dim : 0) {
@@ -140,10 +134,8 @@ bool LspiLearner::update_fused(std::int64_t a, double cost, std::int64_t b,
   B_.col_into(a, u_scratch_);
   B_.row_into(a, w_scratch_);
   w_scratch_.axpy(-gamma_, row_b);
-  const long long truncations_before = truncations_;
   truncate_support(u_scratch_, a, b);
   truncate_support(w_scratch_, a, b);
-  truncation_counter_->add(truncations_ - truncations_before);
 
   // Denominator: 1 + (e_a − γ e_b)ᵀ B e_a = 1 + u[a] − γ u[b].
   const double denom = 1.0 + u_scratch_.get(a) - gamma_ * u_scratch_.get(b);
@@ -154,7 +146,6 @@ bool LspiLearner::update_fused(std::int64_t a, double cost, std::int64_t b,
   if (std::abs(denom) < 1e-12) {
     // Singular update: keep B as-is (θ' = B z' = θ + C·u).
     ++singular_skips_;
-    singular_counter_->add(1);
     theta_axpy(cost, u_scratch_);
     return false;
   }
@@ -172,8 +163,6 @@ bool LspiLearner::update_fused(std::int64_t a, double cost, std::int64_t b,
   // the caller's cached row b stays valid unless u[b] ≠ 0.
   const bool touches_row_b = u_scratch_.get(b) != 0.0;
   B_.rank1_update(u_scratch_, w_scratch_, -1.0 / denom);
-  rank1_counter_->add(1);
-  fill_gauge_->set(static_cast<double>(B_.offdiag_nnz()));
   return touches_row_b;
 }
 
@@ -234,8 +223,8 @@ void LspiLearner::restore(SparseMatrix b, SparseVector z,
   }
   // Counters deliberately survive: restore() is also the burst-rollback and
   // checkpoint-resume path, and zeroing them there silently reset
-  // MeghPolicy::stats() and the lspi.* telemetry mid-run. Lifetime
-  // diagnostics reset only with the learner itself (constructor).
+  // MeghPolicy::stats() mid-run. Lifetime diagnostics reset only with the
+  // learner itself (constructor).
 }
 
 }  // namespace megh

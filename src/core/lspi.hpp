@@ -50,9 +50,6 @@
 
 namespace megh {
 
-class Counter;
-class Gauge;
-
 class LspiLearner {
  public:
   /// `dim` = d = N × M. `delta` <= 0 selects the paper's δ = d
@@ -108,8 +105,8 @@ class LspiLearner {
   /// Replace the learned state wholesale (checkpoint restore, burst
   /// rollback). Shapes must match dim(). The lifetime counters
   /// (updates/singular_skips/truncations) are preserved — they describe
-  /// this learner's history, not the restored model — so stats() and the
-  /// lspi.* telemetry stay monotone across rollback/resume.
+  /// this learner's history, not the restored model — so Megh's stats()
+  /// stay monotone across rollback/resume.
   void restore(SparseMatrix b, SparseVector z, SparseVector theta);
 
   /// Number of update() calls (diagnostics/tests).
@@ -165,13 +162,6 @@ class LspiLearner {
   std::int64_t dim_;
   double gamma_;
   int max_update_support_;
-  // Cached telemetry handles (registered at construction; the registry
-  // never destroys them) — spares the hot path the function-local-static
-  // guard loads.
-  Counter* rank1_counter_;
-  Counter* singular_counter_;
-  Counter* truncation_counter_;
-  Gauge* fill_gauge_;
   SparseMatrix B_;
   // Interleaved z/θ accumulators with exact-zero pruning; *_nnz_ counts
   // entries with magnitude >= kZeroTolerance. Stored like B's rows: the

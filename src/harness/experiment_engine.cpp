@@ -9,6 +9,7 @@
 #include "common/stopwatch.hpp"
 #include "common/string_util.hpp"
 #include "harness/report.hpp"
+#include "sim/simulation.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_sink.hpp"
 
@@ -23,9 +24,10 @@ std::string sanitize_filename(std::string name) {
   return name;
 }
 
-/// One TraceRecord per simulated step, from the cell's snapshots: the
-/// engine-side equivalent of a megh_sim --trace-out run, so
-/// tools/trace_summary can aggregate any cell after the fact.
+/// One TraceRecord per simulated step, from the cell's snapshots: the same
+/// counters and gauges a live --trace-out run of the cell writes, plus the
+/// step's decide time as its `sim.decide` phase, so tools/trace_summary can
+/// aggregate any cell after the fact.
 void write_cell_trace(const std::string& dir, const ExperimentSpec& spec,
                       std::size_t index, const CellResult& cell,
                       ExperimentOutput& output) {
@@ -36,20 +38,12 @@ void write_cell_trace(const std::string& dir, const ExperimentSpec& spec,
             sanitize_filename(cell.label).c_str()))
           .string();
   JsonlTraceSink sink(path);
-  long long cumulative_migrations = 0;
+  SimulationTotals totals;
   for (const StepSnapshot& step : cell.result.sim.steps) {
-    TraceRecord record;
-    record.step = step.step;
-    cumulative_migrations += step.migrations;
-    record.counters["cell.migrations"] = cumulative_migrations;
-    record.gauges["cell.step_cost_usd"] = step.step_cost_usd;
-    record.gauges["cell.energy_cost_usd"] = step.energy_cost_usd;
-    record.gauges["cell.sla_cost_usd"] = step.sla_cost_usd;
-    record.gauges["cell.active_hosts"] = step.active_hosts;
-    record.gauges["cell.overloaded_hosts"] = step.overloaded_hosts;
-    record.gauges["cell.mean_host_util"] = step.mean_host_util;
-    record.phase_ms["cell.exec"] = step.exec_ms;
-    record.phase_count["cell.exec"] = 1;
+    totals.add_step(step);
+    TraceRecord record = step_trace_record(step, totals);
+    record.phase_ms["sim.decide"] = step.exec_ms;
+    record.phase_count["sim.decide"] = 1;
     sink.write(record);
   }
   sink.flush();
@@ -124,7 +118,6 @@ ExperimentOutput run_experiment_spec(const ExperimentSpec& spec,
         out.params = cell.params;
         out.result = std::move(result);
         out.wall_ms = watch.elapsed_ms();
-        Telemetry::instance().counter("engine.cells_completed").add();
       });
 
   if (!config.quiet) {

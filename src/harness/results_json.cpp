@@ -5,32 +5,11 @@
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
+#include "telemetry/trace_sink.hpp"
 
 namespace megh {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string jstr(const std::string& s) { return "\"" + json_escape(s) + "\""; }
 
 std::string jnum(double v) {
   if (!std::isfinite(v)) return "0";
@@ -69,8 +48,10 @@ std::string results_json_string(const BenchRunMetadata& metadata,
   out += "{\n";
   out += "  \"schema\": \"megh.bench.results/v1\",\n";
   out += "  \"metadata\": {";
-  out += "\"command\": " + jstr(metadata.command);
-  out += ", \"scale\": " + jstr(scale_name(metadata.scale));
+  out += "\"command\": ";
+  append_json_string(out, metadata.command);
+  out += ", \"scale\": ";
+  append_json_string(out, scale_name(metadata.scale));
   out += ", \"seed\": " + strf("%llu",
                                static_cast<unsigned long long>(metadata.seed));
   out += ", \"jobs\": " + strf("%d", metadata.jobs);
@@ -84,15 +65,19 @@ std::string results_json_string(const BenchRunMetadata& metadata,
   for (std::size_t e = 0; e < outputs.size(); ++e) {
     const ExperimentOutput& output = outputs[e];
     out += "    {";
-    out += "\"name\": " + jstr(output.spec->name);
-    out += ", \"paper_ref\": " + jstr(output.spec->paper_ref);
-    out += ", \"title\": " + jstr(output.spec->title);
+    out += "\"name\": ";
+    append_json_string(out, output.spec->name);
+    out += ", \"paper_ref\": ";
+    append_json_string(out, output.spec->paper_ref);
+    out += ", \"title\": ";
+    append_json_string(out, output.spec->title);
     out += ", \"scale\": {";
     bool first = true;
     for (const auto& [name, value] : output.scale.values) {
       if (!first) out += ", ";
       first = false;
-      out += jstr(name) + ": " + jnum(value);
+      append_json_string(out, name);
+      out += ": " + jnum(value);
     }
     out += "}";
     out += ", \"seed\": " +
@@ -102,8 +87,10 @@ std::string results_json_string(const BenchRunMetadata& metadata,
     out += ",\n     \"cells\": [\n";
     for (std::size_t c = 0; c < output.cells.size(); ++c) {
       const CellResult& cell = output.cells[c];
-      out += "       {\"label\": " + jstr(cell.label);
-      out += ", \"group\": " + jstr(cell.group);
+      out += "       {\"label\": ";
+      append_json_string(out, cell.label);
+      out += ", \"group\": ";
+      append_json_string(out, cell.group);
       out += ", \"scenario\": " + strf("%d", cell.scenario);
       out += ", \"rng_stream\": " +
              strf("%llu", static_cast<unsigned long long>(cell.rng_stream));
@@ -113,7 +100,8 @@ std::string results_json_string(const BenchRunMetadata& metadata,
         for (const auto& [name, value] : cell.params) {
           if (!pfirst) out += ", ";
           pfirst = false;
-          out += jstr(name) + ": " + jnum(value);
+          append_json_string(out, name);
+          out += ": " + jnum(value);
         }
         out += "}";
       }
@@ -124,7 +112,8 @@ std::string results_json_string(const BenchRunMetadata& metadata,
         for (const auto& [name, value] : cell.derived) {
           if (!dfirst) out += ", ";
           dfirst = false;
-          out += jstr(name) + ": " + jnum(value);
+          append_json_string(out, name);
+          out += ": " + jnum(value);
         }
         out += "}";
       }
@@ -137,15 +126,19 @@ std::string results_json_string(const BenchRunMetadata& metadata,
     for (std::size_t k = 0; k < output.check_results.size(); ++k) {
       const auto& [description, outcome] = output.check_results[k];
       if (k > 0) out += ", ";
-      out += "{\"description\": " + jstr(description);
-      out += ", \"status\": " + jstr(check_status_name(outcome.status));
-      out += ", \"detail\": " + jstr(outcome.detail) + "}";
+      out += "{\"description\": ";
+      append_json_string(out, description);
+      out += ", \"status\": ";
+      append_json_string(out, check_status_name(outcome.status));
+      out += ", \"detail\": ";
+      append_json_string(out, outcome.detail);
+      out += "}";
     }
     out += "],\n";
     out += "     \"artifacts\": [";
     for (std::size_t a = 0; a < output.artifacts.size(); ++a) {
       if (a > 0) out += ", ";
-      out += jstr(output.artifacts[a]);
+      append_json_string(out, output.artifacts[a]);
     }
     out += "]}";
     out += e + 1 < outputs.size() ? ",\n" : "\n";

@@ -10,7 +10,6 @@
 #include "common/log.hpp"
 #include "common/string_util.hpp"
 #include "core/checkpoint.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace megh::serve {
 
@@ -170,9 +169,6 @@ void MeghServer::recover() {
   }
 
   const WalScan scan = scan_wal(options_.dir);
-  if (scan.dropped_torn_tail) {
-    Telemetry::instance().counter("serve.recovery.torn_tail_drops").add(1);
-  }
   std::vector<MigrationAction> scratch;
   for (const WalRecord& record : scan.records) {
     if (record.seq <= snapshot_seq_) continue;
@@ -213,9 +209,6 @@ void MeghServer::recover() {
         static_cast<unsigned long long>(options_.replay_to),
         static_cast<unsigned long long>(applied_seq_)));
   }
-  Telemetry::instance()
-      .counter("serve.recovery.replayed_records")
-      .add(replayed_records_);
   if (!options_.read_only) {
     // Physically drop any torn tail before opening the new segment: once
     // that segment exists, the torn one is no longer last and a later scan
@@ -400,7 +393,6 @@ void MeghServer::poison(const std::string& why) {
   poisoned_ = true;
   poison_reason_ = why;
   if (wal_) wal_->poison(why);
-  Telemetry::instance().counter("serve.poisoned").add(1);
   MEGH_LOG_ERROR("serve: daemon poisoned: " + why);
 }
 
@@ -419,10 +411,6 @@ void MeghServer::journal(MsgType type,
       wal_->append(static_cast<std::uint16_t>(type), payload);
   applied_seq_ = seq;
   ++records_since_compaction_;
-  Telemetry::instance().counter("serve.wal.records").add(1);
-  Telemetry::instance()
-      .counter("serve.wal.bytes")
-      .add(static_cast<long long>(payload.size()));
 }
 
 // --- typed API ------------------------------------------------------------
@@ -468,7 +456,6 @@ void MeghServer::init(const InitRequest& req) {
   }
   applied_seq_ = 0;
   initialized_ = true;
-  Telemetry::instance().counter("serve.init").add(1);
 }
 
 DecideResponse MeghServer::decide(const DecideRequest& req,
@@ -492,7 +479,6 @@ DecideResponse MeghServer::decide(const DecideRequest& req,
     throw;
   }
   ++decides_;
-  Telemetry::instance().counter("serve.decide").add(1);
   DecideResponse resp;
   resp.actions = actions_;
   fill_policy_stats(resp.stats);
@@ -514,7 +500,6 @@ ObserveResponse MeghServer::observe(const ObserveRequest& req,
     throw;
   }
   ++observes_;
-  Telemetry::instance().counter("serve.observe").add(1);
   ObserveResponse resp;
   fill_policy_stats(resp.stats);
   return resp;
@@ -583,6 +568,10 @@ void MeghServer::fill_stats(std::vector<StatEntry>& out) {
                           static_cast<double>(recovered_seq_)});
   out.push_back(StatEntry{"serve.replayed_records",
                           static_cast<double>(replayed_records_)});
+  out.push_back(StatEntry{
+      "serve.errors",
+      static_cast<double>(errors_.load(std::memory_order_relaxed))});
+  out.push_back(StatEntry{"serve.poisoned", poisoned_ ? 1.0 : 0.0});
 }
 
 // --- snapshots / compaction ----------------------------------------------
@@ -739,7 +728,6 @@ CheckpointResponse MeghServer::compact_locked(
   snapshot_seq_ = seq;
   records_since_compaction_ = 0;
   ++compactions_;
-  Telemetry::instance().counter("serve.compactions").add(1);
 
   // GC only after the new snapshot and segment are durable on disk.
   for (const std::filesystem::path& seg : list_wal_segments(options_.dir)) {
@@ -813,7 +801,7 @@ std::vector<std::uint8_t> MeghServer::handle(
     throw Error(strf("serve: unknown message type %u",
                      static_cast<unsigned>(type)));
   } catch (const std::exception& e) {
-    Telemetry::instance().counter("serve.errors").add(1);
+    errors_.fetch_add(1, std::memory_order_relaxed);
     return error_response(e.what());
   }
 }

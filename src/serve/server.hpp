@@ -39,6 +39,7 @@
 // uninterrupted reference).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <iosfwd>
@@ -165,12 +166,15 @@ class MeghServer {
   /// Seq of the last record journaled-and-applied (0 before any).
   std::uint64_t applied_seq_ = 0;
 
-  // Counters (also exported via Stats and serve.* telemetry).
+  // Counters, exported as serve.* by the Stats verb.
   long long decides_ = 0;
   long long observes_ = 0;  // Observe requests: end-of-run flushes
   long long steps_ = 0;
   long long compactions_ = 0;
   long long replayed_records_ = 0;
+  /// Requests answered with an error status. Atomic because handle()
+  /// counts failures outside the state mutex.
+  std::atomic<long long> errors_{0};
 
   // Poison latch: set when live state may have diverged from the journal
   // (partial apply, or a WAL append failure after an apply). Mutating

@@ -82,6 +82,49 @@ std::vector<double> SimulationResult::series(const std::string& field) const {
   return out;
 }
 
+void SimulationTotals::add_step(const StepSnapshot& snap) {
+  total_cost_usd += snap.step_cost_usd;
+  energy_cost_usd += snap.energy_cost_usd;
+  sla_cost_usd += snap.sla_cost_usd;
+  migrations += snap.migrations;
+  rejected_migrations += snap.rejected_migrations;
+  cross_pod_migrations += snap.cross_pod_migrations;
+  aborted_migrations += snap.aborted_migrations;
+  rejected_down_host += snap.rejected_down_host;
+  forced_evacuations += snap.forced_evacuations;
+  stranded_vm_steps += snap.stranded_vms;
+  fault_events += snap.fault_events;
+  ++steps;
+}
+
+TraceRecord step_trace_record(const StepSnapshot& snap,
+                              const SimulationTotals& totals) {
+  TraceRecord record;
+  record.step = snap.step;
+  record.counters = {
+      {"sim.steps", totals.steps},
+      {"sim.migrations_applied", totals.migrations},
+      {"sim.migrations_rejected", totals.rejected_migrations},
+      {"chaos.fault_events", totals.fault_events},
+      {"chaos.migrations_aborted", totals.aborted_migrations},
+      {"chaos.forced_evacuations", totals.forced_evacuations},
+      {"chaos.stranded_vm_steps", totals.stranded_vm_steps},
+  };
+  record.gauges = {
+      {"sim.step_cost_usd", snap.step_cost_usd},
+      {"sim.energy_cost_usd", snap.energy_cost_usd},
+      {"sim.sla_cost_usd", snap.sla_cost_usd},
+      {"sim.active_hosts", static_cast<double>(snap.active_hosts)},
+      {"sim.overloaded_hosts", static_cast<double>(snap.overloaded_hosts)},
+      {"sim.mean_host_util", snap.mean_host_util},
+  };
+  const PolicyStats& stats = snap.policy_stats;
+  for (int i = 0; i < stats.size(); ++i) {
+    record.gauges[stats.key(i).name()] = stats.value(i);
+  }
+  return record;
+}
+
 InvalidActionError::InvalidActionError(const std::string& policy, int step,
                                        int vm, int target_host, int num_vms,
                                        int num_hosts)
@@ -217,13 +260,6 @@ SimulationResult Simulation::run(MigrationPolicy& policy, int num_steps) {
   double total_watt_seconds = 0.0;
 
   Telemetry& telemetry = Telemetry::instance();
-  Counter& steps_counter = telemetry.counter("sim.steps");
-  Counter& applied_counter = telemetry.counter("sim.migrations_applied");
-  Counter& rejected_counter = telemetry.counter("sim.migrations_rejected");
-  Counter& fault_counter = telemetry.counter("chaos.fault_events");
-  Counter& abort_counter = telemetry.counter("chaos.migrations_aborted");
-  Counter& evac_counter = telemetry.counter("chaos.forced_evacuations");
-  Counter& stranded_counter = telemetry.counter("chaos.stranded_vm_steps");
 
   for (int step = 0; step < steps; ++step) {
     if (chaos != nullptr) chaos->begin_step(step);
@@ -451,32 +487,18 @@ SimulationResult Simulation::run(MigrationPolicy& policy, int num_steps) {
     policy.stats(snap.policy_stats);
 
     // 6. Totals.
-    result.totals.total_cost_usd += snap.step_cost_usd;
-    result.totals.energy_cost_usd += snap.energy_cost_usd;
-    result.totals.sla_cost_usd += snap.sla_cost_usd;
-    result.totals.migrations += snap.migrations;
-    result.totals.cross_pod_migrations += snap.cross_pod_migrations;
-    result.totals.aborted_migrations += snap.aborted_migrations;
-    result.totals.rejected_down_host += snap.rejected_down_host;
-    result.totals.forced_evacuations += snap.forced_evacuations;
-    result.totals.stranded_vm_steps += snap.stranded_vms;
-    result.totals.fault_events += snap.fault_events;
+    result.totals.add_step(snap);
     active_hosts_stats.add(snap.active_hosts);
     exec_stats.add(exec_ms);
-    steps_counter.add(1);
-    applied_counter.add(snap.migrations);
-    rejected_counter.add(snap.rejected_migrations);
-    if (chaos != nullptr) {
-      fault_counter.add(snap.fault_events);
-      abort_counter.add(snap.aborted_migrations);
-      evac_counter.add(snap.forced_evacuations);
-      stranded_counter.add(snap.stranded_vms);
-    }
     result.steps.push_back(snap);
     }
 
     // Per-step telemetry flush, after the interval's costs are settled.
-    telemetry.flush_step(step);
+    // The record is built only when something will read it.
+    if (telemetry.level() != TraceLevel::kOff) {
+      telemetry.flush_step(
+          step_trace_record(result.steps.back(), result.totals));
+    }
     if (config_.on_step) config_.on_step(result.steps.back());
   }
 
@@ -502,7 +524,6 @@ SimulationResult Simulation::run(MigrationPolicy& policy, int num_steps) {
   result.totals.energy_kwh = total_watt_seconds / 3.6e6;
   result.totals.esv = result.totals.energy_kwh * result.totals.slav;
 
-  result.totals.steps = steps;
   result.totals.mean_active_hosts = active_hosts_stats.mean();
   result.totals.mean_exec_ms = exec_stats.mean();
   result.totals.max_exec_ms = exec_stats.max();

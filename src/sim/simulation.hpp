@@ -21,6 +21,7 @@
 #include "sim/network.hpp"
 #include "sim/policy.hpp"
 #include "sim/snapshot.hpp"
+#include "telemetry/trace_sink.hpp"
 #include "trace/trace_table.hpp"
 
 namespace megh {
@@ -93,6 +94,14 @@ class InvalidActionError : public Error {
   int vm_;
   int target_host_;
 };
+
+/// The trace record of one step. Counters are the run's cumulative engine
+/// counts read from `totals`, which must already include `snap`; gauges are
+/// the step's cost, host and utilization fields plus every policy stat
+/// under its own name. Live traces (Simulation::run) and cell traces (the
+/// experiment engine) are both built here, so they carry the same numbers.
+TraceRecord step_trace_record(const StepSnapshot& snap,
+                              const SimulationTotals& totals);
 
 class Simulation {
  public:

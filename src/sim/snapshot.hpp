@@ -59,6 +59,7 @@ struct SimulationTotals {
   double esv = 0.0;
   double energy_kwh = 0.0;
   long long migrations = 0;
+  long long rejected_migrations = 0;
   long long cross_pod_migrations = 0;
   // --- chaos layer (all zero when no fault plan is attached) ---
   long long aborted_migrations = 0;
@@ -70,6 +71,11 @@ struct SimulationTotals {
   double mean_exec_ms = 0.0;
   double max_exec_ms = 0.0;
   int steps = 0;
+
+  /// Fold one step into the running sums and counts (costs, migrations,
+  /// chaos counts, steps). The means, maxima and composite SLA metrics are
+  /// computed once at the end of Simulation::run.
+  void add_step(const StepSnapshot& snap);
 };
 
 struct SimulationResult {

@@ -38,20 +38,6 @@ void Telemetry::configure(std::unique_ptr<TraceSink> sink, TraceLevel level) {
                         std::memory_order_relaxed);
 }
 
-Counter& Telemetry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& Telemetry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
 void Telemetry::record_phase(const char* name, double ms) {
   std::lock_guard<std::mutex> lock(mu_);
   PhaseAccum& accum = phases_[name];
@@ -61,11 +47,9 @@ void Telemetry::record_phase(const char* name, double ms) {
   ++accum.total_count;
 }
 
-void Telemetry::flush_step(int step) {
+void Telemetry::flush_step(TraceRecord record) {
   if (level() == TraceLevel::kOff) return;
   std::lock_guard<std::mutex> lock(mu_);
-  TraceRecord record;
-  record.step = step;
   if (level_.load(std::memory_order_relaxed) >= TraceLevel::kPhases) {
     for (auto& [name, accum] : phases_) {
       if (accum.step_count == 0) continue;
@@ -74,12 +58,6 @@ void Telemetry::flush_step(int step) {
       accum.step_ms = 0.0;
       accum.step_count = 0;
     }
-  }
-  for (const auto& [name, counter] : counters_) {
-    record.counters[name] = counter->value();
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    record.gauges[name] = gauge->value();
   }
   sink_->write(record);
 }
@@ -93,33 +71,12 @@ std::map<std::string, double> Telemetry::phase_totals_ms() const {
   return out;
 }
 
-std::map<std::string, long long> Telemetry::counter_values() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, long long> out;
-  for (const auto& [name, counter] : counters_) {
-    out[name] = counter->value();
-  }
-  return out;
-}
-
-std::map<std::string, double> Telemetry::gauge_values() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, double> out;
-  for (const auto& [name, gauge] : gauges_) {
-    out[name] = gauge->value();
-  }
-  return out;
-}
-
 void Telemetry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   if (sink_ != nullptr) sink_->flush();
   sink_ = std::make_unique<NullTraceSink>();
   level_.store(TraceLevel::kOff, std::memory_order_relaxed);
   timing_enabled_.store(false, std::memory_order_relaxed);
-  // Zero, never erase: call sites cache Counter/Gauge references.
-  for (auto& [name, counter] : counters_) counter->reset();
-  for (auto& [name, gauge] : gauges_) gauge->reset();
   phases_.clear();
 }
 

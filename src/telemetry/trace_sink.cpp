@@ -29,11 +29,6 @@ void JsonlTraceSink::write(const TraceRecord& record) {
 
 void JsonlTraceSink::flush() { std::fflush(file_); }
 
-namespace {
-
-// Phase and counter names are code-controlled identifiers (dotted
-// lowercase), but escape the JSON-special characters anyway so a hostile
-// name cannot produce an invalid line.
 void append_json_string(std::string& out, std::string_view s) {
   out.push_back('"');
   for (char c : s) {
@@ -53,6 +48,8 @@ void append_json_string(std::string& out, std::string_view s) {
   }
   out.push_back('"');
 }
+
+namespace {
 
 void append_number(std::string& out, double v) {
   if (!std::isfinite(v)) v = 0.0;  // NaN/inf are not JSON

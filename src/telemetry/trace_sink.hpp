@@ -1,13 +1,14 @@
 // Structured run telemetry, part 1: the record format and where it goes.
 //
 // A TraceRecord is one step's worth of observability data: the phase
-// timings accumulated by MEGH_TRACE_SCOPE since the previous flush, plus
-// the cumulative values of every process-wide counter and the last-set
-// value of every gauge (see telemetry/telemetry.hpp). The engine emits one
-// record per simulated interval, so a trace file is a step-indexed series
-// that can attribute per-step wall-clock to candidate generation vs
-// Sherman–Morrison updates vs migration mechanics — the breakdown behind
-// the paper's O(#migrations) per-step cost claim (Sec. 5.2, Figs. 6–7).
+// timings accumulated by MEGH_TRACE_SCOPE since the previous flush (see
+// telemetry/telemetry.hpp), plus the run's counters and gauges, which the
+// engine builds from its own per-step record (step_trace_record in
+// sim/simulation.hpp). The engine emits one record per simulated interval,
+// so a trace file is a step-indexed series that can attribute per-step
+// wall-clock to candidate generation vs Sherman–Morrison updates vs
+// migration mechanics — the breakdown behind the paper's O(#migrations)
+// per-step cost claim (Sec. 5.2, Figs. 6–7).
 //
 // Sinks are deliberately dumb: write a record, optionally flush. The JSONL
 // sink writes one self-contained JSON object per line (schema documented in
@@ -22,9 +23,10 @@
 
 namespace megh {
 
-/// One step's telemetry. `counters` carry *cumulative* process-wide values
-/// (monotone non-decreasing across a run's records); `phase_ms` /
-/// `phase_count` cover only the interval since the previous flush.
+/// One step's telemetry. `counters` carry values cumulative over the run
+/// (monotone non-decreasing across its records); `gauges` are this step's
+/// values; `phase_ms` / `phase_count` cover only the interval since the
+/// previous flush.
 struct TraceRecord {
   int step = 0;
   std::map<std::string, double> phase_ms;
@@ -73,6 +75,10 @@ class JsonlTraceSink final : public TraceSink {
 /// Serialize a record as a single JSON line (no trailing newline).
 /// Non-finite doubles are clamped to 0 so the output is always valid JSON.
 std::string to_json_line(const TraceRecord& record);
+
+/// Append `s` to `out` as a quoted JSON string, escaping quotes,
+/// backslashes and control characters.
+void append_json_string(std::string& out, std::string_view s);
 
 /// Parse one line produced by to_json_line (or any JSON object matching the
 /// trace schema) back into a record. Throws IoError on malformed input.

@@ -79,7 +79,9 @@ TEST(FaultPlanTest, CompiledEventsAreCanonicalAndInShape) {
       EXPECT_GT(e.magnitude, 0.0);
       EXPECT_LE(e.magnitude, 1.0);
     }
-    if (i > 0) EXPECT_LE(plan.events()[i - 1].step, e.step);  // sorted
+    if (i > 0) {
+      EXPECT_LE(plan.events()[i - 1].step, e.step);  // sorted
+    }
   }
   EXPECT_GT(failures, 0);
 }

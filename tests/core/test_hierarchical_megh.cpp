@@ -456,7 +456,7 @@ TEST(HierarchicalMeghChaosTest, MaskingAndAbortRecoveryWorkAcrossPods) {
 TEST(HierarchicalMeghTest, StatKeysInternedAtBeginNotPerStep) {
   const Scenario scenario = make_planetlab_scenario(16, 24, 20, 5);
   {
-    // The one-pod (flat) construction: its twelve keys, nothing per pod.
+    // The one-pod (flat) construction: its thirteen keys, nothing per pod.
     MeghPolicy flat(base_config(31));
     Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 11);
     flat.begin(dc, CostConfig{}, 300.0);
@@ -465,7 +465,7 @@ TEST(HierarchicalMeghTest, StatKeysInternedAtBeginNotPerStep) {
     flat.stats(stats);
     EXPECT_EQ(StatKey::interned_count(), after_begin)
         << "flat stats() interned a key outside begin()";
-    EXPECT_EQ(stats.size(), 12);
+    EXPECT_EQ(stats.size(), 13);
     EXPECT_EQ(stats.count("pods"), 0);
     Datacenter dc2 = build_datacenter(scenario, InitialPlacement::kRandom, 11);
     Simulation sim(std::move(dc2), scenario.trace, default_sim_config(0.05));
@@ -485,7 +485,7 @@ TEST(HierarchicalMeghTest, StatKeysInternedAtBeginNotPerStep) {
   policy.stats(stats);
   EXPECT_EQ(StatKey::interned_count(), after_begin)
       << "stats() interned a key outside begin()";
-  // All pod keys fit: 14 aggregates + 3 keys for each of 4 pods.
+  // All pod keys fit: 15 aggregates + 3 keys for each of 4 pods.
   EXPECT_EQ(stats.at("pods"), 4.0);
   EXPECT_EQ(stats.at("slot_overflows"), 0.0);
   policy.stats(stats);

@@ -5,7 +5,6 @@
 #include "baselines/simple_policies.hpp"
 #include "sim/placement.hpp"
 #include "sim/simulation.hpp"
-#include "telemetry/telemetry.hpp"
 #include "trace/planetlab_synth.hpp"
 
 namespace megh {
@@ -146,10 +145,9 @@ TEST(MeghPolicyTest, OnePodShapeIsNTimesM) {
   World w = World::make(36, 40, 2);
   MeghPolicy megh;
   Simulation sim(std::move(w.dc), w.trace, SimulationConfig{});
-  sim.run(megh, 1);
+  const SimulationResult result = sim.run(megh, 1);
   EXPECT_EQ(megh.learner().dim(), 36 * 40);
-  const double candidates =
-      Telemetry::instance().gauge("megh.candidate_set_size").value();
+  const double candidates = result.steps[0].policy_stats.at("candidates");
   const CandidateConfig defaults;
   EXPECT_GT(candidates, 40.0 * (defaults.targets_per_source + 3));
   EXPECT_LE(candidates, 36.0 * 40.0);

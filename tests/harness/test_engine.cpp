@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <memory>
+
 #include "baselines/mmt_policy.hpp"
 #include "common/error.hpp"
 #include "core/megh_policy.hpp"
 #include "harness/experiment_registry.hpp"
 #include "harness/results_json.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace megh {
 namespace {
@@ -132,6 +137,58 @@ TEST(ExperimentEngineTest, SnapshotStatsRoundTripThroughEngineCopies) {
   const PolicyStats& mmt = output.cells[0].result.sim.steps.back().policy_stats;
   EXPECT_EQ(mmt.count("overload_migrations"), 1);
   EXPECT_EQ(mmt.count("qtable_nnz"), 0);
+}
+
+/// Keeps every live trace record in memory.
+class VectorSink final : public TraceSink {
+ public:
+  explicit VectorSink(std::vector<TraceRecord>* out) : out_(out) {}
+  void write(const TraceRecord& record) override { out_->push_back(record); }
+
+ private:
+  std::vector<TraceRecord>* out_;
+};
+
+TEST(ExperimentEngineTest, CellTracesEqualTheLiveTrace) {
+  // The engine's per-cell traces and a live kCounters trace of the same
+  // cells carry the same counters and gauges, step for step; the cell
+  // trace adds the step's decide time as its sim.decide phase.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "megh_engine_cell_traces";
+  std::filesystem::remove_all(dir);
+  std::vector<TraceRecord> live;
+  Telemetry::instance().configure(std::make_unique<VectorSink>(&live),
+                                  TraceLevel::kCounters);
+  EngineConfig config = quiet_config(1);  // cells run in plan order
+  config.cell_trace_dir = dir.string();
+  const ExperimentOutput output = run_experiment_spec(small_spec(), config);
+  Telemetry::instance().reset();
+
+  std::size_t at = 0;
+  for (std::size_t c = 0; c < output.cells.size(); ++c) {
+    const CellResult& cell = output.cells[c];
+    const std::filesystem::path path = output.artifacts.at(c);
+    ASSERT_EQ(path.extension(), ".jsonl");
+    std::ifstream in(path);
+    std::string line;
+    std::size_t step = 0;
+    while (std::getline(in, line)) {
+      ASSERT_LT(at, live.size());
+      const TraceRecord record = parse_trace_line(line);
+      EXPECT_EQ(record.step, live[at].step) << cell.label;
+      EXPECT_EQ(record.counters, live[at].counters) << cell.label;
+      EXPECT_EQ(record.gauges, live[at].gauges) << cell.label;
+      EXPECT_EQ(record.phase_ms.at("sim.decide"),
+                cell.result.sim.steps.at(step).exec_ms);
+      ++at;
+      ++step;
+    }
+    EXPECT_EQ(step, cell.result.sim.steps.size()) << cell.label;
+    EXPECT_GT(live[at - 1].counters.at("sim.migrations_applied"), 0)
+        << cell.label;
+  }
+  EXPECT_EQ(at, live.size());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ExperimentEngineTest, PlanExpansionIsStable) {

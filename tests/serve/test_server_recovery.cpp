@@ -17,6 +17,7 @@
 #include "common/string_util.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "serve/wal.hpp"
 #include "sim/placement.hpp"
 #include "sim/simulation.hpp"
 #include "trace/planetlab_synth.hpp"
@@ -542,6 +543,42 @@ TEST_F(ServerRecoveryTest, InvalidRequestsRejectedWithoutJournalingOrDrift) {
   // still recovers: nothing unreplayable was journaled.
   MeghServer after(fast_options(dir, 0));
   EXPECT_EQ(dump_of(after), ref_dump);
+}
+
+TEST_F(ServerRecoveryTest, StatsReportErrorsAndPoisoning) {
+  // megh_serve installs no trace sink: the Stats verb is where an operator
+  // reads refused requests and the poison latch.
+  const std::vector<Recorded> log =
+      record_reference(root_ / "ref", /*steps=*/4, nullptr);
+  ASSERT_EQ(log[1].type, MsgType::kDecide);
+  ASSERT_EQ(log[2].type, MsgType::kDecide);
+  const auto dir = root_ / "victim";
+  MeghServer server(fast_options(dir, /*compact_every=*/0));
+  server.handle(log[0].type, log[0].payload);  // Init
+  const auto stat = [&server](const std::string& name) {
+    for (const StatEntry& entry : server.stats_response().stats) {
+      if (entry.name == name) return entry.value;
+    }
+    ADD_FAILURE() << "Stats has no " << name;
+    return -1.0;
+  };
+  EXPECT_EQ(stat("serve.errors"), 0.0);
+  EXPECT_EQ(stat("serve.poisoned"), 0.0);
+
+  const std::vector<std::uint8_t> garbage = {1, 2, 3};
+  EXPECT_EQ(server.handle(MsgType::kDecide, garbage).at(0), 1);
+  EXPECT_EQ(stat("serve.errors"), 1.0);
+  EXPECT_EQ(stat("serve.poisoned"), 0.0);
+
+  // A directory where the checkpoint's next WAL segment must go makes the
+  // rotation fail, which poisons the WAL writer; the next Decide applies,
+  // cannot be journaled, and latches the daemon.
+  EXPECT_EQ(server.handle(log[1].type, log[1].payload).at(0), 0);
+  std::filesystem::create_directory(dir / wal_segment_name(server.next_seq()));
+  EXPECT_THROW(server.checkpoint(), std::exception);
+  EXPECT_EQ(server.handle(log[2].type, log[2].payload).at(0), 1);
+  EXPECT_EQ(stat("serve.errors"), 2.0);
+  EXPECT_EQ(stat("serve.poisoned"), 1.0);
 }
 
 TEST_F(ServerRecoveryTest, InvalidInitLeavesTheDirectoryClean) {

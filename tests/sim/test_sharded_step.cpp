@@ -16,6 +16,7 @@
 #include "core/candidates.hpp"
 #include "core/megh_policy.hpp"
 #include "harness/scenario.hpp"
+#include "sim/cost_model.hpp"
 #include "sim/placement.hpp"
 #include "sim/sharding.hpp"
 #include "sim/simulation.hpp"
@@ -174,6 +175,39 @@ TEST(ShardedStepTest, ChaosRunBitIdenticalAcrossJobs) {
   ASSERT_GT(fault_events, 0) << "chaos plan produced no faults";
   expect_identical(serial, run_with_jobs(scenario, 8, make_megh, fabric, plan),
                    "chaos jobs 1 vs 8");
+}
+
+TEST(ShardedStepTest, StepEnergyIsIntervalEnergyCostBitForBit) {
+  // The settle phase sums per-host watt terms written by the shards; on a
+  // fault-free run that fold must reproduce interval_energy_cost_usd on
+  // the settled datacenter exactly, serially and sharded on a fabric.
+  const Scenario scenario = make_planetlab_scenario(32, 48, 40, 5);
+  const auto fabric = std::make_shared<const FatTreeTopology>(
+      FatTreeTopology::for_hosts(32));
+  for (const int jobs : {1, 4}) {
+    SimulationConfig config = default_sim_config(0.05);
+    config.jobs = jobs;
+    if (jobs > 1) config.network = fabric;
+    const Simulation* sim = nullptr;
+    int checked = 0;
+    config.on_step = [&](const StepSnapshot& snap) {
+      EXPECT_EQ(snap.energy_cost_usd,
+                interval_energy_cost_usd(sim->datacenter(), config.interval_s,
+                                         config.cost))
+          << "jobs " << jobs << " step " << snap.step;
+      ++checked;
+    };
+    MeghConfig megh_config;
+    megh_config.seed = 13;
+    megh_config.max_migration_fraction = 0.05;
+    MeghPolicy megh(megh_config);
+    Simulation run(build_datacenter(scenario, InitialPlacement::kRandom, 11),
+                   scenario.trace, config);
+    sim = &run;
+    const SimulationResult result = run.run(megh);
+    EXPECT_EQ(checked, 40) << "jobs " << jobs;
+    EXPECT_GT(result.totals.migrations, 0) << "jobs " << jobs;
+  }
 }
 
 // --- make_step_shards ----------------------------------------------------

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "baselines/simple_policies.hpp"
+#include "chaos/fault_plan.hpp"
+#include "core/megh_policy.hpp"
+#include "harness/scenario.hpp"
 #include "sim/placement.hpp"
+#include "telemetry/telemetry.hpp"
 #include "trace/trace_table.hpp"
 
 namespace megh {
@@ -227,6 +232,79 @@ TEST(SimulationTest, SleepingHostsReduceEnergy) {
   const double spread_cost =
       sim_spread.run(policy).totals.energy_cost_usd;
   EXPECT_LT(packed_cost, spread_cost * 0.5);
+}
+
+/// Keeps every trace record in memory.
+class VectorSink final : public TraceSink {
+ public:
+  explicit VectorSink(std::vector<TraceRecord>* out) : out_(out) {}
+  void write(const TraceRecord& record) override { out_->push_back(record); }
+
+ private:
+  std::vector<TraceRecord>* out_;
+};
+
+/// Telemetry is process-wide: leave it off whatever the test does.
+class SimulationTraceTest : public ::testing::Test {
+ protected:
+  void TearDown() override { Telemetry::instance().reset(); }
+};
+
+TEST_F(SimulationTraceTest, EachRunTracesItsOwnTotals) {
+  // Two runs in one process, the second under chaos: each run's counters
+  // start from zero and its last record carries that run's own totals.
+  const int steps = 30;
+  const Scenario scenario = make_planetlab_scenario(16, 24, steps, 3);
+  FaultPlanConfig chaos;
+  chaos.enabled = true;
+  chaos.seed = 5;
+  chaos.migration_abort_rate = 0.3;
+  chaos.host_failure_rate = 0.03;
+  const auto plan = std::make_shared<const FaultPlan>(
+      FaultPlan::compile(chaos, 16, steps));
+  std::vector<TraceRecord> records;
+  Telemetry::instance().configure(std::make_unique<VectorSink>(&records),
+                                  TraceLevel::kCounters);
+  std::vector<SimulationResult> results;
+  for (int run = 0; run < 2; ++run) {
+    SimulationConfig config = default_sim_config(0.05);
+    if (run == 1) config.faults = plan;
+    MeghConfig megh_config;
+    megh_config.seed = 7;
+    MeghPolicy megh(megh_config);
+    Simulation sim(build_datacenter(scenario, InitialPlacement::kRandom, 11),
+                   scenario.trace, config);
+    results.push_back(sim.run(megh));
+  }
+  ASSERT_EQ(records.size(), 2u * steps);
+  ASSERT_GT(results[0].totals.migrations, 0);
+  ASSERT_GT(results[1].totals.fault_events, 0);
+  for (int run = 0; run < 2; ++run) {
+    const std::size_t base = static_cast<std::size_t>(run * steps);
+    EXPECT_EQ(records[base].counters.at("sim.steps"), 1) << "run " << run;
+    const TraceRecord& last = records[base + steps - 1];
+    const SimulationResult& result = results[static_cast<std::size_t>(run)];
+    const SimulationTotals& totals = result.totals;
+    EXPECT_EQ(last.step, steps - 1);
+    EXPECT_EQ(last.counters.at("sim.steps"), totals.steps);
+    EXPECT_EQ(last.counters.at("sim.migrations_applied"), totals.migrations);
+    EXPECT_EQ(last.counters.at("sim.migrations_rejected"),
+              totals.rejected_migrations);
+    EXPECT_EQ(last.counters.at("chaos.fault_events"), totals.fault_events);
+    EXPECT_EQ(last.counters.at("chaos.migrations_aborted"),
+              totals.aborted_migrations);
+    EXPECT_EQ(last.counters.at("chaos.forced_evacuations"),
+              totals.forced_evacuations);
+    EXPECT_EQ(last.counters.at("chaos.stranded_vm_steps"),
+              totals.stranded_vm_steps);
+    // Gauges are the step's own values, policy stats included.
+    const StepSnapshot& snap = result.steps.back();
+    EXPECT_EQ(last.gauges.at("sim.step_cost_usd"), snap.step_cost_usd);
+    EXPECT_EQ(last.gauges.at("lspi_updates"),
+              snap.policy_stats.at("lspi_updates"));
+    EXPECT_EQ(last.gauges.at("candidates"),
+              snap.policy_stats.at("candidates"));
+  }
 }
 
 }  // namespace

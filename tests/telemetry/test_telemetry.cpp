@@ -18,7 +18,7 @@ namespace megh {
 namespace {
 
 /// Stores every record in memory so tests can assert on exactly what the
-/// registry emitted.
+/// flush emitted.
 class VectorSink final : public TraceSink {
  public:
   void write(const TraceRecord& record) override { records_.push_back(record); }
@@ -38,6 +38,12 @@ class TelemetryTest : public ::testing::Test {
 
 std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+TraceRecord record_at(int step) {
+  TraceRecord record;
+  record.step = step;
+  return record;
 }
 
 TEST_F(TelemetryTest, JsonRoundTripPreservesEveryField) {
@@ -77,11 +83,13 @@ TEST_F(TelemetryTest, JsonlSinkWritesOneValidJsonObjectPerLine) {
   Telemetry& telemetry = Telemetry::instance();
   telemetry.configure(std::make_unique<JsonlTraceSink>(path),
                       TraceLevel::kPhases);
-  Counter& counter = telemetry.counter("test.events");
+  long long events = 0;
   for (int step = 0; step < 5; ++step) {
-    counter.add(step + 1);  // cumulative: 1, 3, 6, 10, 15
+    events += step + 1;  // cumulative: 1, 3, 6, 10, 15
+    TraceRecord record = record_at(step);
+    record.counters["test.events"] = events;
     telemetry.record_phase("test.phase", 0.5);
-    telemetry.flush_step(step);
+    telemetry.flush_step(record);
   }
   telemetry.reset();  // destroys (and flushes) the sink
 
@@ -113,16 +121,16 @@ TEST_F(TelemetryTest, OffLevelIsANoOp) {
   {
     MEGH_TRACE_SCOPE("test.ignored");  // guard must not record at kOff
   }
-  telemetry.flush_step(0);
+  telemetry.flush_step(record_at(0));
   EXPECT_TRUE(telemetry.phase_totals_ms().empty());
 
-  // Counters still count at kOff (cheap, and flush just doesn't emit) —
-  // what matters is that no record reaches a sink.
+  // A record handed to the flush at kOff never reaches the sink.
   auto sink = std::make_unique<VectorSink>();
   VectorSink* captured = sink.get();
   telemetry.configure(std::move(sink), TraceLevel::kOff);
-  telemetry.counter("test.c").add(3);
-  telemetry.flush_step(1);
+  TraceRecord record = record_at(1);
+  record.counters["test.c"] = 3;
+  telemetry.flush_step(record);
   EXPECT_TRUE(captured->records().empty());
 }
 
@@ -136,7 +144,7 @@ TEST_F(TelemetryTest, ScopedPhaseAccumulatesIntoStepRecord) {
   for (int i = 0; i < 3; ++i) {
     MEGH_TRACE_SCOPE("test.loop");
   }
-  telemetry.flush_step(7);
+  telemetry.flush_step(record_at(7));
 
   ASSERT_EQ(captured->records().size(), 1u);
   const TraceRecord& record = captured->records()[0];
@@ -146,7 +154,7 @@ TEST_F(TelemetryTest, ScopedPhaseAccumulatesIntoStepRecord) {
 
   // The per-step accumulator was cleared by the flush: a second flush with
   // no new scopes carries no phases.
-  telemetry.flush_step(8);
+  telemetry.flush_step(record_at(8));
   ASSERT_EQ(captured->records().size(), 2u);
   EXPECT_TRUE(captured->records()[1].phase_ms.empty());
 }
@@ -158,9 +166,11 @@ TEST_F(TelemetryTest, CountersLevelOmitsPhases) {
   telemetry.configure(std::move(sink), TraceLevel::kCounters);
   EXPECT_FALSE(telemetry.timing_enabled());
 
-  telemetry.counter("test.c").add(2);
-  telemetry.gauge("test.g").set(1.5);
-  telemetry.flush_step(0);
+  TraceRecord step = record_at(0);
+  step.counters["test.c"] = 2;
+  step.gauges["test.g"] = 1.5;
+  telemetry.record_phase("test.phase", 0.5);
+  telemetry.flush_step(step);
 
   ASSERT_EQ(captured->records().size(), 1u);
   const TraceRecord& record = captured->records()[0];
@@ -169,32 +179,13 @@ TEST_F(TelemetryTest, CountersLevelOmitsPhases) {
   EXPECT_DOUBLE_EQ(record.gauges.at("test.g"), 1.5);
 }
 
-TEST_F(TelemetryTest, ResetZeroesButKeepsReferencesValid) {
-  Telemetry& telemetry = Telemetry::instance();
-  Counter& counter = telemetry.counter("test.persistent");
-  Gauge& gauge = telemetry.gauge("test.persistent_gauge");
-  counter.add(9);
-  gauge.set(2.5);
-
-  telemetry.reset();
-
-  // Hot paths cache these references in function-local statics; reset must
-  // zero the values without invalidating them.
-  EXPECT_EQ(counter.value(), 0);
-  EXPECT_EQ(gauge.value(), 0.0);
-  counter.add(1);
-  EXPECT_EQ(counter.value(), 1);
-  EXPECT_EQ(&telemetry.counter("test.persistent"), &counter);
-  EXPECT_EQ(&telemetry.gauge("test.persistent_gauge"), &gauge);
-}
-
 TEST_F(TelemetryTest, PhaseTotalsSurviveStepFlushes) {
   Telemetry& telemetry = Telemetry::instance();
   telemetry.configure(std::make_unique<NullTraceSink>(), TraceLevel::kPhases);
   telemetry.record_phase("test.p", 1.0);
-  telemetry.flush_step(0);
+  telemetry.flush_step(record_at(0));
   telemetry.record_phase("test.p", 2.0);
-  telemetry.flush_step(1);
+  telemetry.flush_step(record_at(1));
   EXPECT_DOUBLE_EQ(telemetry.phase_totals_ms().at("test.p"), 3.0);
 }
 
