@@ -123,7 +123,7 @@ void BM_ServeDecide(benchmark::State& state) {
   ServeOptions options;
   options.dir = dir;
   options.fsync = fsync;
-  options.compact_every = 0;  // journaling cost only; no background worker
+  options.compact_every = 0;  // journaling cost only; no step compacts
   MeghServer server(options);
   ServeClient client(std::make_shared<LocalTransport>(server));
   const InitRequest init = make_init(hosts, vms);
@@ -157,7 +157,7 @@ void BM_ServeCheckpoint(benchmark::State& state) {
   ServeOptions options;
   options.dir = dir;
   options.fsync = true;
-  options.compact_every = 0;  // compaction happens only when we ask
+  options.compact_every = 0;  // only the timed Checkpoint compacts
   MeghServer server(options);
   ServeClient client(std::make_shared<LocalTransport>(server));
   const InitRequest init = make_init(hosts, vms);

@@ -7,17 +7,6 @@
 
 namespace megh {
 
-const char* fault_class_name(FaultClass type) {
-  switch (type) {
-    case FaultClass::kMigrationAbort: return "migration_abort";
-    case FaultClass::kHostFailure: return "host_failure";
-    case FaultClass::kHostRecovery: return "host_recovery";
-    case FaultClass::kNetworkDegradation: return "network_degradation";
-    case FaultClass::kTraceGap: return "trace_gap";
-  }
-  return "unknown";
-}
-
 void FaultPlanConfig::validate() const {
   MEGH_REQUIRE(migration_abort_rate >= 0.0 && migration_abort_rate <= 1.0,
                "migration_abort_rate must lie in [0, 1]");

@@ -38,8 +38,6 @@ enum class FaultClass : std::uint8_t {
   kTraceGap = 4,           // telemetry outage: demands freeze for a window
 };
 
-const char* fault_class_name(FaultClass type);
-
 /// One scheduled fault. host is meaningful for host failure/recovery;
 /// magnitude is the bandwidth multiplier of a network degradation (in
 /// (0, 1]); duration_steps spans degradation and trace-gap windows

@@ -13,6 +13,18 @@ namespace megh {
 
 namespace {
 
+/// Slot headroom per pod: cap_p = N_p(begin) + max(min, ⌈frac·N_p⌉). A
+/// pod whose population outgrows cap_p stops offering the overflow VMs as
+/// candidates until churn frees slots (counted in `slot_overflows`); the
+/// engine can still evacuate them.
+constexpr int kPodSlotHeadroomMin = 16;
+constexpr double kPodSlotHeadroomFraction = 0.125;
+/// Emit pod<k>.* stat keys only for the first this many pods; the 15
+/// aggregate keys are always emitted.
+constexpr int kPodStatsLimit = 16;
+static_assert(15 + 3 * kPodStatsLimit <= PolicyStats::kCapacity,
+              "the per-pod stat keys must fit the PolicyStats table");
+
 /// Decorrelate the per-pod RNG streams while keeping pod 0's stream on the
 /// configured seed — the one-pod layout draws exactly the seed's stream.
 std::uint64_t pod_seed(std::uint64_t seed, int pod) {
@@ -54,10 +66,6 @@ HierarchicalMeghPolicy::HierarchicalMeghPolicy(
     : config_(config),
       selector_(config.base.temp0, config.base.epsilon) {
   validate(config.base);
-  MEGH_REQUIRE(config.pod_slot_headroom_min >= 0,
-               "HierMegh: pod_slot_headroom_min must be >= 0");
-  MEGH_REQUIRE(config.pod_slot_headroom_fraction >= 0.0,
-               "HierMegh: pod_slot_headroom_fraction must be >= 0");
 }
 
 HierarchicalMeghPolicy::HierarchicalMeghPolicy(const MeghConfig& config,
@@ -97,9 +105,8 @@ void HierarchicalMeghPolicy::begin(const Datacenter& dc,
     Pod& pod = pods_[static_cast<std::size_t>(p)];
     const int population = static_cast<int>(pod.members.size());
     const int headroom = std::max(
-        config_.pod_slot_headroom_min,
-        static_cast<int>(std::ceil(config_.pod_slot_headroom_fraction *
-                                   population)));
+        kPodSlotHeadroomMin,
+        static_cast<int>(std::ceil(kPodSlotHeadroomFraction * population)));
     // The one-pod layout holds every VM of the fleet and nothing else.
     reset_pod_slots(pod, one_pod_ ? dc.num_vms()
                                   : population + std::max(1, headroom));
@@ -636,7 +643,7 @@ void HierarchicalMeghPolicy::intern_stat_keys() {
   }
   pod_keys_.clear();
   const int pods_with_keys =
-      one_pod_ ? 0 : std::min(num_pods(), config_.per_pod_stats_limit);
+      one_pod_ ? 0 : std::min(num_pods(), kPodStatsLimit);
   pod_keys_.reserve(static_cast<std::size_t>(pods_with_keys) * 3);
   for (int p = 0; p < pods_with_keys; ++p) {
     const std::string prefix = "pod" + std::to_string(p) + ".";

@@ -125,7 +125,7 @@ struct MeghConfig {
   int max_update_support = 32;
   /// When false the critic is frozen: decide() still builds candidates,
   /// reads Q-values and Boltzmann-samples, but the LSPI update is skipped.
-  /// Used by the frozen-critic ablation and by the allocation-count test
+  /// No registered experiment sets it; the allocation-count test does
   /// (with the critic frozen, a steady-state step performs zero heap
   /// allocations; with it learning, the only allocations are the Q-table's
   /// own growth — the quantity Fig. 7 plots).
@@ -144,15 +144,6 @@ struct HierarchicalMeghConfig {
   /// fallback the step executor uses), which keeps the memory and
   /// parallelism story without a topology.
   std::shared_ptr<const FatTreeTopology> network;
-  /// Slot headroom per pod: cap_p = N_p(begin) + max(min, ⌈frac·N_p⌉).
-  /// A pod whose population outgrows cap_p stops offering the overflow
-  /// VMs as candidates until churn frees slots (counted in
-  /// `slot_overflows`); the engine can still evacuate them.
-  int pod_slot_headroom_min = 16;
-  double pod_slot_headroom_fraction = 0.125;
-  /// Emit pod<k>.* stat keys only up to this many pods (the aggregate
-  /// keys are always emitted; PolicyStats::kCapacity bounds the table).
-  int per_pod_stats_limit = 16;
 };
 
 /// The one Megh implementation: decide, observe, recovery and stats for

@@ -113,13 +113,13 @@ struct CheckOutcome {
 const char* check_status_name(CheckOutcome::Status status);
 
 struct ShapeCheck {
-  std::string description;
+  std::string description{};
   /// A SimulationTotals field name ("total_cost_usd", "migrations",
   /// "mean_active_hosts", "mean_exec_ms", ...) or a derived metric
   /// ("stable_cost", "convergence_step"). See cell_metric().
-  std::string metric;
-  std::string lhs;  // cell label
-  std::string rhs;  // cell label
+  std::string metric{};
+  std::string lhs{};  // cell label
+  std::string rhs{};  // cell label
   CheckRelation relation = CheckRelation::kLess;
   /// The rhs side is scaled by this factor ("5x fewer" => 0.2).
   double rhs_scale = 1.0;
@@ -127,7 +127,7 @@ struct ShapeCheck {
   /// claims that only hold at paper scale, e.g. the Fig-6 exec crossover).
   bool expected_at_reduced_scale = false;
   /// When set, the data fields above are ignored.
-  std::function<CheckOutcome(const ExperimentOutput&)> custom;
+  std::function<CheckOutcome(const ExperimentOutput&)> custom{};
 };
 
 // ---------------------------------------------------------------------------

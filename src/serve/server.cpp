@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <sstream>
 
@@ -111,18 +110,6 @@ MeghServer::MeghServer(ServeOptions options) : options_(std::move(options)) {
                "server would fork the WAL chain)");
   std::filesystem::create_directories(options_.dir);
   recover();
-  if (!options_.read_only && options_.compact_every > 0) {
-    compactor_ = std::thread([this] { compaction_loop(); });
-  }
-}
-
-MeghServer::~MeghServer() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  compact_cv_.notify_all();
-  if (compactor_.joinable()) compactor_.join();
 }
 
 bool MeghServer::initialized() const {
@@ -479,6 +466,7 @@ DecideResponse MeghServer::decide(const DecideRequest& req,
     throw;
   }
   ++decides_;
+  compact_if_due();
   DecideResponse resp;
   resp.actions = actions_;
   fill_policy_stats(resp.stats);
@@ -500,19 +488,20 @@ ObserveResponse MeghServer::observe(const ObserveRequest& req,
     throw;
   }
   ++observes_;
+  compact_if_due();
   ObserveResponse resp;
   fill_policy_stats(resp.stats);
   return resp;
 }
 
 CheckpointResponse MeghServer::checkpoint() {
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   MEGH_REQUIRE(initialized_, "serve: Checkpoint before Init");
   MEGH_REQUIRE(!options_.read_only, "serve: read-only server");
   // A snapshot of diverged state would outlive the restart that is
   // supposed to heal it — never compact a poisoned daemon.
   check_not_poisoned();
-  return compact_locked(lock);
+  return compact_locked();
 }
 
 StatsResponse MeghServer::stats_response() {
@@ -711,30 +700,49 @@ void MeghServer::load_snapshot(const std::filesystem::path& path) {
   snapshot_gen_ = parse_file_number(path);
 }
 
-CheckpointResponse MeghServer::compact_locked(
-    std::unique_lock<std::mutex>& lock) {
-  (void)lock;
+CheckpointResponse MeghServer::compact_locked() {
   MEGH_ASSERT(wal_ != nullptr && wal_->next_seq() == applied_seq_ + 1,
               "serve: WAL out of step with applied state");
   const std::uint64_t gen = snapshot_gen_ + 1;
   const std::uint64_t seq = applied_seq_;
+  // A throw here leaves the directory as it was: the temp file is removed
+  // and nothing else has been touched.
   write_file_atomic(options_.dir / snapshot_name(gen),
                     [&](std::ostream& out) { write_snapshot(out); },
                     options_.fsync);
-  // Rotate so the snapshot boundary coincides with a segment boundary;
-  // everything strictly older is then garbage.
-  wal_->rotate(seq + 1);
   snapshot_gen_ = gen;
   snapshot_seq_ = seq;
   records_since_compaction_ = 0;
+  // Rotate so the snapshot boundary coincides with a segment boundary;
+  // everything strictly older is then garbage. A failed rotation leaves
+  // the writer poisoned, so the daemon can journal nothing more.
+  try {
+    wal_->rotate(seq + 1);
+  } catch (const std::exception& e) {
+    poison(strf("WAL rotation after snapshot %llu failed: %s",
+                static_cast<unsigned long long>(gen), e.what()));
+    throw;
+  }
   ++compactions_;
 
-  // GC only after the new snapshot and segment are durable on disk.
+  // GC only after the new snapshot and segment are durable on disk. A
+  // failed unlink is logged, not fatal: the file is superseded.
+  const auto remove_superseded = [](const std::filesystem::path& path) {
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    if (ec) {
+      MEGH_LOG_WARN(strf("serve: cannot remove superseded %s: %s",
+                         path.string().c_str(), ec.message().c_str()));
+    }
+    return !ec;
+  };
+  // Oldest segment first, stopping at the first failure: recovery scans
+  // every segment, and a survivor followed by a gap would fail that scan.
   for (const std::filesystem::path& seg : list_wal_segments(options_.dir)) {
-    if (parse_file_number(seg) < seq + 1) std::filesystem::remove(seg);
+    if (parse_file_number(seg) >= seq + 1 || !remove_superseded(seg)) break;
   }
   for (const std::filesystem::path& snap : list_snapshots(options_.dir)) {
-    if (parse_file_number(snap) < gen) std::filesystem::remove(snap);
+    if (parse_file_number(snap) < gen) remove_superseded(snap);
   }
   CheckpointResponse resp;
   resp.snapshot_gen = gen;
@@ -742,18 +750,22 @@ CheckpointResponse MeghServer::compact_locked(
   return resp;
 }
 
-void MeghServer::compaction_loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!stop_) {
-    compact_cv_.wait_for(lock,
-                         std::chrono::milliseconds(options_.compact_poll_ms),
-                         [this] { return stop_; });
-    if (stop_) break;
-    if (initialized_ && !poisoned_ &&
-        records_since_compaction_ >=
-            static_cast<std::uint64_t>(options_.compact_every)) {
-      compact_locked(lock);
-    }
+void MeghServer::compact_if_due() {
+  // Due at every compact_every-th record since the last compaction, so a
+  // failed attempt is retried compact_every records later, not on every
+  // request.
+  if (options_.compact_every <= 0 ||
+      records_since_compaction_ %
+              static_cast<std::uint64_t>(options_.compact_every) !=
+          0) {
+    return;
+  }
+  try {
+    compact_locked();
+  } catch (const std::exception& e) {
+    MEGH_LOG_ERROR(strf("serve: compaction at seq %llu failed: %s",
+                        static_cast<unsigned long long>(applied_seq_),
+                        e.what()));
   }
 }
 

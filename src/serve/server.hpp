@@ -25,11 +25,17 @@
 //      mutation, the daemon poisons itself: every further mutating
 //      request, compaction, and dump is refused until a restart recovers
 //      the (consistent) journaled prefix.
-//   3. Compaction (background thread, or the Checkpoint verb) writes
-//      snap-<gen>.ckpt atomically under the state lock, rotates the WAL at
-//      the snapshot boundary, and only then unlinks older segments and
-//      snapshots. A crash at any instant leaves either the old
-//      snapshot+WAL chain or the new one — never neither.
+//   3. Compaction runs on the request path: the Decide or Observe that
+//      journals the compact_every-th record since the last compaction
+//      runs it before returning, and the Checkpoint verb runs it on
+//      demand. It writes snap-<gen>.ckpt atomically under the state lock,
+//      rotates the WAL at the snapshot boundary, and only then unlinks
+//      older segments and snapshots. A crash at any instant leaves either
+//      the old snapshot+WAL chain or the new one — never neither.
+//      A failed snapshot write changes nothing on disk; a failed rotation
+//      poisons the daemon; a failed unlink is only logged. A compaction
+//      failure never fails the request that triggered it: that request is
+//      already applied and journaled.
 //
 // Recovery = read init.bin, load the newest usable snapshot, replay WAL
 // records with seq greater than the snapshot's. kill -9 at any point
@@ -45,9 +51,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
-#include <condition_variable>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "core/megh_policy.hpp"
@@ -59,11 +63,9 @@ namespace megh::serve {
 
 struct ServeOptions {
   std::filesystem::path dir;
-  /// Compact after this many WAL records (0 = only on explicit
-  /// Checkpoint requests).
+  /// Compact on the request that journals this many WAL records since the
+  /// last compaction (0 = only on explicit Checkpoint requests).
   int compact_every = 4096;
-  /// Background compaction poll interval.
-  int compact_poll_ms = 200;
   /// fsync WAL appends and snapshot writes. Off = bench/test mode; the
   /// durability contract only holds with it on.
   bool fsync = true;
@@ -85,7 +87,6 @@ class MeghServer {
   /// whatever state it holds. Throws IoError/ConfigError on corruption —
   /// refusing to serve beats serving from damaged state.
   explicit MeghServer(ServeOptions options);
-  ~MeghServer();
 
   MeghServer(const MeghServer&) = delete;
   MeghServer& operator=(const MeghServer&) = delete;
@@ -115,7 +116,7 @@ class MeghServer {
   std::uint64_t next_seq() const;
 
   /// Serialize the complete server state (placement mirror, demands,
-  /// pending SARSA, embedded v3 policy checkpoint) — the same bytes a
+  /// pending SARSA, embedded v4 policy checkpoint) — the same bytes a
   /// compaction snapshot holds. Two servers that dump identical bytes are
   /// in identical states; the CI crash-recovery job compares these.
   void dump_state(std::ostream& out);
@@ -140,11 +141,15 @@ class MeghServer {
   void journal(MsgType type, std::span<const std::uint8_t> payload);
   void write_snapshot(std::ostream& out);
   void load_snapshot(const std::filesystem::path& path);
-  CheckpointResponse compact_locked(std::unique_lock<std::mutex>& lock);
+  /// Snapshot, rotate, unlink what the snapshot supersedes. Throws if the
+  /// snapshot write or the rotation fails; a failed rotation poisons.
+  CheckpointResponse compact_locked();
+  /// Run compact_locked when the record just journaled is due one; log a
+  /// failure instead of throwing it.
+  void compact_if_due();
   /// The policy's own stats; fill_stats appends the serve.* counters.
   void fill_policy_stats(std::vector<StatEntry>& out);
   void fill_stats(std::vector<StatEntry>& out);
-  void compaction_loop();
 
   ServeOptions options_;
   mutable std::mutex mutex_;
@@ -177,8 +182,9 @@ class MeghServer {
   std::atomic<long long> errors_{0};
 
   // Poison latch: set when live state may have diverged from the journal
-  // (partial apply, or a WAL append failure after an apply). Mutating
-  // requests are refused until a restart replays the consistent prefix.
+  // (partial apply, or a WAL append failure after an apply) or the WAL
+  // writer can no longer append (a failed rotation). Mutating requests are
+  // refused until a restart replays the consistent prefix.
   bool poisoned_ = false;
   std::string poison_reason_;
 
@@ -188,11 +194,6 @@ class MeghServer {
   std::vector<double> ram_scratch_;
   std::vector<std::pair<int, int>> moved_scratch_;
   PolicyStats stats_scratch_;
-
-  // Background compaction.
-  std::thread compactor_;
-  std::condition_variable compact_cv_;
-  bool stop_ = false;
 };
 
 }  // namespace megh::serve

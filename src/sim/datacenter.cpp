@@ -121,7 +121,7 @@ void Datacenter::set_demands(std::span<const double> vm_utilization,
   // Every VM's demand may have changed: refresh each host's sum once. Each
   // refresh reads only that host's VM list and writes only that host's
   // cached sum, so sharding the loop cannot change any value.
-  if (exec != nullptr && exec->parallel()) {
+  if (exec != nullptr) {
     MEGH_ASSERT(exec->plan().count() == num_hosts(),
                 "set_demands: executor plan does not cover the fleet");
     exec->for_items([this](int h) { recompute_host_demand(h); });
@@ -184,7 +184,7 @@ void Datacenter::all_host_utilization(std::vector<double>& out,
         host_demand_mips_[static_cast<std::size_t>(h)] /
         hosts_[static_cast<std::size_t>(h)].mips;
   };
-  if (exec != nullptr && exec->parallel()) {
+  if (exec != nullptr) {
     MEGH_ASSERT(exec->plan().count() == num_hosts(),
                 "all_host_utilization: executor plan does not cover the fleet");
     exec->for_items(fill);

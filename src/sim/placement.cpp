@@ -113,19 +113,4 @@ std::optional<int> find_pabfd_target(const Datacenter& dc, int vm,
   return best;
 }
 
-std::optional<int> find_first_fit_target(const Datacenter& dc, int vm,
-                                         double util_ceiling,
-                                         std::span<const int> exclude) {
-  const int current = dc.host_of(vm);
-  for (int pass = 0; pass < 2; ++pass) {
-    const bool want_active = pass == 0;
-    for (int h = 0; h < dc.num_hosts(); ++h) {
-      if (h == current || excluded(exclude, h)) continue;
-      if (dc.is_active(h) != want_active) continue;
-      if (feasible(dc, vm, h, util_ceiling)) return h;
-    }
-  }
-  return std::nullopt;
-}
-
 }  // namespace megh

@@ -37,10 +37,4 @@ std::optional<int> find_pabfd_target(const Datacenter& dc, int vm,
                                      double util_ceiling,
                                      std::span<const int> exclude = {});
 
-/// First active host (then first sleeping host) where the VM fits under the
-/// utilization ceiling.
-std::optional<int> find_first_fit_target(const Datacenter& dc, int vm,
-                                         double util_ceiling,
-                                         std::span<const int> exclude = {});
-
 }  // namespace megh

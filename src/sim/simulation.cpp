@@ -429,11 +429,7 @@ SimulationResult Simulation::run(MigrationPolicy& policy, int num_steps) {
         for (int vm : dc_.vms_on(h)) sla.add_overload_downtime(vm, downtime);
       }
     };
-    if (exec.parallel()) {
-      exec.for_items(account_host);
-    } else {
-      for (int h = 0; h < dc_.num_hosts(); ++h) account_host(h);
-    }
+    exec.for_items(account_host);
     RunningStats util_stats;
     for (int h = 0; h < dc_.num_hosts(); ++h) {
       const std::size_t i = static_cast<std::size_t>(h);

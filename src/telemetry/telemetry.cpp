@@ -43,8 +43,6 @@ void Telemetry::record_phase(const char* name, double ms) {
   PhaseAccum& accum = phases_[name];
   accum.step_ms += ms;
   ++accum.step_count;
-  accum.total_ms += ms;
-  ++accum.total_count;
 }
 
 void Telemetry::flush_step(TraceRecord record) {
@@ -60,15 +58,6 @@ void Telemetry::flush_step(TraceRecord record) {
     }
   }
   sink_->write(record);
-}
-
-std::map<std::string, double> Telemetry::phase_totals_ms() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, double> out;
-  for (const auto& [name, accum] : phases_) {
-    out[name] = accum.total_ms;
-  }
-  return out;
 }
 
 void Telemetry::reset() {

@@ -60,10 +60,6 @@ class Telemetry {
   /// accumulators. No-op at TraceLevel::kOff.
   void flush_step(TraceRecord record);
 
-  /// Cumulative per-phase totals since the last reset (ms and entry
-  /// counts) — what tools/trace_summary.cpp prints for a live process.
-  std::map<std::string, double> phase_totals_ms() const;
-
   /// Clear every phase accumulator and revert to the null sink at kOff.
   void reset();
 
@@ -73,8 +69,6 @@ class Telemetry {
   struct PhaseAccum {
     double step_ms = 0.0;
     long long step_count = 0;
-    double total_ms = 0.0;
-    long long total_count = 0;
   };
 
   mutable std::mutex mu_;

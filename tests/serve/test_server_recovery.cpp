@@ -67,7 +67,6 @@ class ServerRecoveryTest : public ::testing::Test {
     ServeOptions options;
     options.dir = std::move(dir);
     options.compact_every = compact_every;
-    options.compact_poll_ms = 1;
     options.fsync = false;  // crash-at-boundary tests don't lose power
     return options;
   }
@@ -132,6 +131,19 @@ class ServerRecoveryTest : public ::testing::Test {
     std::ostringstream out;
     server.dump_state(out);
     return out.str();
+  }
+
+  static double stat_of(MeghServer& server, const std::string& name) {
+    for (const StatEntry& entry : server.stats_response().stats) {
+      if (entry.name == name) return entry.value;
+    }
+    ADD_FAILURE() << "Stats has no " << name;
+    return -1.0;
+  }
+
+  /// The file a compaction of generation `gen` writes its snapshot to.
+  static std::string snapshot_file(std::uint64_t gen) {
+    return strf("snap-%020llu.ckpt", static_cast<unsigned long long>(gen));
   }
 
   std::filesystem::path root_;
@@ -239,10 +251,23 @@ TEST_F(ServerRecoveryTest, KillPointsWithCompactionAndCheckpointsRecover) {
   ASSERT_EQ(log.size(), 62u);
 
   // A handful of kill points across a longer run, now with aggressive
-  // compaction and explicit mid-stream checkpoints in the mix.
-  for (const std::size_t kill_at :
-       {std::size_t{2}, std::size_t{9}, std::size_t{20}, std::size_t{33},
-        log.size() / 2, log.size() - 2}) {
+  // compaction and explicit mid-stream checkpoints in the mix. Request i
+  // journals seq i; a compaction runs on every 7th record since the last
+  // one and on the checkpoint after request kill_at / 2, so the snapshot
+  // each kill recovers from is known exactly.
+  struct KillPoint {
+    std::size_t kill_at;
+    std::uint64_t snapshot_seq;
+  };
+  for (const KillPoint point : {
+           KillPoint{2, 1},    // right after the checkpoint at seq 1
+           KillPoint{9, 4},    // checkpoint at 4, then 4 records
+           KillPoint{20, 17},  // 7, checkpoint at 10, 17
+           KillPoint{31, 29},  // 7, 14, checkpoint at 15, 22, 29
+           KillPoint{33, 30},  // 7, 14, checkpoint at 16, 23, 30
+           KillPoint{60, 58},  // 7 … 28, checkpoint at 30, 37 … 58
+       }) {
+    const std::size_t kill_at = point.kill_at;
     const auto dir = root_ / ("victim_" + std::to_string(kill_at));
     {
       MeghServer before(fast_options(dir, /*compact_every=*/7));
@@ -250,8 +275,13 @@ TEST_F(ServerRecoveryTest, KillPointsWithCompactionAndCheckpointsRecover) {
         before.handle(log[i].type, log[i].payload);
         if (i == kill_at / 2) before.checkpoint();
       }
+      EXPECT_EQ(before.wal_status().snapshot_seq, point.snapshot_seq)
+          << "kill at " << kill_at;
     }
     MeghServer after(fast_options(dir, /*compact_every=*/7));
+    EXPECT_EQ(after.wal_status().snapshot_seq, point.snapshot_seq)
+        << "kill at " << kill_at;
+    EXPECT_EQ(after.recovered_seq(), kill_at - 1) << "kill at " << kill_at;
     for (std::size_t i = kill_at; i < log.size(); ++i) {
       const std::vector<std::uint8_t> response =
           after.handle(log[i].type, log[i].payload);
@@ -556,11 +586,7 @@ TEST_F(ServerRecoveryTest, StatsReportErrorsAndPoisoning) {
   MeghServer server(fast_options(dir, /*compact_every=*/0));
   server.handle(log[0].type, log[0].payload);  // Init
   const auto stat = [&server](const std::string& name) {
-    for (const StatEntry& entry : server.stats_response().stats) {
-      if (entry.name == name) return entry.value;
-    }
-    ADD_FAILURE() << "Stats has no " << name;
-    return -1.0;
+    return stat_of(server, name);
   };
   EXPECT_EQ(stat("serve.errors"), 0.0);
   EXPECT_EQ(stat("serve.poisoned"), 0.0);
@@ -571,14 +597,163 @@ TEST_F(ServerRecoveryTest, StatsReportErrorsAndPoisoning) {
   EXPECT_EQ(stat("serve.poisoned"), 0.0);
 
   // A directory where the checkpoint's next WAL segment must go makes the
-  // rotation fail, which poisons the WAL writer; the next Decide applies,
-  // cannot be journaled, and latches the daemon.
+  // rotation fail, which latches the daemon at once; the next Decide is
+  // refused.
   EXPECT_EQ(server.handle(log[1].type, log[1].payload).at(0), 0);
   std::filesystem::create_directory(dir / wal_segment_name(server.next_seq()));
   EXPECT_THROW(server.checkpoint(), std::exception);
+  EXPECT_EQ(stat("serve.poisoned"), 1.0);
   EXPECT_EQ(server.handle(log[2].type, log[2].payload).at(0), 1);
   EXPECT_EQ(stat("serve.errors"), 2.0);
   EXPECT_EQ(stat("serve.poisoned"), 1.0);
+}
+
+TEST_F(ServerRecoveryTest, CompactionRunsOnTheRequestThatCrossesTheThreshold) {
+  const std::vector<Recorded> log =
+      record_reference(root_ / "ref", /*steps=*/16, nullptr);
+  ASSERT_EQ(log.size(), 18u);
+  const auto dir = root_ / "dir";
+  MeghServer server(fast_options(dir, /*compact_every=*/7));
+  server.handle(log[0].type, log[0].payload);  // Init
+  // Request i journals seq i; the 7th and 14th records each compact before
+  // their request returns, with nothing else called in between.
+  for (std::size_t i = 1; i < log.size(); ++i) {
+    ASSERT_EQ(server.handle(log[i].type, log[i].payload), log[i].response)
+        << "request " << i;
+    const WalStatusResponse wal = server.wal_status();
+    EXPECT_EQ(wal.snapshot_seq, i / 7 * 7) << "after seq " << i;
+    EXPECT_EQ(wal.snapshot_gen, i / 7) << "after seq " << i;
+    EXPECT_EQ(wal.records_since_compaction, i % 7) << "after seq " << i;
+    EXPECT_EQ(wal.segments, 1u) << "superseded segments survive seq " << i;
+  }
+  EXPECT_EQ(stat_of(server, "serve.compactions"), 2.0);
+  std::vector<std::string> snapshots;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("snap-")) snapshots.push_back(name);
+  }
+  EXPECT_EQ(snapshots, std::vector<std::string>{snapshot_file(2)});
+}
+
+TEST_F(ServerRecoveryTest, FailedRotationPoisonsTheDaemonAtOnce) {
+  const std::vector<Recorded> log =
+      record_reference(root_ / "ref", /*steps=*/10, nullptr);
+  ASSERT_EQ(log[7].type, MsgType::kDecide);
+  ASSERT_EQ(log[8].type, MsgType::kDecide);
+  // A directory where the next WAL segment must go makes the rotation
+  // fail after the snapshot is durable.
+  {
+    const auto dir = root_ / "inline";
+    {
+      MeghServer server(fast_options(dir, /*compact_every=*/7));
+      for (std::size_t i = 0; i < 7; ++i) {
+        ASSERT_EQ(server.handle(log[i].type, log[i].payload).at(0), 0);
+      }
+      std::filesystem::create_directory(dir / wal_segment_name(8));
+      // The 7th record triggers the compaction; it is applied and
+      // journaled, so it is still acknowledged.
+      EXPECT_EQ(server.handle(log[7].type, log[7].payload), log[7].response);
+      EXPECT_EQ(stat_of(server, "serve.poisoned"), 1.0);
+      EXPECT_EQ(server.handle(log[8].type, log[8].payload).at(0), 1);
+    }
+    // The snapshot it wrote is the one a restart recovers from.
+    std::filesystem::remove(dir / wal_segment_name(8));
+    MeghServer after(fast_options(dir, /*compact_every=*/7));
+    EXPECT_EQ(after.recovered_seq(), 7u);
+    EXPECT_EQ(after.wal_status().snapshot_seq, 7u);
+    expect_same_decision(after.handle(log[8].type, log[8].payload),
+                         log[8].response, "after the restart");
+  }
+  {
+    const auto dir = root_ / "verb";
+    MeghServer server(fast_options(dir, /*compact_every=*/0));
+    for (std::size_t i = 0; i < 7; ++i) {
+      ASSERT_EQ(server.handle(log[i].type, log[i].payload).at(0), 0);
+    }
+    std::filesystem::create_directory(dir / wal_segment_name(7));
+    EXPECT_THROW(server.checkpoint(), IoError);
+    EXPECT_EQ(stat_of(server, "serve.poisoned"), 1.0);
+    EXPECT_EQ(server.handle(log[7].type, log[7].payload).at(0), 1);
+  }
+}
+
+TEST_F(ServerRecoveryTest, FailedSnapshotWriteKeepsServing) {
+  std::string ref_dump;
+  const std::vector<Recorded> log =
+      record_reference(root_ / "ref", /*steps=*/24, &ref_dump);
+  ASSERT_EQ(log.size(), 26u);
+  // A directory where the next snapshot must go makes its write fail
+  // before anything on disk changes.
+  {
+    const auto dir = root_ / "inline";
+    {
+      MeghServer server(fast_options(dir, /*compact_every=*/7));
+      for (std::size_t i = 0; i < log.size(); ++i) {
+        if (i == 1) std::filesystem::create_directory(dir / snapshot_file(1));
+        if (i == 15) std::filesystem::remove(dir / snapshot_file(1));
+        // The triggering requests (seq 7 and 14) are acknowledged.
+        ASSERT_EQ(server.handle(log[i].type, log[i].payload), log[i].response)
+            << "request " << i;
+        if (i == 7 || i == 14) {
+          EXPECT_EQ(server.wal_status().snapshot_seq, 0u) << "seq " << i;
+          EXPECT_EQ(stat_of(server, "serve.poisoned"), 0.0) << "seq " << i;
+        }
+      }
+      // Retried compact_every records after each failure: seq 21 succeeds.
+      const WalStatusResponse wal = server.wal_status();
+      EXPECT_EQ(wal.snapshot_gen, 1u);
+      EXPECT_EQ(wal.snapshot_seq, 21u);
+      EXPECT_EQ(wal.records_since_compaction, 4u);
+      EXPECT_EQ(stat_of(server, "serve.compactions"), 1.0);
+      EXPECT_EQ(dump_of(server), ref_dump);
+    }
+    MeghServer after(fast_options(dir, /*compact_every=*/7));
+    EXPECT_EQ(dump_of(after), ref_dump);
+  }
+  {
+    const auto dir = root_ / "verb";
+    MeghServer server(fast_options(dir, /*compact_every=*/0));
+    for (std::size_t i = 0; i < 7; ++i) {
+      ASSERT_EQ(server.handle(log[i].type, log[i].payload).at(0), 0);
+    }
+    std::filesystem::create_directory(dir / snapshot_file(1));
+    EXPECT_THROW(server.checkpoint(), IoError);
+    EXPECT_EQ(stat_of(server, "serve.poisoned"), 0.0);
+    EXPECT_EQ(server.wal_status().snapshot_seq, 0u);
+    for (std::size_t i = 7; i < log.size(); ++i) {
+      ASSERT_EQ(server.handle(log[i].type, log[i].payload), log[i].response)
+          << "request " << i;
+    }
+    EXPECT_EQ(dump_of(server), ref_dump);
+  }
+}
+
+TEST_F(ServerRecoveryTest, FailedCleanupIsNotFatal) {
+  const std::vector<Recorded> log =
+      record_reference(root_ / "ref", /*steps=*/6, nullptr);
+  // Non-empty directories named like a superseded snapshot and segment
+  // cannot be unlinked; the compaction itself has succeeded by then.
+  for (const int compact_every : {7, 0}) {
+    const auto dir = root_ / ("every_" + std::to_string(compact_every));
+    MeghServer server(fast_options(dir, compact_every));
+    server.handle(log[0].type, log[0].payload);  // Init
+    std::filesystem::create_directories(dir / snapshot_file(0) / "keep");
+    std::filesystem::create_directories(dir / wal_segment_name(0) / "keep");
+    for (std::size_t i = 1; i < log.size(); ++i) {
+      ASSERT_EQ(server.handle(log[i].type, log[i].payload), log[i].response)
+          << "request " << i;
+    }
+    if (compact_every == 0) {
+      EXPECT_EQ(server.checkpoint().snapshot_seq, 7u);
+    }
+    EXPECT_EQ(server.wal_status().snapshot_seq, 7u);
+    EXPECT_EQ(stat_of(server, "serve.compactions"), 1.0);
+    EXPECT_EQ(stat_of(server, "serve.poisoned"), 0.0);
+    EXPECT_TRUE(std::filesystem::exists(dir / snapshot_file(0)));
+    // Segments newer than one that could not be removed stay too, so the
+    // surviving chain has no gap for recovery to reject.
+    EXPECT_TRUE(std::filesystem::exists(dir / wal_segment_name(1)));
+  }
 }
 
 TEST_F(ServerRecoveryTest, InvalidInitLeavesTheDirectoryClean) {

@@ -40,7 +40,6 @@ TEST_F(SocketServeTest, ServesSimulationAndAdminVerbsOverSocket) {
   ServeOptions options;
   options.dir = root_ / "state";
   options.compact_every = 10;
-  options.compact_poll_ms = 5;
   options.fsync = false;
   MeghServer server(options);
   SocketServer listener(server, socket_path_);

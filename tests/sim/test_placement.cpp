@@ -115,15 +115,5 @@ TEST(PabfdTest, NothingFitsReturnsNullopt) {
   EXPECT_FALSE(find_pabfd_target(dc, 1, 1.0).has_value());
 }
 
-TEST(FirstFitTargetTest, PrefersActiveThenSleeping) {
-  Datacenter dc = make_dc(3, {{1000, 512, 100}, {500, 512, 100}});
-  dc.place(0, 1);  // host 1 active, hosts 0/2 asleep
-  const std::vector<double> demands{0.1, 0.1};
-  dc.set_demands(demands);
-  const auto target = find_first_fit_target(dc, 1, 1.0);
-  ASSERT_TRUE(target.has_value());
-  EXPECT_EQ(*target, 1);
-}
-
 }  // namespace
 }  // namespace megh

@@ -122,7 +122,6 @@ TEST_F(TelemetryTest, OffLevelIsANoOp) {
     MEGH_TRACE_SCOPE("test.ignored");  // guard must not record at kOff
   }
   telemetry.flush_step(record_at(0));
-  EXPECT_TRUE(telemetry.phase_totals_ms().empty());
 
   // A record handed to the flush at kOff never reaches the sink.
   auto sink = std::make_unique<VectorSink>();
@@ -132,6 +131,14 @@ TEST_F(TelemetryTest, OffLevelIsANoOp) {
   record.counters["test.c"] = 3;
   telemetry.flush_step(record);
   EXPECT_TRUE(captured->records().empty());
+
+  // The scope at kOff left nothing behind for a later kPhases flush.
+  auto phases_sink = std::make_unique<VectorSink>();
+  VectorSink* phases = phases_sink.get();
+  telemetry.configure(std::move(phases_sink), TraceLevel::kPhases);
+  telemetry.flush_step(record_at(2));
+  ASSERT_EQ(phases->records().size(), 1u);
+  EXPECT_TRUE(phases->records()[0].phase_ms.empty());
 }
 
 TEST_F(TelemetryTest, ScopedPhaseAccumulatesIntoStepRecord) {
@@ -177,16 +184,6 @@ TEST_F(TelemetryTest, CountersLevelOmitsPhases) {
   EXPECT_TRUE(record.phase_ms.empty());
   EXPECT_EQ(record.counters.at("test.c"), 2);
   EXPECT_DOUBLE_EQ(record.gauges.at("test.g"), 1.5);
-}
-
-TEST_F(TelemetryTest, PhaseTotalsSurviveStepFlushes) {
-  Telemetry& telemetry = Telemetry::instance();
-  telemetry.configure(std::make_unique<NullTraceSink>(), TraceLevel::kPhases);
-  telemetry.record_phase("test.p", 1.0);
-  telemetry.flush_step(record_at(0));
-  telemetry.record_phase("test.p", 2.0);
-  telemetry.flush_step(record_at(1));
-  EXPECT_DOUBLE_EQ(telemetry.phase_totals_ms().at("test.p"), 3.0);
 }
 
 TEST_F(TelemetryTest, TraceLevelParsing) {

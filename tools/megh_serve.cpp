@@ -37,10 +37,9 @@ int main(int argc, char** argv) {
   args.add_flag("socket", "Unix domain socket path to listen on",
                 "megh_serve.sock");
   args.add_flag("compact-every",
-                "compact after this many WAL records (0 = only on explicit "
-                "checkpoint requests)", "4096");
-  args.add_flag("compact-interval-ms", "background compaction poll interval",
-                "200");
+                "compact on the request that journals this many WAL records "
+                "since the last compaction (0 = only on explicit checkpoint "
+                "requests)", "4096");
   args.add_bool("no-fsync",
                 "skip fsync on WAL appends and snapshots (bench mode; "
                 "durability is NOT guaranteed)");
@@ -60,8 +59,6 @@ int main(int argc, char** argv) {
     serve::ServeOptions options;
     options.dir = args.get("dir");
     options.compact_every = static_cast<int>(args.get_int("compact-every"));
-    options.compact_poll_ms =
-        static_cast<int>(args.get_int("compact-interval-ms"));
     options.fsync = !args.get_bool("no-fsync");
 
     if (args.get_bool("recover-only")) {
