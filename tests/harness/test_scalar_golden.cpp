@@ -1,9 +1,9 @@
-// Reproducibility pin for the learner kernels and the candidate scans: fig2
-// smoke runs must reproduce the committed decision CSVs bit for bit. The
-// kernels have one scalar path with a fixed operation order and libm exp,
-// so these goldens pin decisions on every host, whatever vector extensions
-// its CPU has. The per-step exec_ms column is wall-clock and exempt; every
-// other column is compared as exact text.
+// Reproducibility pin for the learner, the candidate scans and the draw
+// coordinator: fig2 smoke runs must reproduce the committed decision CSVs
+// bit for bit. The kernels have one scalar path with a fixed operation
+// order and libm exp, so these goldens pin decisions on every host,
+// whatever vector extensions its CPU has. The per-step exec_ms column is
+// wall-clock and exempt; every other column is compared as exact text.
 //
 // Two scales: the 24 × 36 fig2 run has d = 864 ≤ full_enumeration_limit,
 // so Megh enumerates every action there; the 100 × 130 run (d = 13000)
@@ -11,7 +11,10 @@
 // targets and the random probes of generate_candidates. Two more 24 × 36
 // variants pin the fault-recovery machinery (masking, retries, burst
 // rollback under a nonzero FaultPlan) and the paper's δ = d critic
-// initialization (delta <= 0).
+// initialization (delta <= 0). Two 100 × 130 runs at a 10% cap pin the
+// order of the Boltzmann draws: hierarchical Megh on a seven-pod fabric,
+// and a cold flat Megh whose decisions move when any weight moves by one
+// ulp.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -25,9 +28,12 @@
 
 #include "baselines/mmt_policy.hpp"
 #include "chaos/fault_plan.hpp"
+#include "core/hierarchical_megh.hpp"
 #include "core/megh_policy.hpp"
 #include "harness/experiment_engine.hpp"
 #include "harness/experiment_spec.hpp"
+#include "sim/network.hpp"
+#include "sim/simulation.hpp"
 
 namespace megh {
 namespace {
@@ -35,12 +41,18 @@ namespace {
 /// A fig2 configuration the goldens were recorded at. Pinned here
 /// independently of the live bench spec: the goldens belong to *these*
 /// scenarios, whatever the bench later scales to. `with_thr` adds the
-/// THR-MMT cell next to Megh; `tune` adjusts the Megh cell's config and an
-/// enabled `faults` config is compiled into a plan for every cell.
+/// THR-MMT cell next to Megh; `tune` adjusts the Megh cell's config (its
+/// max_migration_fraction is also the cell's engine cap) and an enabled
+/// `faults` config is compiled into a plan for every cell. A `network`
+/// attaches that fabric to the Megh cell and runs it as hierarchical Megh
+/// (label "HierMegh"), one learner per pod; `configure_sim` adjusts the
+/// Megh cell's simulation config.
 ExperimentSpec golden_fig2_spec(
     const std::string& series, int hosts, int vms, bool with_thr,
     std::function<void(MeghConfig&)> tune = nullptr,
-    FaultPlanConfig faults = {}) {
+    FaultPlanConfig faults = {},
+    std::shared_ptr<const FatTreeTopology> network = nullptr,
+    std::function<void(SimulationConfig&)> configure_sim = nullptr) {
   ExperimentSpec spec;
   spec.name = "scalar_golden_" + series;
   spec.paper_ref = "Figure 2";
@@ -52,8 +64,8 @@ ExperimentSpec golden_fig2_spec(
       {"vms", v, v, v, "VM count"},
       {"steps", 60, 60, 60, "5-minute steps"},
   };
-  spec.plan = [with_thr, tune, faults](const ScaleValues& scale,
-                                       std::uint64_t seed) {
+  spec.plan = [with_thr, tune, faults, network, configure_sim](
+                  const ScaleValues& scale, std::uint64_t seed) {
     ExperimentPlan plan;
     plan.scenarios.push_back(make_planetlab_scenario(
         scale.get_int("hosts"), scale.get_int("vms"), scale.get_int("steps"),
@@ -72,17 +84,23 @@ ExperimentSpec golden_fig2_spec(
       plan.cells.push_back(std::move(thr));
     }
     {
+      MeghConfig config;
+      config.seed = seed;
+      if (tune) tune(config);
       CellSpec megh;
-      megh.label = "Megh";
+      megh.label = network != nullptr ? "HierMegh" : "Megh";
       megh.rng_stream = seed;
-      megh.make = [seed, tune] {
-        MeghConfig config;
-        config.seed = seed;
-        if (tune) tune(config);
-        return std::make_unique<MeghPolicy>(config);
+      megh.make = [config, network]() -> std::unique_ptr<MigrationPolicy> {
+        if (network == nullptr) return std::make_unique<MeghPolicy>(config);
+        HierarchicalMeghConfig hier;
+        hier.base = config;
+        hier.network = network;
+        return std::make_unique<HierarchicalMeghPolicy>(hier);
       };
-      megh.options.max_migration_fraction = 0.02;
+      megh.options.max_migration_fraction = config.max_migration_fraction;
+      megh.options.network = network;
       megh.options.faults = fault_plan;
+      megh.options.configure_sim = configure_sim;
       plan.cells.push_back(std::move(megh));
     }
     return plan;
@@ -174,7 +192,10 @@ void expect_matches_goldens(const ExperimentSpec& spec,
   }
 }
 
-TEST(ScalarGolden, ForcedScalarFig2DecisionsAreBitIdentical) {
+TEST(ScalarGolden, EnumeratedFig2DecisionsAreBitIdentical) {
+  // d = 24 × 36 = 864 <= full_enumeration_limit: Megh scores every action.
+  // The only golden of the default-temperature enumerated path and of the
+  // THR-MMT baseline.
   expect_matches_goldens(golden_fig2_spec("fig2", 24, 36, /*with_thr=*/true),
                          {"fig2_Megh.csv", "fig2_THR-MMT.csv"});
 }
@@ -233,6 +254,50 @@ TEST(ScalarGolden, PaperDeltaFig2DecisionsAreBitIdentical) {
                          config.temp0 = 0.001;
                        }),
       {"fig2_paper_delta_Megh.csv"});
+}
+
+/// Overload at utilization 0.4 instead of 0.7: the synthetic PlanetLab
+/// load rarely crosses 0.7, so the reactive round would hardly ever draw.
+void overload_at_0_4(SimulationConfig& config) {
+  config.cost.beta_overload = 0.4;
+}
+
+TEST(ScalarGolden, HierarchicalDrawOrderFig2DecisionsAreBitIdentical) {
+  // Seven pods of a k = 8 fat-tree (100 hosts: six full pods of 16 and a
+  // clipped one of 4), each on the sampled candidate path, at a 10% cap:
+  // 13 draws a step against one reactive group per overloaded host plus a
+  // consolidation and a whole-set group per pod, so most steps run out of
+  // budget partway through the exploration round. Pins the coordinator's
+  // draw order — rounds (reactive, consolidation, exploration), pods
+  // ascending within a round, overloaded hosts ascending within a pod.
+  expect_matches_goldens(
+      golden_fig2_spec("fig2_hier_draws", 100, 130, /*with_thr=*/false,
+                       [](MeghConfig& config) {
+                         config.max_migration_fraction = 0.1;
+                         config.candidates.full_enumeration_limit = 0;
+                       },
+                       {},
+                       std::make_shared<const FatTreeTopology>(
+                           FatTreeTopology::for_hosts(100)),
+                       overload_at_0_4),
+      {"fig2_hier_draws_HierMegh.csv"});
+}
+
+TEST(ScalarGolden, ColdFlatDrawOrderFig2DecisionsAreBitIdentical) {
+  // Flat Megh on the sampled 100 x 130 run at the same 10% cap and
+  // overload threshold: one pod, so the rounds share one RNG stream. The
+  // temperature is so low that every weight of a group far from the
+  // step's best candidate underflows to 0, and such a group spends budget
+  // without a draw — so raising each Boltzmann weight by one ulp changes
+  // the decisions here, where the warm goldens never notice it.
+  expect_matches_goldens(
+      golden_fig2_spec("fig2_cold_draws", 100, 130, /*with_thr=*/false,
+                       [](MeghConfig& config) {
+                         config.max_migration_fraction = 0.1;
+                         config.temp0 = 1e-5;
+                       },
+                       {}, nullptr, overload_at_0_4),
+      {"fig2_cold_draws_Megh.csv"});
 }
 
 }  // namespace
