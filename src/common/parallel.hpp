@@ -113,6 +113,7 @@ class ShardPlan {
   int shard_end(int s) const {
     return bounds_[static_cast<std::size_t>(s) + 1];
   }
+  bool operator==(const ShardPlan&) const = default;
 
  private:
   explicit ShardPlan(std::vector<int> bounds) : bounds_(std::move(bounds)) {}

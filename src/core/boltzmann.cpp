@@ -14,13 +14,6 @@ BoltzmannSelector::BoltzmannSelector(double temp0, double epsilon)
   MEGH_REQUIRE(epsilon >= 0.0, "Boltzmann epsilon must be non-negative");
 }
 
-std::vector<double> BoltzmannSelector::weights(
-    std::span<const double> q_values) const {
-  std::vector<double> w;
-  weights(q_values, w);
-  return w;
-}
-
 void BoltzmannSelector::weights(std::span<const double> q_values,
                                 std::vector<double>& out) const {
   MEGH_ASSERT(!q_values.empty(), "Boltzmann weights need at least one action");
@@ -45,15 +38,6 @@ void BoltzmannSelector::weights(std::span<const double> q_values,
     const double q = q_values[k];
     out[k] = std::isfinite(q) ? std::exp(-(q - min_q) / temp) : 0.0;
   }
-}
-
-std::size_t BoltzmannSelector::sample(std::span<const double> q_values,
-                                      Rng& rng) const {
-  const std::vector<double> w = weights(q_values);
-  double total = 0.0;
-  for (double x : w) total += x;
-  if (!(total > 0.0) || !std::isfinite(total)) return greedy(q_values);
-  return rng.weighted_index(w);
 }
 
 std::size_t BoltzmannSelector::greedy(std::span<const double> q_values) {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 
 namespace megh {
 
@@ -20,18 +19,12 @@ class BoltzmannSelector {
  public:
   BoltzmannSelector(double temp0, double epsilon);
 
-  /// Selection weights for the given Q-values (unnormalized, in [0, 1]).
-  std::vector<double> weights(std::span<const double> q_values) const;
-
-  /// Allocation-free variant: `out` is cleared and refilled in place, so a
-  /// caller reusing the buffer across steps never touches the heap once
-  /// its capacity has grown to the candidate-set size.
+  /// Selection weights for the given Q-values (unnormalized, in [0, 1])
+  /// into `out`, refilled in place: a caller reusing the buffer across
+  /// steps never touches the heap once its capacity has grown to the
+  /// candidate-set size. A draw is Rng::weighted_index over them.
   void weights(std::span<const double> q_values,
                std::vector<double>& out) const;
-
-  /// Sample one index proportionally to weights(). Falls back to the
-  /// greedy minimum if every weight underflows.
-  std::size_t sample(std::span<const double> q_values, Rng& rng) const;
 
   /// Index of the minimum Q-value (the greedy choice).
   static std::size_t greedy(std::span<const double> q_values);
@@ -46,7 +39,6 @@ class BoltzmannSelector {
     MEGH_REQUIRE(temp > 0.0, "temperature must be positive");
     temp_ = temp;
   }
-  double epsilon() const { return epsilon_; }
 
  private:
   double temp_;

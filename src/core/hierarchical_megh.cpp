@@ -31,17 +31,6 @@ std::uint64_t pod_seed(std::uint64_t seed, int pod) {
   return seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(pod));
 }
 
-bool plans_match(const ShardPlan& a, const ShardPlan& b) {
-  if (a.num_shards() != b.num_shards()) return false;
-  for (int s = 0; s < a.num_shards(); ++s) {
-    if (a.shard_begin(s) != b.shard_begin(s) ||
-        a.shard_end(s) != b.shard_end(s)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void validate(const MeghConfig& config) {
   MEGH_REQUIRE(config.max_migration_fraction > 0.0 &&
                    config.max_migration_fraction <= 1.0,
@@ -127,9 +116,11 @@ void HierarchicalMeghPolicy::begin(const Datacenter& dc,
         config_.base.max_update_support);
     pod.rng = Rng(pod_seed(config_.base.seed, p));
     pod.pending.clear();
-    // One draw per overloaded host + consolidation + global, each taking at
-    // most one action, all bounded by the budget (+1 for the global draw).
-    pod.pending.reserve(static_cast<std::size_t>(migration_budget_) + 2);
+    // Each retry and draw group spends a budget unit for <= 1 action.
+    pod.pending.reserve(static_cast<std::size_t>(migration_budget_));
+    // A reactive group per host at most, then consolidation and the set.
+    pod.groups.reserve(
+        static_cast<std::size_t>(pod.host_end - pod.host_begin) + 2);
     pod.retries.reserve(
         static_cast<std::size_t>(migration_budget_) *
             static_cast<std::size_t>(
@@ -145,7 +136,7 @@ void HierarchicalMeghPolicy::begin(const Datacenter& dc,
   cost_baseline_ = 0.0;
   baseline_initialized_ = false;
   emitted_.clear();
-  emitted_.reserve(static_cast<std::size_t>(migration_budget_) + 2);
+  emitted_.reserve(static_cast<std::size_t>(migration_budget_));
   last_step_ = -1;
   faults_seen_ = 0;
   retries_issued_ = 0;
@@ -257,6 +248,7 @@ void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
     pod.pending.clear();
     pod.staged_rollback = false;
     if (recovery) pod.faults_last_step = 0;
+    build_draw_groups(pod, obs);  // none
     return;
   }
 
@@ -362,6 +354,48 @@ void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
     if (list.empty()) pod.touched_slots.push_back(slot);
     list.push_back(j);
   }
+  build_draw_groups(pod, obs);
+}
+
+void HierarchicalMeghPolicy::build_draw_groups(
+    Pod& pod, const StepObservation& obs) const {
+  // Reactive (Sec. 3.1): one group per overloaded host, hosts ascending,
+  // then the consolidation candidates, then the whole set. Groups keep
+  // their no-ops, so "when to migrate" stays learned; empty groups are
+  // left out, as they cost no budget.
+  const std::vector<CandidateAction>& cands = pod.cands.candidates;
+  const auto host_of = [&](std::size_t j) {
+    return obs.dc->host_of(cands[j].vm);
+  };
+  std::vector<std::size_t>& idx = pod.draw_idx;
+  idx.clear();
+  idx.reserve(2 * cands.capacity());
+  pod.groups.clear();
+  for (std::size_t j = 0; j < cands.size(); ++j) {
+    const int h = host_of(j);
+    if (h >= pod.host_begin && h < pod.host_end &&
+        obs.host_util[static_cast<std::size_t>(h)] > beta_) {
+      idx.push_back(j);
+    }
+  }
+  std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    return host_of(a) < host_of(b) || (host_of(a) == host_of(b) && a < b);
+  });
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    if (k == 0 || host_of(idx[k]) != host_of(idx[k - 1])) {
+      pod.groups.push_back({CandidateGroup::kOverloaded, k, k});
+    }
+    pod.groups.back().end = k + 1;
+  }
+  const std::size_t consolidation = idx.size();
+  for (std::size_t j = 0; j < cands.size(); ++j) {
+    if (cands[j].group == CandidateGroup::kConsolidation) idx.push_back(j);
+  }
+  if (idx.size() > consolidation) {
+    pod.groups.push_back(
+        {CandidateGroup::kConsolidation, consolidation, idx.size()});
+  }
+  if (!cands.empty()) pod.groups.push_back({CandidateGroup::kExploration});
 }
 
 void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
@@ -409,8 +443,7 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
   // Pod phase: one shard per pod, each owning its learner, when the
   // engine's plan is ours; otherwise serially on the caller's thread.
   if (!one_pod_) collect_members(dc);
-  if (!one_pod_ && obs.exec != nullptr &&
-      plans_match(obs.exec->plan(), plan_)) {
+  if (!one_pod_ && obs.exec != nullptr && obs.exec->plan() == plan_) {
     obs.exec->for_shards(
         [&](int s) { run_pod_phase(s, obs, do_update, share); });
   } else {
@@ -419,10 +452,10 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
     }
   }
 
-  // Serial coordinator: all Boltzmann draws, in fixed pod-major order,
-  // against the single global budget. Each draw consumes the owning pod's
-  // RNG (already advanced by its generation phase), so the schedule is
-  // deterministic at any job count.
+  // Serial coordinator: all Boltzmann draws, in fixed order, against the
+  // single global budget. Each draw consumes the owning pod's RNG (already
+  // advanced by its generation phase), so the schedule is deterministic at
+  // any job count.
   MEGH_TRACE_SCOPE("megh.coordinate");
   const auto take = [&](Pod& pod, int pod_id, std::size_t j) {
     const CandidateAction& c = pod.cands.candidates[j];
@@ -446,30 +479,6 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
     for (std::size_t k :
          pod.candidates_of_slot[static_cast<std::size_t>(slot)]) {
       pod.weights[k] = 0.0;
-    }
-  };
-  const auto draw_from = [&](Pod& pod, int pod_id,
-                             const std::vector<std::size_t>& subset) {
-    double total = 0.0;
-    for (std::size_t j : subset) total += pod.weights[j];
-    if (!(total > 0.0) || !std::isfinite(total)) return;
-    double r = pod.rng.uniform() * total;
-    // Numerical edge: r can stay positive by epsilon after the full pass.
-    // Fall back to the last *positive-weight* candidate — never one whose
-    // weight was zeroed (already-used VM / non-finite Q), mirroring
-    // Rng::weighted_index.
-    std::size_t last_positive = subset.size();
-    for (std::size_t k = 0; k < subset.size(); ++k) {
-      const std::size_t j = subset[k];
-      if (pod.weights[j] > 0.0) last_positive = k;
-      r -= pod.weights[j];
-      if (r <= 0.0) {
-        take(pod, pod_id, j);
-        return;
-      }
-    }
-    if (last_positive < subset.size()) {
-      take(pod, pod_id, subset[last_positive]);
     }
   };
 
@@ -534,57 +543,37 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
     }
   }
 
-  // Reactive draws (Sec. 3.1: react to each overloaded PM): one per
-  // overloaded host, restricted to that host's candidates — its no-ops
-  // stay drawable, so "when to migrate" remains learned. Pods ascending
-  // then hosts ascending: the global host order. Overload response has
-  // first claim on the budget.
-  for (int p = 0; p < num_pods() && budget > 0; ++p) {
-    Pod& pod = pods_[static_cast<std::size_t>(p)];
-    const std::vector<CandidateAction>& cands = pod.cands.candidates;
-    if (cands.empty()) continue;
-    std::vector<std::size_t>& subset = pod.subset;
-    subset.reserve(cands.capacity());
-    for (int h = pod.host_begin; h < pod.host_end && budget > 0; ++h) {
-      if (obs.host_util[static_cast<std::size_t>(h)] <= beta_) continue;
-      subset.clear();
-      for (std::size_t j = 0; j < cands.size(); ++j) {
-        if (dc.host_of(cands[j].vm) == h) subset.push_back(j);
-      }
-      if (subset.empty()) continue;
-      draw_from(pod, p, subset);
-      --budget;
-    }
-  }
-
-  // One consolidation draw per pod, restricted to consolidation-source
-  // candidates (their no-ops included, so "leave it where it is" stays
-  // learnable).
-  for (int p = 0; p < num_pods() && budget > 0; ++p) {
-    Pod& pod = pods_[static_cast<std::size_t>(p)];
-    const std::vector<CandidateAction>& cands = pod.cands.candidates;
-    std::vector<std::size_t>& subset = pod.subset;
-    subset.clear();
-    for (std::size_t j = 0; j < cands.size(); ++j) {
-      if (cands[j].group == CandidateGroup::kConsolidation) {
-        subset.push_back(j);
+  // One draw per group: rounds × pods ascending × the pod's groups in the
+  // round, so overload response has first claim on the budget, in global
+  // host order. A group whose weights are all zero (its VMs already used,
+  // or underflow) spends its unit without a draw.
+  for (const CandidateGroup round :
+       {CandidateGroup::kOverloaded, CandidateGroup::kConsolidation,
+        CandidateGroup::kExploration}) {
+    for (int p = 0; p < num_pods() && budget > 0; ++p) {
+      Pod& pod = pods_[static_cast<std::size_t>(p)];
+      draw_weights_.reserve(pod.cands.candidates.capacity());
+      for (const DrawGroup& group : pod.groups) {
+        if (group.round != round) continue;
+        if (budget <= 0) break;
+        const bool whole_set = round == CandidateGroup::kExploration;
+        std::span<const double> w = pod.weights;
+        if (!whole_set) {
+          draw_weights_.clear();
+          for (std::size_t k = group.begin; k < group.end; ++k) {
+            draw_weights_.push_back(pod.weights[pod.draw_idx[k]]);
+          }
+          w = draw_weights_;
+        }
+        --budget;
+        if (std::none_of(w.begin(), w.end(),
+                         [](double x) { return x > 0.0; })) {
+          continue;
+        }
+        const std::size_t k = pod.rng.weighted_index(w);
+        take(pod, p, whole_set ? k : pod.draw_idx[group.begin + k]);
       }
     }
-    if (subset.empty()) continue;
-    draw_from(pod, p, subset);
-    --budget;
-  }
-
-  // One exploration draw per pod over its whole candidate set.
-  for (int p = 0; p < num_pods() && budget > 0; ++p) {
-    Pod& pod = pods_[static_cast<std::size_t>(p)];
-    const std::vector<CandidateAction>& cands = pod.cands.candidates;
-    if (cands.empty()) continue;
-    std::vector<std::size_t>& subset = pod.subset;
-    subset.resize(cands.size());
-    for (std::size_t j = 0; j < cands.size(); ++j) subset[j] = j;
-    draw_from(pod, p, subset);
-    --budget;
   }
 
   // Temperature decay (once per step).

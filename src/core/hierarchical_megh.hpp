@@ -10,7 +10,9 @@
 //      t−1 is updated with its share of the observed cost C_t and
 //      φ_{π(s_t)} = this step's greedy candidate in its pod (Eq. 10/11).
 //   3. Boltzmann-sample up to ⌈max_migration_fraction · N⌉ actions (one per
-//      VM); sampled no-ops answer "don't migrate".
+//      VM), one draw per draw group: each overloaded host's candidates,
+//      the consolidation candidates, then the whole candidate set; sampled
+//      no-ops answer "don't migrate".
 //   4. Decay the temperature (Algorithm 2 line 2).
 // The learner never needs a training phase: step 2 runs from the very first
 // interval ("learn as you go").
@@ -30,9 +32,11 @@
 // phase, fanned across StepObservation::exec with each learner owned by
 // exactly one shard (lock-free, no atomics on the learning path).
 //
-// A thin serial coordinator then makes the actual Boltzmann draws in a
-// fixed pod-major order, arbitrating the single global migration budget
-// (⌈2%·N⌉). Each draw consumes the *owning pod's* RNG stream, and every
+// The pod phase also lays out each pod's draw groups. A thin serial
+// coordinator then spends the single global migration budget (⌈2%·N⌉) in
+// one loop — rounds (reactive, consolidation, exploration) × pods
+// ascending × the pod's groups in that round, one Boltzmann draw per
+// group. Each draw consumes the *owning pod's* RNG stream, and every
 // stream is advanced deterministically (generation in the pod phase, draws
 // in the serial phase), so decisions are bit-identical at any
 // SimulationConfig::jobs.
@@ -249,6 +253,15 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
     int attempt;  // 0 = fresh Boltzmann draw, >0 = injected retry
   };
 
+  /// One Boltzmann draw's candidates: Pod::draw_idx[begin, end) — one
+  /// overloaded host's, or the consolidation sources' — or, in the
+  /// kExploration round, the pod's whole candidate set.
+  struct DrawGroup {
+    CandidateGroup round;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+
   /// Everything one pod owns. Mutated only by its own shard during the
   /// parallel phase and by the serial coordinator afterwards.
   struct Pod {
@@ -274,7 +287,8 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
     std::vector<std::vector<std::size_t>> candidates_of_slot;
     std::vector<int> touched_slots;
     std::vector<std::uint8_t> slot_used;
-    std::vector<std::size_t> subset;
+    std::vector<std::size_t> draw_idx;  // candidate indices, by group
+    std::vector<DrawGroup> groups;      // this step's, non-empty, in order
     // --- chaos recovery ---
     std::vector<PendingRetry> retries;
     CriticSnapshot checkpoint;
@@ -298,6 +312,7 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
   void rebuild_membership(Pod& pod, int pod_id, const Datacenter& dc);
   void run_pod_phase(int pod_id, const StepObservation& obs, bool do_update,
                      double share);
+  void build_draw_groups(Pod& pod, const StepObservation& obs) const;
   void intern_stat_keys();
 
   HierarchicalMeghConfig config_;
@@ -321,6 +336,7 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
   double cost_baseline_ = 0.0;
   bool baseline_initialized_ = false;
 
+  std::vector<double> draw_weights_;  // one group's gathered weights
   std::vector<EmittedAction> emitted_;
   int last_step_ = -1;
   long long faults_seen_ = 0;
