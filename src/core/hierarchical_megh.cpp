@@ -31,10 +31,27 @@ std::uint64_t pod_seed(std::uint64_t seed, int pod) {
   return seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(pod));
 }
 
+/// A served client sets every field; NaN fails every check. Candidate
+/// counts are capped so the per-slot lists reserved from them stay small.
 void validate(const MeghConfig& config) {
   MEGH_REQUIRE(config.max_migration_fraction > 0.0 &&
                    config.max_migration_fraction <= 1.0,
                "Megh: max_migration_fraction must lie in (0, 1]");
+  const CandidateConfig& c = config.candidates;
+  for (const double x : {config.baseline_weight, c.local_probe_fraction}) {
+    MEGH_REQUIRE(x >= 0.0 && x <= 1.0,
+                 "Megh: baseline_weight and local_probe_fraction must lie "
+                 "in [0, 1]");
+  }
+  for (const int n : {c.max_overloaded_sources, c.consolidation_sources,
+                      c.random_sources, c.targets_per_source}) {
+    MEGH_REQUIRE(n >= 0 && n <= 1024,
+                 "Megh: candidate counts must lie in [0, 1024]");
+  }
+  for (const double x : {c.target_util_ceiling, c.pack_ceiling}) {
+    MEGH_REQUIRE(std::isfinite(x) && x > 0.0,
+                 "Megh: utilization ceilings must be finite and positive");
+  }
   if (config.recovery.enabled) {
     MEGH_REQUIRE(config.recovery.max_retries >= 0 &&
                      config.recovery.max_retries <= 16,

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <vector>
+
 #include "baselines/simple_policies.hpp"
 #include "sim/placement.hpp"
 #include "sim/simulation.hpp"
@@ -157,6 +161,28 @@ TEST(MeghPolicyTest, InvalidConfigRejected) {
   MeghConfig config;
   config.max_migration_fraction = 0.0;
   EXPECT_THROW(MeghPolicy{config}, ConfigError);
+  // Every field a served client's Init can set is checked up front.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::function<void(MeghConfig&)>> bad = {
+      [&](MeghConfig& c) { c.baseline_weight = nan; },
+      [](MeghConfig& c) { c.baseline_weight = 1.5; },
+      [](MeghConfig& c) { c.candidates.targets_per_source = -1; },
+      [](MeghConfig& c) {
+        c.candidates.targets_per_source = std::numeric_limits<int>::max();
+      },
+      [](MeghConfig& c) { c.candidates.random_sources = 1 << 20; },
+      [&](MeghConfig& c) { c.candidates.local_probe_fraction = nan; },
+      [](MeghConfig& c) { c.candidates.pack_ceiling = 0.0; },
+      [](MeghConfig& c) {
+        c.candidates.target_util_ceiling =
+            std::numeric_limits<double>::infinity();
+      },
+  };
+  for (const auto& make_bad : bad) {
+    config = MeghConfig{};
+    make_bad(config);
+    EXPECT_THROW(MeghPolicy{config}, ConfigError);
+  }
   config = MeghConfig{};
   config.gamma = 1.0;
   MeghPolicy megh(config);  // gamma validated at begin() via LspiLearner

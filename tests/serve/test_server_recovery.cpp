@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -781,6 +782,12 @@ TEST_F(ServerRecoveryTest, InvalidInitLeavesTheDirectoryClean) {
     InitRequest bad_config = decode_init(log[0].payload);
     bad_config.cost.energy_price_usd_per_kwh = -1.0;
     expect_rejected(bad_config);
+
+    // Fails the policy's config validation: a NaN baseline weight would
+    // turn every critic update NaN while the daemon kept journaling.
+    InitRequest bad_megh = decode_init(log[0].payload);
+    bad_megh.config.baseline_weight = std::numeric_limits<double>::quiet_NaN();
+    expect_rejected(bad_megh);
 
     // Fails mid-way through rebuilding the placement mirror (a VM placed
     // twice): the partial mirror must be discarded, not persisted.
