@@ -5,11 +5,14 @@
 //   * windowed vs paper-literal cumulative SLA accounting;
 //   * graded (excess) vs binary overload downtime;
 //   * Q-learning with and without its offline training phase (the paper's
-//     Sec. 2.2 argument for why Q-learning was dropped as a comparator).
+//     Sec. 2.2 argument for why Q-learning was dropped as a comparator);
+//   * whether learning pays at all: Megh with a frozen critic (same draws,
+//     no LSPI update) and THR-MMT held to Megh's 2% cap.
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "baselines/mmt_policy.hpp"
 #include "baselines/qlearning.hpp"
 #include "baselines/sandpiper.hpp"
 #include "common/csv.hpp"
@@ -86,6 +89,17 @@ ExperimentSpec ablation_spec() {
                                       [](MeghConfig& c) { c.gamma = 0.0; }));
     plan.cells.push_back(megh_variant("Megh, gamma = 0.9", seed,
                                       [](MeghConfig& c) { c.gamma = 0.9; }));
+    plan.cells.push_back(megh_variant(
+        "Megh, frozen critic", seed,
+        [](MeghConfig& c) { c.learning_enabled = false; }));
+    {
+      CellSpec cell;
+      cell.label = "THR-MMT, 2% cap";
+      cell.rng_stream = seed;
+      cell.make = [seed] { return make_thr_mmt(0.7, seed); };
+      cell.options.max_migration_fraction = 0.02;
+      plan.cells.push_back(std::move(cell));
+    }
 
     {
       CellSpec cell;
