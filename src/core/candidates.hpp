@@ -78,9 +78,9 @@ struct CandidateDomain {
   int slot_capacity = 0;
 };
 
-/// Why a candidate's source VM was selected; the actor makes one draw per
-/// overloaded host (kOverloaded), one consolidation draw (kConsolidation)
-/// and one global draw each step.
+/// Why a candidate's source VM was selected; also Megh's draw rounds: a
+/// draw per overloaded host's candidates, one over the consolidation
+/// candidates and one over the whole set (kExploration), per pod and step.
 enum class CandidateGroup { kOverloaded, kConsolidation, kExploration };
 
 struct CandidateAction {
