@@ -9,8 +9,8 @@
 // so Megh enumerates every action there; the 100 × 130 run (d = 13000)
 // takes the sampled path — source selection, the PABFD and packing
 // targets and the random probes of generate_candidates. Two more 24 × 36
-// variants pin the fault-recovery machinery (masking, retries, burst
-// rollback under a nonzero FaultPlan) and the paper's δ = d critic
+// variants pin the fault-recovery machinery (masking and gated retries
+// under a nonzero FaultPlan) and the paper's δ = d critic
 // initialization (delta <= 0). Two 100 × 130 runs at a 10% cap pin the
 // order of the Boltzmann draws: hierarchical Megh on a seven-pod fabric,
 // and a cold flat Megh whose decisions move when any weight moves by one
@@ -209,25 +209,31 @@ TEST(ScalarGolden, SampledCandidatesFig2DecisionsAreBitIdentical) {
 }
 
 TEST(ScalarGolden, RecoveryUnderFaultsFig2DecisionsAreBitIdentical) {
-  // Aborted migrations and host crashes with every recovery mechanism
-  // armed: down-host masking, retries with backoff and burst rollback to
-  // the periodic critic snapshot all change decisions here. The lowered
-  // temperature lets the Boltzmann weights see the critic, so restoring
-  // (or failing to restore) the snapshot shows in the decisions.
+  // Aborted migrations and host crashes with recovery at the resilience
+  // experiment's settings (and its 10% cap): down-host masking, up to two
+  // retries with a one-step base backoff, issued only while the source
+  // host runs at >= 0.9 utilization. The synthetic load seldom runs a
+  // host that hot, so the plan aborts most migrations and fails hosts
+  // often enough (evacuations pack the survivors) that retries pass the
+  // gate; here switching off masking, the gate, the second retry or the
+  // one-step backoff each changes the decisions. The lowered temperature
+  // lets the Boltzmann weights see the critic, so the SARSA remap of
+  // failed actions shows in the decisions too.
   FaultPlanConfig faults;
   faults.enabled = true;
-  faults.seed = 5;
-  faults.migration_abort_rate = 0.5;
-  faults.host_failure_rate = 0.01;
+  faults.seed = 16;
+  faults.migration_abort_rate = 0.85;
+  faults.host_failure_rate = 0.04;
   ExperimentOutput output;
   expect_matches_goldens(
       golden_fig2_spec("fig2_recovery", 24, 36, /*with_thr=*/false,
                        [](MeghConfig& config) {
                          config.recovery.enabled = true;
+                         config.recovery.mask_down_hosts = true;
                          config.recovery.max_retries = 2;
                          config.recovery.retry_backoff_steps = 1;
-                         config.recovery.rollback_burst_threshold = 1;
-                         config.recovery.checkpoint_interval_steps = 2;
+                         config.recovery.retry_min_utilization = 0.9;
+                         config.max_migration_fraction = 0.1;
                          config.temp0 = 0.1;
                        },
                        faults),
@@ -238,7 +244,6 @@ TEST(ScalarGolden, RecoveryUnderFaultsFig2DecisionsAreBitIdentical) {
   EXPECT_GT(stats.at("faults_seen"), 0.0);
   EXPECT_GT(stats.at("masked_candidates"), 0.0);
   EXPECT_GT(stats.at("retries"), 0.0);
-  EXPECT_GT(stats.at("rollbacks"), 0.0);
 }
 
 TEST(ScalarGolden, PaperDeltaFig2DecisionsAreBitIdentical) {
