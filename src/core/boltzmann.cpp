@@ -10,8 +10,12 @@ namespace megh {
 
 BoltzmannSelector::BoltzmannSelector(double temp0, double epsilon)
     : temp_(temp0), epsilon_(epsilon) {
-  MEGH_REQUIRE(temp0 > 0.0, "Boltzmann Temp0 must be positive");
-  MEGH_REQUIRE(epsilon >= 0.0, "Boltzmann epsilon must be non-negative");
+  // Finite too: an infinite Temp0 or epsilon turns the first decay() into
+  // inf·0 = NaN, and a NaN temperature zeroes every weight for good.
+  MEGH_REQUIRE(std::isfinite(temp0) && temp0 > 0.0,
+               "Boltzmann Temp0 must be finite and positive");
+  MEGH_REQUIRE(std::isfinite(epsilon) && epsilon >= 0.0,
+               "Boltzmann epsilon must be finite and non-negative");
 }
 
 void BoltzmannSelector::weights(std::span<const double> q_values,

@@ -163,7 +163,12 @@ TEST(MeghPolicyTest, InvalidConfigRejected) {
   EXPECT_THROW(MeghPolicy{config}, ConfigError);
   // Every field a served client's Init can set is checked up front.
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   const std::vector<std::function<void(MeghConfig&)>> bad = {
+      // An infinite temperature or decay rate would make the first decay
+      // NaN, after which no weight is ever drawable.
+      [&](MeghConfig& c) { c.temp0 = inf; },
+      [&](MeghConfig& c) { c.epsilon = inf; },
       [&](MeghConfig& c) { c.baseline_weight = nan; },
       [](MeghConfig& c) { c.baseline_weight = 1.5; },
       [](MeghConfig& c) { c.candidates.targets_per_source = -1; },
@@ -173,10 +178,7 @@ TEST(MeghPolicyTest, InvalidConfigRejected) {
       [](MeghConfig& c) { c.candidates.random_sources = 1 << 20; },
       [&](MeghConfig& c) { c.candidates.local_probe_fraction = nan; },
       [](MeghConfig& c) { c.candidates.pack_ceiling = 0.0; },
-      [](MeghConfig& c) {
-        c.candidates.target_util_ceiling =
-            std::numeric_limits<double>::infinity();
-      },
+      [&](MeghConfig& c) { c.candidates.target_util_ceiling = inf; },
   };
   for (const auto& make_bad : bad) {
     config = MeghConfig{};

@@ -789,6 +789,15 @@ TEST_F(ServerRecoveryTest, InvalidInitLeavesTheDirectoryClean) {
     bad_megh.config.baseline_weight = std::numeric_limits<double>::quiet_NaN();
     expect_rejected(bad_megh);
 
+    // An infinite temperature passes a plain `> 0` check, but its first
+    // decay is NaN: a journaled Megh that silently never migrates again.
+    InitRequest bad_temperature = decode_init(log[0].payload);
+    bad_temperature.config.temp0 = std::numeric_limits<double>::infinity();
+    expect_rejected(bad_temperature);
+    InitRequest bad_decay = decode_init(log[0].payload);
+    bad_decay.config.epsilon = std::numeric_limits<double>::infinity();
+    expect_rejected(bad_decay);
+
     // Fails mid-way through rebuilding the placement mirror (a VM placed
     // twice): the partial mirror must be discarded, not persisted.
     InitRequest bad_placement = decode_init(log[0].payload);
