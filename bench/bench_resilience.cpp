@@ -56,16 +56,8 @@ std::function<std::unique_ptr<MigrationPolicy>()> make_megh(
     MeghConfig config;
     config.seed = seed;
     config.max_migration_fraction = 0.1;
-    if (recovery) {
-      config.recovery.enabled = true;
-      config.recovery.mask_down_hosts = true;
-      config.recovery.max_retries = 2;
-      config.recovery.retry_backoff_steps = 1;
-      // Retry only SLA-relevant aborts: the VM is still stuck on an
-      // overloaded source. Re-driving consolidation moves just adds
-      // migration downtime.
-      config.recovery.retry_min_utilization = 0.9;
-    }
+    // Masking, the SARSA remap and retries gated on a hot source host.
+    config.recovery = recovery;
     return std::make_unique<MeghPolicy>(config);
   };
 }

@@ -19,11 +19,22 @@ namespace {
 /// engine can still evacuate them.
 constexpr int kPodSlotHeadroomMin = 16;
 constexpr double kPodSlotHeadroomFraction = 0.125;
-/// Emit pod<k>.* stat keys only for the first this many pods; the 15
+/// Emit pod<k>.* stat keys only for the first this many pods; the 14
 /// aggregate keys are always emitted.
 constexpr int kPodStatsLimit = 16;
-static_assert(15 + 3 * kPodStatsLimit <= PolicyStats::kCapacity,
+static_assert(14 + 2 * kPodStatsLimit <= PolicyStats::kCapacity,
               "the per-pod stat keys must fit the PolicyStats table");
+
+/// Fault recovery (MeghConfig::recovery). Down-host masking is always on;
+/// an aborted migration is re-requested up to kMaxRetries times, the
+/// attempt-th retry falling due kRetryBackoffSteps · 2^attempt steps after
+/// the abort. A due retry is issued only while the VM's source host runs
+/// at or above kRetryMinUtilization: aborted *reactive* moves (a VM stuck
+/// on an overloaded source) are the SLA-relevant ones to push through,
+/// and re-driving consolidation moves only adds migration downtime.
+constexpr int kMaxRetries = 2;
+constexpr int kRetryBackoffSteps = 1;
+constexpr double kRetryMinUtilization = 0.9;
 
 /// Decorrelate the per-pod RNG streams while keeping pod 0's stream on the
 /// configured seed — the one-pod layout draws exactly the seed's stream.
@@ -51,17 +62,6 @@ void validate(const MeghConfig& config) {
   for (const double x : {c.target_util_ceiling, c.pack_ceiling}) {
     MEGH_REQUIRE(std::isfinite(x) && x > 0.0,
                  "Megh: utilization ceilings must be finite and positive");
-  }
-  if (config.recovery.enabled) {
-    MEGH_REQUIRE(config.recovery.max_retries >= 0 &&
-                     config.recovery.max_retries <= 16,
-                 "Megh: max_retries must lie in [0, 16]");
-    MEGH_REQUIRE(config.recovery.retry_backoff_steps >= 1,
-                 "Megh: retry_backoff_steps must be >= 1");
-    MEGH_REQUIRE(config.recovery.retry_min_utilization >= 0.0,
-                 "Megh: retry_min_utilization must be >= 0");
-    MEGH_REQUIRE(config.recovery.checkpoint_interval_steps >= 1,
-                 "Megh: checkpoint_interval_steps must be >= 1");
   }
 }
 
@@ -138,12 +138,9 @@ void HierarchicalMeghPolicy::begin(const Datacenter& dc,
     // A reactive group per host at most, then consolidation and the set.
     pod.groups.reserve(
         static_cast<std::size_t>(pod.host_end - pod.host_begin) + 2);
-    pod.retries.reserve(
-        static_cast<std::size_t>(migration_budget_) *
-            static_cast<std::size_t>(
-                std::max(1, config_.base.recovery.max_retries)) +
-        4);
-    pod.rollbacks = 0;
+    pod.retries.reserve(static_cast<std::size_t>(migration_budget_) *
+                            static_cast<std::size_t>(kMaxRetries) +
+                        4);
     pod.masked_candidates = 0;
     pod.slot_overflows = 0;
   }
@@ -188,10 +185,7 @@ void HierarchicalMeghPolicy::reset_pod_slots(Pod& pod, int cap) {
   pod.touched_slots.reserve(static_cast<std::size_t>(cap));
   // Transient state does not survive a re-slotting.
   pod.pending.clear();
-  pod.staged_rollback = false;
   pod.retries.clear();
-  pod.checkpoint = CriticSnapshot{};
-  pod.faults_last_step = 0;
 }
 
 void HierarchicalMeghPolicy::rebuild_membership(Pod& pod, int pod_id,
@@ -251,7 +245,6 @@ void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
   MEGH_TRACE_SCOPE("megh.pod_phase");
   Pod& pod = pods_[static_cast<std::size_t>(pod_id)];
   const Datacenter& dc = *obs.dc;
-  const bool recovery = config_.base.recovery.enabled;
   // A fleet-wide pod never gains or loses a VM: the one-pod slot map
   // (slot k = VM k) stays as begin() built it.
   if (!one_pod_) rebuild_membership(pod, pod_id, dc);
@@ -263,8 +256,6 @@ void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
     cands.clear();
     pod.candidates_generated = 0;
     pod.pending.clear();
-    pod.staged_rollback = false;
-    if (recovery) pod.faults_last_step = 0;
     build_draw_groups(pod, obs);  // none
     return;
   }
@@ -289,34 +280,21 @@ void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
   }
   pod.candidates_generated = cands.size();
 
-  if (recovery) {
-    // Mask candidates that target a down host: the engine would reject
-    // them, and a draw spent on one both wastes migration budget and
-    // poisons the SARSA transition with a move that cannot happen. No-ops
-    // survive, so "stay put" remains drawable for every source VM.
-    if (config_.base.recovery.mask_down_hosts && !obs.host_down.empty()) {
-      std::size_t w = 0;
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        if (!cands[i].is_noop &&
-            obs.host_down[static_cast<std::size_t>(cands[i].host)] != 0) {
-          ++pod.masked_candidates;
-          continue;
-        }
-        cands[w++] = cands[i];
+  // Mask candidates that target a down host: the engine would reject
+  // them, and a draw spent on one both wastes migration budget and poisons
+  // the SARSA transition with a move that cannot happen. No-ops survive,
+  // so "stay put" remains drawable for every source VM.
+  if (config_.base.recovery && !obs.host_down.empty()) {
+    std::size_t w = 0;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (!cands[i].is_noop &&
+          obs.host_down[static_cast<std::size_t>(cands[i].host)] != 0) {
+        ++pod.masked_candidates;
+        continue;
       }
-      cands.resize(w);
+      cands[w++] = cands[i];
     }
-    // Burst rollback: a heavily faulted interval taught the critic from
-    // transitions the faults falsified — restore the last snapshot and
-    // drop the straddling pending transitions.
-    if (pod.staged_rollback) {
-      pod.learner->restore(pod.checkpoint.B, pod.checkpoint.z,
-                           pod.checkpoint.theta);
-      pod.pending.clear();
-      ++pod.rollbacks;
-    }
-    pod.staged_rollback = false;
-    pod.faults_last_step = 0;
+    cands.resize(w);
   }
 
   // Pod-local action indices and Q-values. One batched gather scores the
@@ -343,14 +321,6 @@ void HierarchicalMeghPolicy::run_pod_phase(int pod_id,
     pod.learner->q_values(pod_idx, q);
   }
   pod.pending.clear();
-  if (recovery && config_.base.learning_enabled &&
-      config_.base.recovery.rollback_burst_threshold > 0 &&
-      obs.step % config_.base.recovery.checkpoint_interval_steps == 0) {
-    pod.checkpoint.B = pod.learner->B();
-    pod.checkpoint.z = pod.learner->z();
-    pod.checkpoint.theta = pod.learner->theta();
-    pod.checkpoint.valid = true;
-  }
 
   // Boltzmann weights (selector reads are const and the decay is serial,
   // so the shared selector is safe here) and the slot → candidates index,
@@ -420,20 +390,12 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
   MEGH_REQUIRE(basis_ != nullptr, "Megh::decide before begin()");
   MEGH_TRACE_SCOPE("megh.decide");
   const Datacenter& dc = *obs.dc;
-  const bool recovery = config_.base.recovery.enabled;
+  const bool recovery = config_.base.recovery;
 
-  // Serial pre-pass: stage each pod's rollback decision, then compute the
-  // global cost share over the transitions that will survive. The baseline
-  // EMA advances exactly when an update actually runs.
+  // The step cost is shared over every pending transition, fleet-wide.
+  // The baseline EMA advances exactly when an update actually runs.
   std::size_t total_pending = 0;
-  for (Pod& pod : pods_) {
-    pod.staged_rollback =
-        recovery && config_.base.recovery.rollback_burst_threshold > 0 &&
-        pod.faults_last_step >=
-            config_.base.recovery.rollback_burst_threshold &&
-        pod.checkpoint.valid;
-    if (!pod.staged_rollback) total_pending += pod.pending.size();
-  }
+  for (const Pod& pod : pods_) total_pending += pod.pending.size();
   bool do_update = false;
   double share = 0.0;
   if (config_.base.learning_enabled && has_pending_cost_ &&
@@ -528,10 +490,9 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
             pod.slot_used[static_cast<std::size_t>(slot)] != 0;
         if (target_down || stale) continue;  // drop: the world moved on
         // Drop retries whose source host is no longer hot enough to be
-        // worth the extra migration downtime (see retry_min_utilization).
-        if (config_.base.recovery.retry_min_utilization > 0.0 &&
-            obs.host_util[static_cast<std::size_t>(r.source)] <
-                config_.base.recovery.retry_min_utilization) {
+        // worth the extra migration downtime (see kRetryMinUtilization).
+        if (obs.host_util[static_cast<std::size_t>(r.source)] <
+            kRetryMinUtilization) {
           continue;
         }
         if (budget <= 0) {
@@ -604,7 +565,7 @@ void HierarchicalMeghPolicy::observe_cost(double step_cost) {
 
 void HierarchicalMeghPolicy::observe_outcomes(
     std::span<const MigrationOutcome> outcomes) {
-  if (!config_.base.recovery.enabled) return;
+  if (!config_.base.recovery) return;
   // One verdict per emitted action, in emission order (engine contract).
   MEGH_ASSERT(outcomes.size() == emitted_.size(),
               "outcome feedback must match the emitted action list");
@@ -617,32 +578,29 @@ void HierarchicalMeghPolicy::observe_outcomes(
     const EmittedAction& e = emitted_[i];
     Pod& pod = pods_[static_cast<std::size_t>(e.pod)];
     ++faults_seen_;
-    ++pod.faults_last_step;
     // The realized transition kept the VM on its source (inside pod
     // e.pod, so its slot is still valid): remap the pending SARSA action
     // to the no-op so the critic learns from what actually happened
     // (including the fault's cost), not from a move that never landed.
     pod.pending[e.pending_slot] = pod_index(pod, e.vm, e.source);
-    if (o.verdict == MigrationVerdict::kAborted &&
-        e.attempt < config_.base.recovery.max_retries) {
+    if (o.verdict == MigrationVerdict::kAborted && e.attempt < kMaxRetries) {
       pod.retries.push_back(PendingRetry{
           e.vm, e.source, e.target,
-          last_step_ +
-              config_.base.recovery.retry_backoff_steps * (1 << e.attempt),
+          last_step_ + kRetryBackoffSteps * (1 << e.attempt),
           e.attempt + 1});
     }
   }
 }
 
 void HierarchicalMeghPolicy::intern_stat_keys() {
-  // The first thirteen are flat Megh's keys; the one-pod layout stops there.
+  // The first twelve are flat Megh's keys; the one-pod layout stops there.
   static constexpr const char* kAggregates[] = {
       "qtable_nnz",     "theta_nnz",         "lspi_updates",
       "singular_skips", "truncations",       "b_offdiag_nnz",
       "temperature",    "migrations_selected", "faults_seen",
-      "retries",        "masked_candidates", "rollbacks",
-      "candidates",     "pods",              "slot_overflows"};
-  const std::size_t emitted = one_pod_ ? 13 : std::size(kAggregates);
+      "retries",        "masked_candidates", "candidates",
+      "pods",           "slot_overflows"};
+  const std::size_t emitted = one_pod_ ? 12 : std::size(kAggregates);
   aggregate_keys_.clear();
   for (std::size_t k = 0; k < emitted; ++k) {
     aggregate_keys_.push_back(StatKey::intern(kAggregates[k]));
@@ -650,12 +608,11 @@ void HierarchicalMeghPolicy::intern_stat_keys() {
   pod_keys_.clear();
   const int pods_with_keys =
       one_pod_ ? 0 : std::min(num_pods(), kPodStatsLimit);
-  pod_keys_.reserve(static_cast<std::size_t>(pods_with_keys) * 3);
+  pod_keys_.reserve(static_cast<std::size_t>(pods_with_keys) * 2);
   for (int p = 0; p < pods_with_keys; ++p) {
     const std::string prefix = "pod" + std::to_string(p) + ".";
     pod_keys_.push_back(StatKey::intern(prefix + "qtable_nnz"));
     pod_keys_.push_back(StatKey::intern(prefix + "lspi_updates"));
-    pod_keys_.push_back(StatKey::intern(prefix + "rollbacks"));
   }
 }
 
@@ -669,7 +626,7 @@ void HierarchicalMeghPolicy::stats(PolicyStats& out) const {
 #endif
   double qtable_nnz = 0.0, theta_nnz = 0.0, lspi_updates = 0.0;
   double singular_skips = 0.0, truncations = 0.0, b_offdiag = 0.0;
-  double masked = 0.0, rollbacks = 0.0, candidates = 0.0, overflows = 0.0;
+  double masked = 0.0, candidates = 0.0, overflows = 0.0;
   for (const Pod& pod : pods_) {
     if (pod.learner == nullptr) continue;
     qtable_nnz += static_cast<double>(pod.learner->qtable_nnz());
@@ -682,7 +639,6 @@ void HierarchicalMeghPolicy::stats(PolicyStats& out) const {
     truncations += static_cast<double>(pod.learner->truncations());
     b_offdiag += static_cast<double>(pod.learner->B().offdiag_nnz());
     masked += static_cast<double>(pod.masked_candidates);
-    rollbacks += static_cast<double>(pod.rollbacks);
     candidates += static_cast<double>(pod.candidates_generated);
     overflows += static_cast<double>(pod.slot_overflows);
   }
@@ -699,26 +655,23 @@ void HierarchicalMeghPolicy::stats(PolicyStats& out) const {
                            static_cast<double>(faults_seen_),
                            static_cast<double>(retries_issued_),
                            masked,
-                           rollbacks,
                            candidates,
                            static_cast<double>(num_pods()),
                            overflows};
   for (std::size_t k = 0; k < aggregate_keys_.size(); ++k) {
     out.set(aggregate_keys_[k], values[k]);
   }
-  const int pods_with_keys = static_cast<int>(pod_keys_.size()) / 3;
+  const int pods_with_keys = static_cast<int>(pod_keys_.size()) / 2;
   for (int p = 0; p < pods_with_keys; ++p) {
     const Pod& pod = pods_[static_cast<std::size_t>(p)];
-    out.set(pod_keys_[static_cast<std::size_t>(p * 3)],
+    out.set(pod_keys_[static_cast<std::size_t>(p * 2)],
             pod.learner != nullptr
                 ? static_cast<double>(pod.learner->qtable_nnz())
                 : 0.0);
-    out.set(pod_keys_[static_cast<std::size_t>(p * 3 + 1)],
+    out.set(pod_keys_[static_cast<std::size_t>(p * 2 + 1)],
             pod.learner != nullptr
                 ? static_cast<double>(pod.learner->updates())
                 : 0.0);
-    out.set(pod_keys_[static_cast<std::size_t>(p * 3 + 2)],
-            static_cast<double>(pod.rollbacks));
   }
 #ifndef NDEBUG
   MEGH_ASSERT(StatKey::interned_count() == interned_before,

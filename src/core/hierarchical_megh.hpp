@@ -28,8 +28,7 @@
 // cap_p is a slotted VM capacity (current population plus headroom).
 // Total learner state is Σ_p O(N_p × M_p) ≈ d / P instead of O(N × M),
 // and every per-pod stage — candidate generation, Q evaluation, the LSPI
-// critic update, masking, rollback, checkpoint refresh — runs in the pod
-// phase, fanned across StepObservation::exec with each learner owned by
+// critic update, down-host masking — runs in the pod phase, fanned across StepObservation::exec with each learner owned by
 // exactly one shard (lock-free, no atomics on the learning path).
 //
 // The pod phase also lays out each pod's draw groups. A thin serial
@@ -72,45 +71,17 @@
 
 namespace megh {
 
-/// Fault-recovery behaviour (chaos subsystem, src/chaos). All of it is
-/// inert unless `enabled` — and even then every mechanism is a no-op in a
-/// fault-free run, so a recovery-enabled Megh under a zero-rate FaultPlan
-/// makes exactly the decisions a plain Megh makes.
-struct MeghRecoveryConfig {
-  bool enabled = false;
-  /// Drop non-no-op candidates that target a currently-down host before
-  /// the Boltzmann draw (the engine would reject them anyway; masking
-  /// keeps the learner from wasting draws and SARSA credit on them).
-  bool mask_down_hosts = true;
-  /// Re-request an aborted migration up to this many times.
-  int max_retries = 2;
-  /// Steps to wait before the first retry; doubles with each attempt.
-  int retry_backoff_steps = 2;
-  /// Only issue a due retry while the VM's current host runs at or above
-  /// this utilization; retries below it are dropped. Aborted *reactive*
-  /// moves (VM stuck on an overloaded source) are the SLA-relevant ones to
-  /// push through — re-driving consolidation moves only adds migration
-  /// downtime. 0 retries unconditionally.
-  double retry_min_utilization = 0.0;
-  /// When > 0: a step whose outcome feedback reports at least this many
-  /// failed actions (aborts + down targets) in a pod rolls that pod's
-  /// critic back to its last periodic in-memory snapshot, discarding
-  /// updates learned from the fault burst. 0 disables rollback.
-  int rollback_burst_threshold = 0;
-  /// How often (in steps) the in-memory critic snapshot is refreshed.
-  int checkpoint_interval_steps = 64;
-};
-
 struct MeghConfig {
   double gamma = 0.5;     // discount factor (Sec. 6.1: 50:50 old vs new)
   double temp0 = 3.0;     // initial Boltzmann temperature (Sec. 6.1)
   double epsilon = 0.01;  // temperature decay rate (Sec. 6.1)
   /// δ in B₀ = (1/δ)·I. The paper sets δ = d, but at d ~ 10⁴-10⁶ that
   /// shrinks every Q-value by 1/d and the Boltzmann weights stay uniform
-  /// for the whole run — the critic never influences the actor. δ = 1
-  /// keeps the identical algorithm with a usable signal scale (the
-  /// ablation bench contrasts both). <= 0 selects the paper's δ = d, per
-  /// pod (d_p; d = N·M for flat Megh).
+  /// for the whole run — the critic never influences the actor: at 80 PMs
+  /// δ = d decides exactly like a frozen critic (the "delta = d" and
+  /// "frozen critic" rows of EXPERIMENTS.md's ablation). δ = 1 keeps the
+  /// identical algorithm with a usable signal scale. <= 0 selects the
+  /// paper's δ = d, per pod (d_p; d = N·M for flat Megh).
   double delta = 1.0;
   /// Per-step migration budget as a fraction of N (Sec. 6.1: 2%).
   double max_migration_fraction = 0.02;
@@ -135,12 +106,18 @@ struct MeghConfig {
   /// own growth — the quantity Fig. 7 plots).
   bool learning_enabled = true;
   CandidateConfig candidates;
-  MeghRecoveryConfig recovery;
+  /// Fault recovery (chaos subsystem, src/chaos; docs/RESILIENCE.md):
+  /// down-host masking, the SARSA remap of failed actions and gated
+  /// retries of aborted migrations, at the fixed settings in
+  /// hierarchical_megh.cpp. Every mechanism is a no-op in a fault-free
+  /// run, so a recovering Megh under a zero-rate FaultPlan makes exactly
+  /// the decisions a plain Megh makes.
+  bool recovery = false;
   std::uint64_t seed = 42;
 };
 
 struct HierarchicalMeghConfig {
-  /// Learner/actor/recovery knobs, applied per pod. `base.delta <= 0`
+  /// Learner/actor/recovery settings, applied per pod. `base.delta <= 0`
   /// selects the paper's δ = d_p per-pod initialization.
   MeghConfig base;
   /// The fabric whose pods become the learner shards. May be null: the
@@ -171,7 +148,7 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
   void decide_into(const StepObservation& obs,
                    std::vector<MigrationAction>& out) override;
   void observe_cost(double step_cost) override;
-  /// Recovery feedback (no-op unless config.recovery.enabled): failed
+  /// Recovery feedback (no-op unless config.recovery): failed
   /// actions (aborted / down target) have their pending SARSA transition
   /// remapped to the realized no-op (the VM stayed on its source), and
   /// aborted migrations are queued for retry with exponential backoff.
@@ -179,8 +156,8 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
   /// Aggregates across pods: qtable_nnz, theta_nnz, lspi_updates,
   /// singular_skips, truncations, b_offdiag_nnz, temperature,
   /// migrations_selected, faults_seen, retries, masked_candidates and
-  /// rollbacks — flat Megh's keys. The hierarchical layout adds "pods",
-  /// "slot_overflows" and pod<k>.{qtable_nnz,lspi_updates,rollbacks}.
+  /// candidates — flat Megh's keys. The hierarchical layout adds "pods",
+  /// "slot_overflows" and pod<k>.{qtable_nnz,lspi_updates}.
   /// Every key is interned at begin(); a debug build asserts that stats()
   /// itself interns nothing (the allocation-free-step guarantee).
   void stats(PolicyStats& out) const override;
@@ -224,14 +201,6 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
   HierarchicalMeghPolicy(const MeghConfig& config, OnePod);
 
  private:
-  /// In-memory critic snapshot for per-pod burst rollback.
-  struct CriticSnapshot {
-    SparseMatrix B;
-    SparseVector z;
-    SparseVector theta;
-    bool valid = false;
-  };
-
   /// An aborted migration waiting to be re-requested (pod-local queue).
   struct PendingRetry {
     int vm;
@@ -277,7 +246,6 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
     std::unique_ptr<LspiLearner> learner;
     Rng rng{0};
     std::vector<std::int64_t> pending;  // pod-local action indices
-    bool staged_rollback = false;       // decided serially pre-fan-out
     // --- per-step scratch (all capacity-stable after begin) ---
     CandidateScratch cands;
     std::size_t candidates_generated = 0;  // this step's set, pre-masking
@@ -291,9 +259,6 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
     std::vector<DrawGroup> groups;      // this step's, non-empty, in order
     // --- chaos recovery ---
     std::vector<PendingRetry> retries;
-    CriticSnapshot checkpoint;
-    int faults_last_step = 0;
-    long long rollbacks = 0;
     long long masked_candidates = 0;
     long long slot_overflows = 0;
   };
@@ -307,7 +272,7 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
   /// Bucket every placed VM into its pod's member list, ascending.
   void collect_members(const Datacenter& dc);
   /// Size a pod's slot map and slot-indexed scratch to `cap` and clear its
-  /// transient state (pending, retries, rollback snapshot).
+  /// transient state (pending, retries).
   void reset_pod_slots(Pod& pod, int cap);
   void rebuild_membership(Pod& pod, int pod_id, const Datacenter& dc);
   void run_pod_phase(int pod_id, const StepObservation& obs, bool do_update,
@@ -344,7 +309,7 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
 
   // Stat keys, interned once at begin(). stats() only reads these.
   std::vector<StatKey> aggregate_keys_;
-  std::vector<StatKey> pod_keys_;  // [pod * 3 + {nnz, updates, rollbacks}]
+  std::vector<StatKey> pod_keys_;  // [pod * 2 + {nnz, updates}]
 };
 
 }  // namespace megh

@@ -221,10 +221,9 @@ void LspiLearner::restore(SparseMatrix b, SparseVector z,
     slot(i).theta = value;
     if (value != 0.0) ++theta_nnz_;
   }
-  // Counters deliberately survive: restore() is also the burst-rollback and
-  // checkpoint-resume path, and zeroing them there silently reset
-  // MeghPolicy::stats() mid-run. Lifetime diagnostics reset only with the
-  // learner itself (constructor).
+  // Counters deliberately survive: restore() is the checkpoint-resume
+  // path, and zeroing them there would reset MeghPolicy::stats() mid-run.
+  // Lifetime diagnostics reset only with the learner itself (constructor).
 }
 
 }  // namespace megh

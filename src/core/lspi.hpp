@@ -102,11 +102,11 @@ class LspiLearner {
   const SparseMatrix& B() const { return B_; }
   SparseVector z() const;
 
-  /// Replace the learned state wholesale (checkpoint restore, burst
-  /// rollback). Shapes must match dim(). The lifetime counters
-  /// (updates/singular_skips/truncations) are preserved — they describe
-  /// this learner's history, not the restored model — so Megh's stats()
-  /// stay monotone across rollback/resume.
+  /// Replace the learned state wholesale (checkpoint load). Shapes must
+  /// match dim(). The lifetime counters (updates/singular_skips/
+  /// truncations) are preserved — they describe this learner's history,
+  /// not the restored model — so Megh's stats() stay monotone across a
+  /// resume.
   void restore(SparseMatrix b, SparseVector z, SparseVector theta);
 
   /// Number of update() calls (diagnostics/tests).

@@ -221,7 +221,7 @@ void MeghServer::apply_init(const InitRequest& req) {
                "serve: Init with an empty fleet");
   MEGH_REQUIRE(req.host_vms.size() == req.hosts.size(),
                "serve: Init placement list count != host count");
-  MEGH_REQUIRE(!req.config.recovery.enabled,
+  MEGH_REQUIRE(!req.config.recovery,
                "serve: chaos recovery must stay client-side (the served "
                "policy reconciles faults via the host_of stream)");
   req.cost.validate();

@@ -265,7 +265,7 @@ MeghConfig get_megh_config(WireReader& r) {
   c.seed = r.u64();
   // The chaos recovery machinery stays client-side; a served policy never
   // runs it (the engine's fault feedback is reconciled via host_of).
-  c.recovery.enabled = false;
+  c.recovery = false;
   return c;
 }
 

@@ -1,10 +1,13 @@
 // Chaos ↔ engine integration: the zero-plan bit-identity contract, fault
 // replay determinism across worker counts, the per-class fault semantics
 // (aborts, host failure/recovery, stranding, trace gaps, degradation), and
-// Megh's recovery machinery (stats keys, masking, retries, rollback).
+// Megh's recovery machinery (stats keys, masking, gated retries).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <vector>
 
 #include "baselines/simple_policies.hpp"
 #include "chaos/fault_injector.hpp"
@@ -61,10 +64,22 @@ MeghConfig recovery_megh_config(std::uint64_t seed) {
   MeghConfig config;
   config.seed = seed;
   config.max_migration_fraction = 0.1;
-  config.recovery.enabled = true;
-  config.recovery.max_retries = 2;
-  config.recovery.retry_backoff_steps = 1;
+  config.recovery = true;
   return config;
+}
+
+/// A PlanetLab scenario whose VM demand never drops below `floor`. The
+/// synthetic load alone seldom runs a host at the 0.9 utilization Megh's
+/// retry gate asks of an aborted move's source.
+Scenario hot_planetlab_scenario(int hosts, int vms, int steps,
+                                std::uint64_t seed, double floor) {
+  Scenario scenario = make_planetlab_scenario(hosts, vms, steps, seed);
+  for (int vm = 0; vm < vms; ++vm) {
+    for (int s = 0; s < steps; ++s) {
+      scenario.trace.set(vm, s, std::max(floor, scenario.trace.at(vm, s)));
+    }
+  }
+  return scenario;
 }
 
 // --- satellite: rate-0 plan ≡ no plan, property-style over seeds ---------
@@ -303,7 +318,7 @@ TEST(ChaosSimTest, NetworkDegradationInflatesMigrationDowntime) {
 // --- Megh recovery machinery ---------------------------------------------
 
 TEST(MeghRecoveryTest, StatsExposeFaultCountersAndRoundTrip) {
-  const Scenario scenario = make_planetlab_scenario(16, 24, 60, 42);
+  const Scenario scenario = hot_planetlab_scenario(16, 24, 60, 42, 0.9);
   ExperimentOptions options;
   options.max_migration_fraction = 0.1;
   options.faults = abort_only_plan(1.0, 16, 60);  // every migration aborts
@@ -314,8 +329,7 @@ TEST(MeghRecoveryTest, StatsExposeFaultCountersAndRoundTrip) {
 
   PolicyStats stats;
   policy.stats(stats);
-  for (const char* key :
-       {"faults_seen", "retries", "masked_candidates", "rollbacks"}) {
+  for (const char* key : {"faults_seen", "retries", "masked_candidates"}) {
     EXPECT_EQ(stats.count(key), 1) << key;
     // Interned-key round trip: the name resolves to a registered StatKey,
     // the key resolves back to the name, and keyed lookup agrees with the
@@ -329,7 +343,6 @@ TEST(MeghRecoveryTest, StatsExposeFaultCountersAndRoundTrip) {
   }
   EXPECT_GT(stats.at("faults_seen"), 0.0);
   EXPECT_GT(stats.at("retries"), 0.0);
-  EXPECT_EQ(stats.at("rollbacks"), 0.0);  // rollback disabled by default
   // Fault counters also ride the per-step snapshots the engine records.
   EXPECT_EQ(r.sim.steps.back().policy_stats.count("faults_seen"), 1);
 }
@@ -356,83 +369,65 @@ TEST(MeghRecoveryTest, MasksCandidatesTargetingDownHosts) {
   EXPECT_EQ(r.sim.totals.rejected_down_host, 0);
 }
 
-TEST(MeghRecoveryTest, BurstRollbackRestoresCheckpointedCritic) {
-  const Scenario scenario = make_planetlab_scenario(16, 24, 60, 42);
-  ExperimentOptions options;
-  options.max_migration_fraction = 0.1;
-  options.faults = abort_only_plan(1.0, 16, 60);
-  MeghConfig config = recovery_megh_config(42);
-  config.recovery.rollback_burst_threshold = 1;
-  config.recovery.checkpoint_interval_steps = 4;
-  MeghPolicy policy(config);
-  const ExperimentResult r = run_experiment(scenario, policy, options);
-  ASSERT_GT(r.sim.totals.aborted_migrations, 0);
-  PolicyStats stats;
-  policy.stats(stats);
-  EXPECT_GT(stats.at("rollbacks"), 0.0);
-}
+TEST(MeghRecoveryTest, RetriesOnlyWhileTheSourceRunsAtOrAbove0_9) {
+  // The same aborted moves, falling due one step later (the base backoff),
+  // are re-requested when their source hosts run at exactly 0.9 and
+  // dropped when they run one ulp below it. The policy is driven by hand,
+  // so the host utilization the gate reads is exact.
+  struct Retried {
+    std::vector<MigrationAction> aborted;
+    std::vector<MigrationAction> next_step;
+    double retries = 0.0;
+  };
+  const auto run = [](double source_util) {
+    Fixture f = Fixture::make(4, 8, 2, 0.5);
+    MeghConfig config = recovery_megh_config(42);
+    config.max_migration_fraction = 0.5;  // four draws a step
+    MeghPolicy policy(config);
+    const CostConfig cost;
+    policy.begin(f.dc, cost, 300.0);
+    const std::vector<double> vm_util(8, 0.5);
+    std::vector<double> host_util(4, 0.5);
+    StepObservation obs;
+    obs.interval_s = 300.0;
+    obs.dc = &f.dc;
+    obs.vm_util = vm_util;
+    obs.host_util = host_util;
+    obs.cost = &cost;
+    Retried r;
+    // Step until Megh draws a move, and abort every move it draws.
+    for (; obs.step < 20 && r.aborted.empty(); ++obs.step) {
+      policy.decide_into(obs, r.aborted);
+      std::vector<MigrationOutcome> outcomes;
+      for (const MigrationAction& a : r.aborted) {
+        outcomes.push_back({a.vm, a.target_host, MigrationVerdict::kAborted});
+      }
+      policy.observe_cost(1.0);
+      policy.observe_outcomes(outcomes);
+    }
+    // The next step is the retries' due step. Nothing moved, so every
+    // source is where it was; set the sources' load.
+    std::fill(host_util.begin(), host_util.end(), source_util);
+    policy.decide_into(obs, r.next_step);
+    PolicyStats stats;
+    policy.stats(stats);
+    r.retries = stats.at("retries");
+    return r;
+  };
 
-TEST(MeghRecoveryTest, RollbackKeepsLearnerCountersMonotone) {
-  // Regression: restore() used to zero updates/singular_skips/truncations,
-  // so every burst rollback silently reset the lspi.* stats mid-run. The
-  // per-step snapshots must show monotone non-decreasing counters even
-  // when the critic rolls back.
-  const Scenario scenario = make_planetlab_scenario(16, 24, 60, 42);
-  ExperimentOptions options;
-  options.max_migration_fraction = 0.2;
-  // A partial abort rate: some steps roll back, others learn — both
-  // counters must keep advancing through the mix.
-  options.faults = abort_only_plan(0.5, 16, 60);
-  MeghConfig config = recovery_megh_config(42);
-  config.recovery.rollback_burst_threshold = 1;
-  config.recovery.checkpoint_interval_steps = 4;
-  config.max_update_support = 1;  // every a != b update truncates a factor
-  MeghPolicy policy(config);
-  const ExperimentResult r = run_experiment(scenario, policy, options);
-  PolicyStats stats;
-  policy.stats(stats);
-  ASSERT_GT(stats.at("rollbacks"), 0.0);
-  double prev_updates = 0.0, prev_skips = 0.0, prev_truncations = 0.0;
-  for (const auto& step : r.sim.steps) {
-    const double updates = step.policy_stats.at("lspi_updates");
-    const double skips = step.policy_stats.at("singular_skips");
-    const double truncations = step.policy_stats.at("truncations");
-    EXPECT_GE(updates, prev_updates);
-    EXPECT_GE(skips, prev_skips);
-    EXPECT_GE(truncations, prev_truncations);
-    prev_updates = updates;
-    prev_skips = skips;
-    prev_truncations = truncations;
+  const Retried hot = run(0.9);
+  ASSERT_FALSE(hot.aborted.empty()) << "Megh drew no move in 20 steps";
+  EXPECT_EQ(hot.retries, static_cast<double>(hot.aborted.size()));
+  // Retries claim the budget first, in abort order.
+  ASSERT_GE(hot.next_step.size(), hot.aborted.size());
+  for (std::size_t i = 0; i < hot.aborted.size(); ++i) {
+    EXPECT_EQ(hot.next_step[i].vm, hot.aborted[i].vm);
+    EXPECT_EQ(hot.next_step[i].target_host, hot.aborted[i].target_host);
   }
-  // The counters actually moved: a silent reset to zero on rollback would
-  // not necessarily violate monotonicity if nothing ever counted.
-  EXPECT_GT(prev_updates, 0.0);
-  EXPECT_GT(prev_truncations, 0.0);
-}
 
-TEST(MeghRecoveryTest, RetryMinUtilizationSuppressesColdRetries) {
-  const Scenario scenario = make_planetlab_scenario(16, 24, 60, 42);
-  ExperimentOptions options;
-  options.max_migration_fraction = 0.1;
-  options.faults = abort_only_plan(1.0, 16, 60);
-
-  MeghConfig eager = recovery_megh_config(42);
-  MeghPolicy eager_policy(eager);
-  run_experiment(scenario, eager_policy, options);
-  PolicyStats eager_stats;
-  eager_policy.stats(eager_stats);
-
-  MeghConfig picky = recovery_megh_config(42);
-  // Nothing in this scenario pins a host that high for long, so the gate
-  // should drop (almost) every retry the eager config issues.
-  picky.recovery.retry_min_utilization = 100.0;
-  MeghPolicy picky_policy(picky);
-  run_experiment(scenario, picky_policy, options);
-  PolicyStats picky_stats;
-  picky_policy.stats(picky_stats);
-
-  EXPECT_GT(eager_stats.at("retries"), 0.0);
-  EXPECT_EQ(picky_stats.at("retries"), 0.0);
+  const Retried cool = run(std::nextafter(0.9, 0.0));
+  EXPECT_EQ(cool.aborted.size(), hot.aborted.size());
+  EXPECT_EQ(cool.retries, 0.0);
 }
 
 }  // namespace

@@ -187,8 +187,8 @@ TEST(LspiTruncationTest, TruncatedStillRanksPersistentActions) {
 }
 
 TEST(LspiTest, RestorePreservesLifetimeCounters) {
-  // restore() is also the burst-rollback path; the lifetime diagnostics
-  // must survive it so stats()/telemetry stay monotone across rollbacks.
+  // restore() is the checkpoint-resume path; the lifetime diagnostics
+  // must survive it so stats()/telemetry stay monotone across a resume.
   LspiLearner learner(50, 0.5, 1.0, 2);  // tight cap → truncations happen
   Rng rng(7);
   for (int i = 0; i < 300; ++i) {

@@ -228,11 +228,7 @@ TEST(ScalarGolden, RecoveryUnderFaultsFig2DecisionsAreBitIdentical) {
   expect_matches_goldens(
       golden_fig2_spec("fig2_recovery", 24, 36, /*with_thr=*/false,
                        [](MeghConfig& config) {
-                         config.recovery.enabled = true;
-                         config.recovery.mask_down_hosts = true;
-                         config.recovery.max_retries = 2;
-                         config.recovery.retry_backoff_steps = 1;
-                         config.recovery.retry_min_utilization = 0.9;
+                         config.recovery = true;
                          config.max_migration_fraction = 0.1;
                          config.temp0 = 0.1;
                        },

@@ -52,11 +52,11 @@ TEST(WireTest, InitRoundTripIsExact) {
 
 TEST(WireTest, InitDecodeDisablesServerSideRecovery) {
   InitRequest req = sample_init();
-  req.config.recovery.enabled = true;
+  req.config.recovery = true;
   const InitRequest out = decode_init(encode_init(req));
   // The daemon's own WAL is the recovery mechanism; the policy-internal
-  // checkpoint/rollback machinery must never run inside the server.
-  EXPECT_FALSE(out.config.recovery.enabled);
+  // fault-recovery machinery must never run inside the server.
+  EXPECT_FALSE(out.config.recovery);
 }
 
 TEST(WireTest, DecideRoundTripPreservesDoublesBitExactly) {
