@@ -78,10 +78,10 @@ struct MeghConfig {
   /// δ in B₀ = (1/δ)·I. The paper sets δ = d, but at d ~ 10⁴-10⁶ that
   /// shrinks every Q-value by 1/d and the Boltzmann weights stay uniform
   /// for the whole run — the critic never influences the actor: at 80 PMs
-  /// δ = d decides exactly like a frozen critic (the "delta = d" and
-  /// "frozen critic" rows of EXPERIMENTS.md's ablation). δ = 1 keeps the
-  /// identical algorithm with a usable signal scale. <= 0 selects the
-  /// paper's δ = d, per pod (d_p; d = N·M for flat Megh).
+  /// δ = d decides exactly like a frozen critic (EXPERIMENTS.md, "Extra:
+  /// ablations"). δ = 1 keeps the identical algorithm with a usable
+  /// signal scale. <= 0 selects the paper's δ = d, per pod (d_p; d = N·M
+  /// for flat Megh).
   double delta = 1.0;
   /// Per-step migration budget as a fraction of N (Sec. 6.1: 2%).
   double max_migration_fraction = 0.02;
