@@ -28,8 +28,9 @@
 // cap_p is a slotted VM capacity (current population plus headroom).
 // Total learner state is Σ_p O(N_p × M_p) ≈ d / P instead of O(N × M),
 // and every per-pod stage — candidate generation, Q evaluation, the LSPI
-// critic update, down-host masking — runs in the pod phase, fanned across StepObservation::exec with each learner owned by
-// exactly one shard (lock-free, no atomics on the learning path).
+// critic update, down-host masking — runs in the pod phase, fanned across
+// StepObservation::exec with each learner owned by exactly one shard
+// (lock-free, no atomics on the learning path).
 //
 // The pod phase also lays out each pod's draw groups. A thin serial
 // coordinator then spends the single global migration budget (⌈2%·N⌉) in
