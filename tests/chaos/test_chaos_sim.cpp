@@ -382,7 +382,7 @@ TEST(MeghRecoveryTest, RetriesOnlyWhileTheSourceRunsAtOrAbove0_9) {
   const auto run = [](double source_util) {
     Fixture f = Fixture::make(4, 8, 2, 0.5);
     MeghConfig config = recovery_megh_config(42);
-    config.max_migration_fraction = 0.5;  // four draws a step
+    config.max_migration_fraction = 0.5;  // a budget of four a step
     MeghPolicy policy(config);
     const CostConfig cost;
     policy.begin(f.dc, cost, 300.0);
