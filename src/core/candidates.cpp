@@ -8,56 +8,6 @@
 
 namespace megh {
 
-namespace detail {
-
-namespace {
-
-std::size_t hash_index(std::int64_t key) {
-  std::uint64_t h = static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ull;
-  return static_cast<std::size_t>(h ^ (h >> 32));
-}
-
-}  // namespace
-
-void InsertOnlyIndexSet::reset(std::size_t expected) {
-  std::size_t want = 16;
-  while (want < expected * 2) want <<= 1;
-  if (slots_.size() < want) {
-    slots_.assign(want, -1);
-  } else {
-    std::fill(slots_.begin(), slots_.end(), -1);
-  }
-  mask_ = slots_.size() - 1;
-  size_ = 0;
-}
-
-bool InsertOnlyIndexSet::insert(std::int64_t key) {
-  MEGH_ASSERT(key >= 0, "InsertOnlyIndexSet keys must be non-negative");
-  if ((size_ + 1) * 2 > slots_.size()) rehash(slots_.size() * 2);
-  std::size_t i = hash_index(key) & mask_;
-  while (slots_[i] != -1) {
-    if (slots_[i] == key) return false;
-    i = (i + 1) & mask_;
-  }
-  slots_[i] = key;
-  ++size_;
-  return true;
-}
-
-void InsertOnlyIndexSet::rehash(std::size_t min_slots) {
-  std::vector<std::int64_t> old = std::move(slots_);
-  slots_.assign(std::max<std::size_t>(min_slots, 16), -1);
-  mask_ = slots_.size() - 1;
-  for (std::int64_t key : old) {
-    if (key == -1) continue;
-    std::size_t i = hash_index(key) & mask_;
-    while (slots_[i] != -1) i = (i + 1) & mask_;
-    slots_[i] = key;
-  }
-}
-
-}  // namespace detail
-
 namespace {
 
 bool target_feasible(const Datacenter& dc, std::span<const double> host_util,
@@ -86,8 +36,7 @@ void add_candidate(std::vector<CandidateAction>& out, const ActionBasis& basis,
 /// fabric there is a single block and the order is exactly the historical
 /// vm-ascending one (the scalar-golden order).
 void enumerate_all(const Datacenter& dc, std::span<const double> host_util,
-                   const ActionBasis& basis, double util_ceiling,
-                   const FatTreeTopology* network,
+                   const ActionBasis& basis, const FatTreeTopology* network,
                    const CandidateDomain* domain,
                    std::vector<CandidateAction>& out) {
   // d is small on this path by construction, but full_enumeration_limit is
@@ -104,7 +53,7 @@ void enumerate_all(const Datacenter& dc, std::span<const double> host_util,
                   CandidateGroup::kExploration);
     for (int h = host_lo; h < host_hi; ++h) {
       if (h == current) continue;
-      if (target_feasible(dc, host_util, vm, h, util_ceiling)) {
+      if (target_feasible(dc, host_util, vm, h, kTargetUtilCeiling)) {
         add_candidate(out, basis, vm, h, current,
                       CandidateGroup::kExploration);
       }
@@ -160,8 +109,7 @@ void generate_candidates(const Datacenter& dc,
                                           domain->host_begin)
           : basis.dim();
   if (reachable_dim <= config.full_enumeration_limit) {
-    enumerate_all(dc, host_util, basis, config.target_util_ceiling, network,
-                  domain, scratch.candidates);
+    enumerate_all(dc, host_util, basis, network, domain, scratch.candidates);
     return;
   }
 
@@ -175,15 +123,13 @@ void generate_candidates(const Datacenter& dc,
               "generate_candidates: domain host range out of bounds");
   const std::size_t hosts = static_cast<std::size_t>(host_hi - host_lo);
 
-  // Worst-case source/candidate counts from the config — used to size every
-  // reusable container up front, so no later step can set a new capacity
-  // record and trigger a mid-run reallocation.
-  const std::size_t max_sources =
-      static_cast<std::size_t>(config.max_overloaded_sources) +
-      static_cast<std::size_t>(config.consolidation_sources) +
-      static_cast<std::size_t>(config.random_sources);
-  const std::size_t max_candidates =
-      max_sources * static_cast<std::size_t>(config.targets_per_source + 3);
+  // Worst-case source/candidate counts — used to size every reusable
+  // container up front, so no later step can set a new capacity record and
+  // trigger a mid-run reallocation.
+  constexpr std::size_t max_sources =
+      kMaxOverloadedSources + kConsolidationSources + kRandomSources;
+  constexpr std::size_t max_candidates =
+      max_sources * kMaxCandidatesPerSource;
 
   // --- select source VMs (tagged by the group they will draw in) ---
   // The "seen" stamp array is indexed by the VM's dense slot: the global vm
@@ -217,6 +163,12 @@ void generate_candidates(const Datacenter& dc,
                 "generate_candidates: vm slot out of range");
     return scratch.vm_epoch[slot];
   };
+  // A VM the domain holds no slot for is hosted in the range but is not
+  // one of its VMs (never true of fleet calls).
+  const auto slotless = [&](int vm) {
+    return domain != nullptr &&
+           domain->vm_slot[static_cast<std::size_t>(vm)] < 0;
+  };
   const auto push_source = [&](int vm, CandidateGroup group) {
     std::uint32_t& stamp = stamp_of(vm);
     if (stamp != epoch) {
@@ -242,8 +194,8 @@ void generate_candidates(const Datacenter& dc,
   });
   for (int h : overloaded) {
     for (int vm : dc.vms_on(h)) {
-      if (static_cast<int>(sources.size()) >= config.max_overloaded_sources)
-        break;
+      if (static_cast<int>(sources.size()) >= kMaxOverloadedSources) break;
+      if (slotless(vm)) continue;
       push_source(vm, CandidateGroup::kOverloaded);
     }
   }
@@ -263,9 +215,10 @@ void generate_candidates(const Datacenter& dc,
   });
   int consolidation_added = 0;
   for (int h : active_hosts) {
-    if (consolidation_added >= config.consolidation_sources) break;
+    if (consolidation_added >= kConsolidationSources) break;
     for (int vm : dc.vms_on(h)) {
-      if (consolidation_added >= config.consolidation_sources) break;
+      if (consolidation_added >= kConsolidationSources) break;
+      if (slotless(vm)) continue;
       push_source(vm, CandidateGroup::kConsolidation);
       ++consolidation_added;
     }
@@ -277,7 +230,7 @@ void generate_candidates(const Datacenter& dc,
   const std::size_t vm_universe = domain != nullptr
                                       ? domain->vms.size()
                                       : static_cast<std::size_t>(dc.num_vms());
-  for (int i = 0; i < config.random_sources && vm_universe > 0; ++i) {
+  for (int i = 0; i < kRandomSources && vm_universe > 0; ++i) {
     const std::size_t pick = rng.index(vm_universe);
     push_source(domain != nullptr ? domain->vms[pick]
                                   : static_cast<int>(pick),
@@ -383,7 +336,7 @@ void generate_candidates(const Datacenter& dc,
     if (!fits_fast(h, scratch.src_ram[k])) return;
     const double capacity = scratch.host_capacity[i];
     const double after = util_of(h) + scratch.src_mips[k] / capacity;
-    if (after > config.target_util_ceiling + 1e-9) return;
+    if (after > kTargetUtilCeiling + 1e-9) return;
     const double increase =
         scratch.host_power[i]->watts(std::min(1.0, after)) -
         scratch.host_base_watts[i];
@@ -444,7 +397,7 @@ void generate_candidates(const Datacenter& dc,
   }
 
   // Packing target for source k: the busiest active host other than its
-  // own that fits under pack_ceiling, restricted to `pod` when pod >= 0.
+  // own that fits under kPackCeiling, restricted to `pod` when pod >= 0.
   // active_hosts is sorted by (utilization, id), so the walk starts at the
   // busiest end and, inside a run of equal utilization, keeps going so the
   // lowest id wins — the winner of an ascending strict-preference fold.
@@ -457,7 +410,7 @@ void generate_candidates(const Datacenter& dc,
       if (h == scratch.src_current[k]) continue;
       if (pod >= 0 && network->pod_of(h) != pod) continue;
       if (!feasible_fast(h, scratch.src_ram[k], scratch.src_mips[k],
-                         config.pack_ceiling)) {
+                         kPackCeiling)) {
         continue;
       }
       pick = h;
@@ -469,12 +422,15 @@ void generate_candidates(const Datacenter& dc,
   // --- targets per source ---
   auto& out = scratch.candidates;
   if (out.capacity() < max_candidates) out.reserve(max_candidates);
-  scratch.index_seen.reset(max_candidates);
+  // Sources are unique, so a (vm, host) pair can only repeat inside its own
+  // source's run of at most kMaxCandidatesPerSource candidates.
+  std::size_t run_begin = 0;
   CandidateGroup group = CandidateGroup::kExploration;
   const auto push_candidate = [&](int vm, int host, int current) {
-    if (scratch.index_seen.insert(basis.index(vm, host))) {
-      add_candidate(out, basis, vm, host, current, group);
+    for (std::size_t i = run_begin; i < out.size(); ++i) {
+      if (out[i].host == host) return;
     }
+    add_candidate(out, basis, vm, host, current, group);
   };
   // The emission loop stays serial and in source order: it is the only
   // part that draws from `rng`, so the RNG stream is consumed exactly as
@@ -485,6 +441,7 @@ void generate_candidates(const Datacenter& dc,
     const double vm_ram = scratch.src_ram[k];
     const double vm_mips = scratch.src_mips[k];
     group = sources[k].second;
+    run_begin = out.size();
     push_candidate(vm, current, current);  // no-op first
 
     // PABFD target (power-aware best fit) as a high-quality candidate —
@@ -506,10 +463,10 @@ void generate_candidates(const Datacenter& dc,
     // so the consolidation draw never un-packs a host.
     if (group == CandidateGroup::kConsolidation) continue;
     int added = 0;
-    const int probes = std::min(domain_width, 4 * config.targets_per_source);
-    for (int i = 0; i < probes && added < config.targets_per_source; ++i) {
+    const int probes = std::min(domain_width, 4 * kTargetsPerSource);
+    for (int i = 0; i < probes && added < kTargetsPerSource; ++i) {
       int h;
-      if (network != nullptr && rng.bernoulli(config.local_probe_fraction)) {
+      if (network != nullptr && rng.bernoulli(kLocalProbeFraction)) {
         // Network-aware probe: a host from the source's own pod (short
         // migration path on the fabric).
         const int pod = network->pod_of(current);
@@ -528,8 +485,7 @@ void generate_candidates(const Datacenter& dc,
       // fleet calls.
       if (h < host_lo || h >= host_hi) continue;
       if (h == current) continue;
-      if (!feasible_fast(h, vm_ram, vm_mips, config.target_util_ceiling))
-        continue;
+      if (!feasible_fast(h, vm_ram, vm_mips, kTargetUtilCeiling)) continue;
       push_candidate(vm, h, current);
       ++added;
     }

@@ -29,31 +29,40 @@
 
 namespace megh {
 
+/// The sampled path's fixed sizes (DESIGN.md §2.2). No experiment varies
+/// them; a served Init must carry exactly these values.
+/// VMs taken from overloaded hosts, most-overloaded hosts first.
+inline constexpr int kMaxOverloadedSources = 48;
+/// VMs taken from the least-utilized active hosts.
+inline constexpr int kConsolidationSources = 16;
+/// Uniformly random VMs (persistent exploration).
+inline constexpr int kRandomSources = 8;
+/// Sampled feasible targets per overloaded or exploration source.
+inline constexpr int kTargetsPerSource = 6;
+/// A source emits at most its no-op, a PABFD and a packing target, and
+/// kTargetsPerSource random targets.
+inline constexpr int kMaxCandidatesPerSource = kTargetsPerSource + 3;
+/// Post-placement utilization ceiling used when sampling targets
+/// (candidates only; the engine itself enforces nothing but RAM).
+inline constexpr double kTargetUtilCeiling = 1.0;
+/// A "packing" target — the busiest active host that still fits the VM
+/// under this post-placement utilization — is offered for every source,
+/// giving the learner a consolidation move to evaluate each step.
+inline constexpr double kPackCeiling = 0.65;
+/// When network-aware with a fabric attached, this fraction of each
+/// source's random target probes is drawn from the source's own pod (short,
+/// fast migration paths); the rest stay global so cross-pod moves remain
+/// learnable.
+inline constexpr double kLocalProbeFraction = 0.75;
+
 struct CandidateConfig {
   /// If d = N × M is at most this, enumerate every feasible action instead
   /// of sampling (exact actor).
   std::int64_t full_enumeration_limit = 1'500;
-
-  int max_overloaded_sources = 48;  // VMs taken from overloaded hosts
-  int consolidation_sources = 16;   // VMs from the least-utilized hosts
-  int random_sources = 8;           // uniformly random VMs
-  int targets_per_source = 6;       // sampled feasible targets per VM
-  /// Post-placement utilization ceiling used when sampling targets
-  /// (candidates only; the engine itself enforces nothing but RAM).
-  double target_util_ceiling = 1.0;
-  /// A "packing" target — the busiest active host that still fits the VM
-  /// under this post-placement utilization — is offered for every source,
-  /// giving the learner a consolidation move to evaluate each step.
-  double pack_ceiling = 0.65;
   /// Use the fabric (when the simulation exposes one) to prefer short
   /// migration paths: in-pod packing targets and mostly-local random
   /// probes. Disable to make Megh network-oblivious (ablation).
   bool network_aware = true;
-  /// When network_aware and a fabric is attached, this fraction of each
-  /// source's random target probes is drawn from the source's own pod
-  /// (short, fast migration paths); the rest stay global so cross-pod
-  /// moves remain learnable.
-  double local_probe_fraction = 0.75;
 };
 
 /// Restriction of candidate generation to a sub-fleet: one contiguous host
@@ -69,11 +78,12 @@ struct CandidateDomain {
   int host_begin = 0;
   int host_end = 0;  // exclusive
   /// VMs eligible as sources / enumeration rows: ascending global ids of
-  /// every VM currently hosted inside the range.
+  /// every VM hosted inside the range that holds a slot.
   std::span<const int> vms;
   /// vm → dense per-domain slot (< slot_capacity) for the epoch-stamp
   /// dedup array. Fleet-sized and shared across domains; only entries of
-  /// `vms` are read.
+  /// VMs hosted inside the range are read. A negative slot marks a VM the
+  /// domain has no room for: it is never a source.
   std::span<const std::int32_t> vm_slot;
   int slot_capacity = 0;
 };
@@ -90,31 +100,6 @@ struct CandidateAction {
   bool is_noop = false;
   CandidateGroup group = CandidateGroup::kExploration;
 };
-
-namespace detail {
-
-/// Insert-only set of non-negative int64 keys on an open-addressing table
-/// whose storage is reused across steps — the allocation-free stand-in for
-/// the unordered_set that used to dedup candidate action indices (a node
-/// allocation per insert). Grows only when an epoch's insert count exceeds
-/// every previous epoch's, so steady-state steps never touch the heap.
-class InsertOnlyIndexSet {
- public:
-  /// Start a new epoch sized for about `expected` inserts.
-  void reset(std::size_t expected);
-
-  /// True when `key` (>= 0) was not yet inserted this epoch.
-  bool insert(std::int64_t key);
-
- private:
-  void rehash(std::size_t min_slots);
-
-  std::vector<std::int64_t> slots_;  // -1 = empty
-  std::size_t mask_ = 0;
-  std::size_t size_ = 0;
-};
-
-}  // namespace detail
 
 /// Reusable working storage for generate_candidates. One instance per
 /// policy, carried across steps: every container keeps its capacity, so a
@@ -134,7 +119,6 @@ struct CandidateScratch {
   // epoch bump invalidates all stamps in O(1).
   std::vector<std::uint32_t> vm_epoch;
   std::uint32_t epoch = 0;
-  detail::InsertOnlyIndexSet index_seen;
   // Step-constant per-host values hoisted out of the per-(source, host)
   // scans. Each is filled from the same Datacenter accessor expression the
   // scans used to evaluate inline, so feasibility and PABFD decisions stay

@@ -347,8 +347,7 @@ void read_megh_policy(std::istream& in, HierarchicalMeghPolicy& policy,
     // current placement, the file's from the saved one): rebuild at the
     // file's shape, then restore the exact state.
     pod.learner = std::make_unique<LspiLearner>(
-        dim, gamma, policy.config_.base.delta,
-        policy.config_.base.max_update_support);
+        dim, gamma, policy.config_.base.delta, kMaxUpdateSupport);
     pod.learner->restore(std::move(B), std::move(z), std::move(theta));
   }
   std::string tail;

@@ -42,27 +42,12 @@ std::uint64_t pod_seed(std::uint64_t seed, int pod) {
   return seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(pod));
 }
 
-/// A served client sets every field; NaN fails every check. Candidate
-/// counts are capped so the per-slot lists reserved from them stay small.
+/// The learner and the selector check their own settings at construction;
+/// this is the one they do not read. NaN fails it too.
 void validate(const MeghConfig& config) {
   MEGH_REQUIRE(config.max_migration_fraction > 0.0 &&
                    config.max_migration_fraction <= 1.0,
                "Megh: max_migration_fraction must lie in (0, 1]");
-  const CandidateConfig& c = config.candidates;
-  for (const double x : {config.baseline_weight, c.local_probe_fraction}) {
-    MEGH_REQUIRE(x >= 0.0 && x <= 1.0,
-                 "Megh: baseline_weight and local_probe_fraction must lie "
-                 "in [0, 1]");
-  }
-  for (const int n : {c.max_overloaded_sources, c.consolidation_sources,
-                      c.random_sources, c.targets_per_source}) {
-    MEGH_REQUIRE(n >= 0 && n <= 1024,
-                 "Megh: candidate counts must lie in [0, 1024]");
-  }
-  for (const double x : {c.target_util_ceiling, c.pack_ceiling}) {
-    MEGH_REQUIRE(std::isfinite(x) && x > 0.0,
-                 "Megh: utilization ceilings must be finite and positive");
-  }
 }
 
 }  // namespace
@@ -129,8 +114,7 @@ void HierarchicalMeghPolicy::begin(const Datacenter& dc,
     pod.learner = std::make_unique<LspiLearner>(
         static_cast<std::int64_t>(pod.cap) *
             static_cast<std::int64_t>(pod.host_end - pod.host_begin),
-        config_.base.gamma, config_.base.delta,
-        config_.base.max_update_support);
+        config_.base.gamma, config_.base.delta, kMaxUpdateSupport);
     pod.rng = Rng(pod_seed(config_.base.seed, p));
     pod.pending.clear();
     // Each retry and draw group spends a budget unit for <= 1 action.
@@ -172,13 +156,11 @@ void HierarchicalMeghPolicy::collect_members(const Datacenter& dc) {
 void HierarchicalMeghPolicy::reset_pod_slots(Pod& pod, int cap) {
   pod.cap = cap;
   pod.vm_of_slot.assign(static_cast<std::size_t>(cap), -1);
-  // A VM is the source of at most no-op + PABFD + pack +
-  // targets_per_source random candidates; reserving that up front means a
-  // slot first selected deep into the run still allocates nothing.
+  // Reserving a source's most candidates up front means a slot first
+  // selected deep into the run still allocates nothing.
   pod.candidates_of_slot.assign(static_cast<std::size_t>(cap), {});
   for (std::vector<std::size_t>& list : pod.candidates_of_slot) {
-    list.reserve(static_cast<std::size_t>(
-        config_.base.candidates.targets_per_source + 3));
+    list.reserve(kMaxCandidatesPerSource);
   }
   pod.slot_used.assign(static_cast<std::size_t>(cap), 0);
   pod.touched_slots.clear();
@@ -227,13 +209,15 @@ void HierarchicalMeghPolicy::rebuild_membership(Pod& pod, int pod_id,
     } else if (pod.next_slot < pod.cap) {
       slot = pod.next_slot++;
     }
+    // The VM's current pod owns its global entries either way; a slotless
+    // one gets slot -1, which keeps it out of the candidate domain.
+    pod_of_vm_[static_cast<std::size_t>(vm)] = pod_id;
+    slot_of_vm_[static_cast<std::size_t>(vm)] = slot;
     if (slot < 0) {
       ++pod.slot_overflows;
       continue;
     }
     pod.vm_of_slot[static_cast<std::size_t>(slot)] = vm;
-    pod_of_vm_[static_cast<std::size_t>(vm)] = pod_id;
-    slot_of_vm_[static_cast<std::size_t>(vm)] = slot;
     members[w++] = vm;
   }
   members.resize(w);
@@ -407,8 +391,7 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
         baseline_initialized_ = true;
       }
       effective_cost = pending_cost_ - cost_baseline_;
-      cost_baseline_ +=
-          config_.base.baseline_weight * (pending_cost_ - cost_baseline_);
+      cost_baseline_ += kBaselineWeight * (pending_cost_ - cost_baseline_);
     }
     share = effective_cost / static_cast<double>(total_pending);
     do_update = true;

@@ -72,6 +72,12 @@
 
 namespace megh {
 
+/// EMA weight of the advantage baseline (MeghConfig::advantage_baseline).
+inline constexpr double kBaselineWeight = 0.05;
+/// Sherman–Morrison factor truncation (see LspiLearner): bounds B's fill-in
+/// so per-step time stays flat over week-long runs.
+inline constexpr int kMaxUpdateSupport = 32;
+
 struct MeghConfig {
   double gamma = 0.5;     // discount factor (Sec. 6.1: 50:50 old vs new)
   double temp0 = 3.0;     // initial Boltzmann temperature (Sec. 6.1)
@@ -94,11 +100,6 @@ struct MeghConfig {
   /// unaffected asymptotically) but makes the greedy step meaningful.
   /// Disable to run the paper-literal update (ablation bench).
   bool advantage_baseline = true;
-  /// EMA weight for the baseline.
-  double baseline_weight = 0.05;
-  /// Sherman–Morrison factor truncation (see LspiLearner): bounds B's
-  /// fill-in so per-step time stays flat over week-long runs.
-  int max_update_support = 32;
   /// When false the critic is frozen: decide() still builds candidates,
   /// reads Q-values and Boltzmann-samples, but the LSPI update is skipped.
   /// No registered experiment sets it; the allocation-count test does

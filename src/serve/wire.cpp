@@ -220,6 +220,10 @@ CostConfig get_cost(WireReader& r) {
   return c;
 }
 
+// The Init layout keeps a slot for each built-in constant (kBaselineWeight,
+// kMaxUpdateSupport and the candidate sizes in core/candidates.hpp), so
+// recorded journals still replay; a decoded Init must hold exactly their
+// values.
 void put_megh_config(WireWriter& w, const MeghConfig& c) {
   w.f64(c.gamma);
   w.f64(c.temp0);
@@ -227,19 +231,28 @@ void put_megh_config(WireWriter& w, const MeghConfig& c) {
   w.f64(c.delta);
   w.f64(c.max_migration_fraction);
   w.u8(c.advantage_baseline ? 1 : 0);
-  w.f64(c.baseline_weight);
-  w.i32(c.max_update_support);
+  w.f64(kBaselineWeight);
+  w.i32(kMaxUpdateSupport);
   w.u8(c.learning_enabled ? 1 : 0);
   w.i64(c.candidates.full_enumeration_limit);
-  w.i32(c.candidates.max_overloaded_sources);
-  w.i32(c.candidates.consolidation_sources);
-  w.i32(c.candidates.random_sources);
-  w.i32(c.candidates.targets_per_source);
-  w.f64(c.candidates.target_util_ceiling);
-  w.f64(c.candidates.pack_ceiling);
+  w.i32(kMaxOverloadedSources);
+  w.i32(kConsolidationSources);
+  w.i32(kRandomSources);
+  w.i32(kTargetsPerSource);
+  w.f64(kTargetUtilCeiling);
+  w.f64(kPackCeiling);
   w.u8(c.candidates.network_aware ? 1 : 0);
-  w.f64(c.candidates.local_probe_fraction);
+  w.f64(kLocalProbeFraction);
   w.u64(c.seed);
+}
+
+template <typename T>
+void expect_builtin(T got, T builtin, const char* name) {
+  // A plain != also rejects NaN.
+  if (got != builtin) {
+    throw IoError(strf("wire: Init %s differs from the built-in value",
+                       name));
+  }
 }
 
 MeghConfig get_megh_config(WireReader& r) {
@@ -250,18 +263,18 @@ MeghConfig get_megh_config(WireReader& r) {
   c.delta = r.f64();
   c.max_migration_fraction = r.f64();
   c.advantage_baseline = r.u8() != 0;
-  c.baseline_weight = r.f64();
-  c.max_update_support = r.i32();
+  expect_builtin(r.f64(), kBaselineWeight, "baseline_weight");
+  expect_builtin(r.i32(), kMaxUpdateSupport, "max_update_support");
   c.learning_enabled = r.u8() != 0;
   c.candidates.full_enumeration_limit = r.i64();
-  c.candidates.max_overloaded_sources = r.i32();
-  c.candidates.consolidation_sources = r.i32();
-  c.candidates.random_sources = r.i32();
-  c.candidates.targets_per_source = r.i32();
-  c.candidates.target_util_ceiling = r.f64();
-  c.candidates.pack_ceiling = r.f64();
+  expect_builtin(r.i32(), kMaxOverloadedSources, "max_overloaded_sources");
+  expect_builtin(r.i32(), kConsolidationSources, "consolidation_sources");
+  expect_builtin(r.i32(), kRandomSources, "random_sources");
+  expect_builtin(r.i32(), kTargetsPerSource, "targets_per_source");
+  expect_builtin(r.f64(), kTargetUtilCeiling, "target_util_ceiling");
+  expect_builtin(r.f64(), kPackCeiling, "pack_ceiling");
   c.candidates.network_aware = r.u8() != 0;
-  c.candidates.local_probe_fraction = r.f64();
+  expect_builtin(r.f64(), kLocalProbeFraction, "local_probe_fraction");
   c.seed = r.u64();
   // The chaos recovery machinery stays client-side; a served policy never
   // runs it (the engine's fault feedback is reconciled via host_of).

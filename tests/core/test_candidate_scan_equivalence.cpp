@@ -11,11 +11,13 @@
 // identically in both.
 //
 // Randomized fleets exercise mixed G4/G5 hosts, forced utilization ties,
-// hosts at pack_ceiling ± 1 ulp and RAM-tight hosts, no feasible active
+// hosts at kPackCeiling ± 1 ulp and RAM-tight hosts, no feasible active
 // host (the sleeping-host PABFD fallback), every target host asleep, the
-// source's own host being the busiest, runs with and without a fabric,
-// pod and block domains, and 1 and 4 shards. Each call must produce the
-// reference's candidate vector and leave the Rng in the reference's state.
+// source's own host being the busiest, more overloaded VMs than
+// kMaxOverloadedSources, runs with and without a fabric, pod and block
+// domains (some of whose VMs hold no slot), and 1 and 4 shards. Each call
+// must produce the reference's candidate vector and leave the Rng in the
+// reference's state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,7 +46,8 @@ struct Coverage {
   int pack_ties = 0;         // a feasible host lost to an equal-util lower id
   int own_host_busiest = 0;  // the source's own host would have won packing
   int local_pack = 0;        // in-pod packing target differs from global
-  int no_pack = 0;           // no host fits under pack_ceiling
+  int no_pack = 0;           // no host fits under kPackCeiling
+  int source_cap = 0;        // overloaded VMs left out at the source cap
 };
 
 std::vector<CandidateAction> reference_candidates(
@@ -74,6 +77,10 @@ std::vector<CandidateAction> reference_candidates(
   const auto push_source = [&](int vm, CandidateGroup group) {
     if (seen_vm.insert(vm).second) sources.emplace_back(vm, group);
   };
+  const auto slotless = [&](int vm) {
+    return domain != nullptr &&
+           domain->vm_slot[static_cast<std::size_t>(vm)] < 0;
+  };
   std::vector<int> overloaded;
   for (int h = host_lo; h < host_hi; ++h) {
     if (util(h) > beta) overloaded.push_back(h);
@@ -83,8 +90,11 @@ std::vector<CandidateAction> reference_candidates(
   });
   for (int h : overloaded) {
     for (int vm : dc.vms_on(h)) {
-      if (static_cast<int>(sources.size()) >= config.max_overloaded_sources)
+      if (static_cast<int>(sources.size()) >= kMaxOverloadedSources) {
+        ++cov.source_cap;
         break;
+      }
+      if (slotless(vm)) continue;
       push_source(vm, CandidateGroup::kOverloaded);
     }
   }
@@ -97,9 +107,10 @@ std::vector<CandidateAction> reference_candidates(
   });
   int consolidation_added = 0;
   for (int h : active) {
-    if (consolidation_added >= config.consolidation_sources) break;
+    if (consolidation_added >= kConsolidationSources) break;
     for (int vm : dc.vms_on(h)) {
-      if (consolidation_added >= config.consolidation_sources) break;
+      if (consolidation_added >= kConsolidationSources) break;
+      if (slotless(vm)) continue;
       push_source(vm, CandidateGroup::kConsolidation);
       ++consolidation_added;
     }
@@ -107,7 +118,7 @@ std::vector<CandidateAction> reference_candidates(
   const std::size_t universe = domain != nullptr
                                    ? domain->vms.size()
                                    : static_cast<std::size_t>(dc.num_vms());
-  for (int i = 0; i < config.random_sources && universe > 0; ++i) {
+  for (int i = 0; i < kRandomSources && universe > 0; ++i) {
     const std::size_t pick = rng.index(universe);
     push_source(domain != nullptr ? domain->vms[pick] : static_cast<int>(pick),
                 CandidateGroup::kExploration);
@@ -135,7 +146,7 @@ std::vector<CandidateAction> reference_candidates(
         if (h == current || !fits(h, vm_ram)) continue;
         const HostSpec& spec = dc.host_spec(h);
         const double after = util(h) + vm_mips / spec.mips;
-        if (after > config.target_util_ceiling + 1e-9) continue;
+        if (after > kTargetUtilCeiling + 1e-9) continue;
         const bool is_active = dc.is_active(h);
         const double base = is_active
                                 ? spec.power.watts(std::min(1.0, util(h)))
@@ -159,7 +170,7 @@ std::vector<CandidateAction> reference_candidates(
     double pack_util = -1.0, pack_local_util = -1.0;
     for (int h = host_lo; h < host_hi; ++h) {
       if (h == current || !dc.is_active(h)) continue;
-      if (!feasible(h, vm_ram, vm_mips, config.pack_ceiling)) continue;
+      if (!feasible(h, vm_ram, vm_mips, kPackCeiling)) continue;
       const double u = util(h);
       if (u == pack_util) ++cov.pack_ties;
       if (u > pack_util) {
@@ -174,7 +185,7 @@ std::vector<CandidateAction> reference_candidates(
     }
     if (pack < 0) ++cov.no_pack;
     if (pack >= 0 && util(current) > pack_util &&
-        feasible(current, vm_ram, vm_mips, config.pack_ceiling)) {
+        feasible(current, vm_ram, vm_mips, kPackCeiling)) {
       ++cov.own_host_busiest;
     }
     if (pack_local >= 0 && pack_local != pack) ++cov.local_pack;
@@ -185,10 +196,10 @@ std::vector<CandidateAction> reference_candidates(
     if (pack_choice >= 0) push(pack_choice);
     if (group == CandidateGroup::kConsolidation) continue;
     int added = 0;
-    const int probes = std::min(width, 4 * config.targets_per_source);
-    for (int i = 0; i < probes && added < config.targets_per_source; ++i) {
+    const int probes = std::min(width, 4 * kTargetsPerSource);
+    for (int i = 0; i < probes && added < kTargetsPerSource; ++i) {
       int h;
-      if (network != nullptr && rng.bernoulli(config.local_probe_fraction)) {
+      if (network != nullptr && rng.bernoulli(kLocalProbeFraction)) {
         const int pod_base =
             network->pod_of(current) * network->hosts_per_pod();
         h = pod_base + static_cast<int>(rng.index(
@@ -199,7 +210,7 @@ std::vector<CandidateAction> reference_candidates(
             static_cast<int>(rng.index(static_cast<std::size_t>(width)));
       }
       if (h < host_lo || h >= host_hi || h == current) continue;
-      if (!feasible(h, vm_ram, vm_mips, config.target_util_ceiling)) continue;
+      if (!feasible(h, vm_ram, vm_mips, kTargetUtilCeiling)) continue;
       push(h);
       ++added;
     }
@@ -208,8 +219,8 @@ std::vector<CandidateAction> reference_candidates(
 }
 
 /// One randomized input: the fleet, its placement, host_util (which the
-/// generator takes as a free input, so ties and boundaries are set there)
-/// and the call's configuration.
+/// generator takes as a free input, so ties and boundaries are set there),
+/// the overload threshold and the call's configuration.
 struct Fleet {
   std::unique_ptr<Datacenter> dc;
   std::unique_ptr<ActionBasis> basis;
@@ -223,10 +234,11 @@ struct Fleet {
 enum class Shape {
   kRealistic,         // placement-derived utilization, lightly perturbed
   kTies,              // utilization quantized to a coarse grid
-  kBoundary,          // hosts at pack_ceiling ± 1 ulp and at a source's edge
+  kBoundary,          // hosts at kPackCeiling ± 1 ulp and at a source's edge
   kNoActiveFits,      // every active host too busy: PABFD falls to sleepers
   kAllTargetsAsleep,  // every VM on one host
   kOwnHostBusiest,    // the busiest host overloaded and packable
+  kAllOverloaded,     // every active host overloaded: the source cap binds
 };
 
 Fleet make_fleet(std::uint64_t seed, Shape shape) {
@@ -281,15 +293,7 @@ Fleet make_fleet(std::uint64_t seed, Shape shape) {
 
   CandidateConfig& c = f.config;
   c.full_enumeration_limit = 0;  // always the sampled path
-  c.max_overloaded_sources = 1 + static_cast<int>(rng.index(12));
-  c.consolidation_sources = static_cast<int>(rng.index(10));
-  c.random_sources = static_cast<int>(rng.index(10));
-  c.targets_per_source = 1 + static_cast<int>(rng.index(6));
-  const double pack_ceilings[] = {0.65, 0.8, 1.5};
-  c.pack_ceiling = pack_ceilings[rng.index(3)];
-  c.target_util_ceiling = rng.bernoulli(0.7) ? 1.0 : 0.9;
   c.network_aware = rng.bernoulli(0.8);
-  c.local_probe_fraction = rng.uniform();
   f.beta = 0.5 + 0.4 * rng.uniform();
   if (rng.bernoulli(0.5)) f.fabric.emplace(FatTreeTopology::for_hosts(hosts));
 
@@ -309,13 +313,12 @@ Fleet make_fleet(std::uint64_t seed, Shape shape) {
       for (int h = 0; h < hosts; ++h) {
         const double r = rng.uniform();
         double& x = u[static_cast<std::size_t>(h)];
-        if (r < 0.15) x = c.pack_ceiling;
-        if (r >= 0.15 && r < 0.3) x = std::nextafter(c.pack_ceiling, 0.0);
-        if (r >= 0.3 && r < 0.45) x = std::nextafter(c.pack_ceiling, 2.0);
+        if (r < 0.15) x = kPackCeiling;
+        if (r >= 0.15 && r < 0.3) x = std::nextafter(kPackCeiling, 0.0);
+        if (r >= 0.3 && r < 0.45) x = std::nextafter(kPackCeiling, 2.0);
       }
       // Put hosts exactly on (and 1 ulp either side of) the packing edge of
-      // the least-utilized active host's first VM — a consolidation source
-      // whenever consolidation_sources > 0.
+      // the least-utilized active host's first VM — a consolidation source.
       // VM 0 always found room, so its host is active.
       int least = f.dc->host_of(0);
       for (int h = 0; h < hosts; ++h) {
@@ -330,7 +333,7 @@ Fleet make_fleet(std::uint64_t seed, Shape shape) {
           continue;
         }
         const double cap = f.dc->host_spec(h).mips;
-        const double edge = (c.pack_ceiling * cap + 1e-9 - mips) / cap;
+        const double edge = (kPackCeiling * cap + 1e-9 - mips) / cap;
         const double steps[] = {0.0, -1.0, 1.0};
         const double dir = steps[rng.index(3)];
         u[static_cast<std::size_t>(h)] =
@@ -342,17 +345,17 @@ Fleet make_fleet(std::uint64_t seed, Shape shape) {
       for (int h = 0; h < hosts; ++h) {
         if (f.dc->is_active(h)) u[static_cast<std::size_t>(h)] = 1.0;
       }
-      c.target_util_ceiling = 1.0;
       break;
-    case Shape::kOwnHostBusiest: {
-      const int top = f.dc->host_of(0);
-      double max_u = 0.0;
-      for (double x : u) max_u = std::max(max_u, x);
-      u[static_cast<std::size_t>(top)] = max_u + 0.05;
-      f.beta = max_u + 0.01;
-      c.pack_ceiling = 1.5;
+    case Shape::kOwnHostBusiest:
+      // Every host well under kPackCeiling; VM 0's host is the busiest and
+      // the only overloaded one, so its VMs would pack onto it.
+      for (double& x : u) x = std::min(x, 0.3);
+      u[static_cast<std::size_t>(f.dc->host_of(0))] = 0.35;
+      f.beta = 0.32;
       break;
-    }
+    case Shape::kAllOverloaded:
+      f.beta = 0.0;
+      break;
   }
   return f;
 }
@@ -398,14 +401,16 @@ ShardPlan four_shards(int hosts, Rng& rng) {
 }
 
 TEST(CandidateScanEquivalence, MatchesFullRangeFoldsOnRandomFleets) {
-  const Shape shapes[] = {Shape::kRealistic,       Shape::kTies,
-                          Shape::kBoundary,        Shape::kNoActiveFits,
-                          Shape::kAllTargetsAsleep, Shape::kOwnHostBusiest};
+  const Shape shapes[] = {Shape::kRealistic,        Shape::kTies,
+                          Shape::kBoundary,         Shape::kNoActiveFits,
+                          Shape::kAllTargetsAsleep, Shape::kOwnHostBusiest,
+                          Shape::kAllOverloaded};
   Coverage cov;
   // One scratch across every call and fleet size: stale per-call state
   // would show up as a mismatch.
   CandidateScratch scratch;
   int domain_calls = 0;
+  int slotless_vms = 0;
   for (std::uint64_t seed = 1; seed <= 240; ++seed) {
     const Shape shape = shapes[seed % std::size(shapes)];
     const Fleet f = make_fleet(seed, shape);
@@ -434,16 +439,22 @@ TEST(CandidateScanEquivalence, MatchesFullRangeFoldsOnRandomFleets) {
                         static_cast<std::size_t>(hosts - lo)));
     }
     if (lo >= hi) continue;
+    // A tenth of the range's VMs get no slot (a pod over its capacity):
+    // hosted in the range, they must never become sources.
     std::vector<int> vms;
     std::vector<std::int32_t> slot(
         static_cast<std::size_t>(f.dc->num_vms()), 0);
     for (int vm = 0; vm < f.dc->num_vms(); ++vm) {
       const int h = f.dc->host_of(vm);
-      if (h >= lo && h < hi) {
-        slot[static_cast<std::size_t>(vm)] =
-            static_cast<std::int32_t>(vms.size());
-        vms.push_back(vm);
+      if (h < lo || h >= hi) continue;
+      if (plan_rng.bernoulli(0.1)) {
+        slot[static_cast<std::size_t>(vm)] = -1;
+        ++slotless_vms;
+        continue;
       }
+      slot[static_cast<std::size_t>(vm)] =
+          static_cast<std::int32_t>(vms.size());
+      vms.push_back(vm);
     }
     CandidateDomain domain;
     domain.host_begin = lo;
@@ -457,11 +468,13 @@ TEST(CandidateScanEquivalence, MatchesFullRangeFoldsOnRandomFleets) {
     ++domain_calls;
   }
   EXPECT_GT(domain_calls, 100);
+  EXPECT_GT(slotless_vms, 0);
   EXPECT_GT(cov.sleeping_pabfd, 0);
   EXPECT_GT(cov.pack_ties, 0);
   EXPECT_GT(cov.own_host_busiest, 0);
   EXPECT_GT(cov.local_pack, 0);
   EXPECT_GT(cov.no_pack, 0);
+  EXPECT_GT(cov.source_cap, 0);
 }
 
 }  // namespace

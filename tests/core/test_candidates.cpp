@@ -99,7 +99,6 @@ TEST(CandidatesTest, OverloadedHostVmsAreSources) {
 TEST(CandidatesTest, ConsolidationSourcesTaggedAndPackOnly) {
   World w = World::make(30, 60, 0.1);
   CandidateConfig config;
-  config.random_sources = 0;
   Rng rng(4);
   const auto cands = generate_candidates(w.dc, w.host_util, 0.7, w.basis,
                                          config, rng);
@@ -112,7 +111,7 @@ TEST(CandidatesTest, ConsolidationSourcesTaggedAndPackOnly) {
     const double post =
         (w.dc.host_demand_mips(c.host) + w.dc.vm_demand_mips(c.vm)) /
         w.dc.host_spec(c.host).mips;
-    EXPECT_LE(post, config.pack_ceiling + 1e-9);
+    EXPECT_LE(post, kPackCeiling + 1e-9);
   }
   EXPECT_GT(consolidation_moves, 0);
 }
@@ -142,10 +141,10 @@ TEST(CandidatesTest, TargetsRespectRamFeasibility) {
 TEST(CandidateTieOrderTest, TiedHostsOrderByIdForSourcesAndPacking) {
   // One VM per host (vm i on host i), so source order is host order.
   // Utilizations are set directly with exact ties: the overloaded pair
-  // {25, 11}, the least-utilized trio {9, 2, 5} and the busiest packable
-  // trio {20, 13, 27}. Both sorts break ties by host id and the packing
-  // walk takes the lowest id among the busiest feasible hosts, so the
-  // result cannot depend on the std::sort implementation.
+  // {25, 11}, the least-utilized trio {9, 2, 5}, the busiest packable trio
+  // {20, 13, 27} and 0.2 everywhere else. Both sorts break ties by host id
+  // and the packing walk takes the lowest id among the busiest feasible
+  // hosts, so the result cannot depend on the std::sort implementation.
   const int hosts = 30;
   std::vector<VmSpec> specs(hosts, VmSpec{1000.0, 512.0, 100.0});
   Datacenter dc(standard_host_fleet(hosts), specs);
@@ -159,9 +158,6 @@ TEST(CandidateTieOrderTest, TiedHostsOrderByIdForSourcesAndPacking) {
   const ActionBasis basis(hosts, hosts);
   CandidateConfig config;
   config.full_enumeration_limit = 0;
-  config.max_overloaded_sources = 1;
-  config.consolidation_sources = 3;
-  config.random_sources = 0;
   Rng rng(1);
   const auto cands =
       generate_candidates(dc, host_util, 0.8, basis, config, rng);
@@ -170,7 +166,15 @@ TEST(CandidateTieOrderTest, TiedHostsOrderByIdForSourcesAndPacking) {
   for (const auto& c : cands) {
     if (c.is_noop) noop_vms.push_back(c.vm);
   }
-  EXPECT_EQ(noop_vms, (std::vector<int>{11, 2, 5, 9}));
+  // Overloaded sources first, then the kConsolidationSources least-utilized
+  // hosts' VMs: the 0.1 trio, then the 0.2 hosts by id. Random sources
+  // follow.
+  const std::vector<int> selected = {11, 25, 2, 5,  9,  0,  1,  3,  6,
+                                     7,  8,  10, 12, 14, 15, 16, 18, 19};
+  ASSERT_EQ(selected.size(), 2u + kConsolidationSources);
+  ASSERT_GE(noop_vms.size(), selected.size());
+  noop_vms.resize(selected.size());
+  EXPECT_EQ(noop_vms, selected);
   // Consolidation menus are packing-only: the lowest id of the busiest
   // feasible tie, once per source.
   int packing_moves = 0;
@@ -179,7 +183,7 @@ TEST(CandidateTieOrderTest, TiedHostsOrderByIdForSourcesAndPacking) {
     EXPECT_EQ(c.host, 13) << "vm " << c.vm;
     ++packing_moves;
   }
-  EXPECT_EQ(packing_moves, 3);
+  EXPECT_EQ(packing_moves, kConsolidationSources);
 }
 
 }  // namespace

@@ -471,6 +471,67 @@ TEST(HierarchicalMeghTest, StatKeysInternedAtBeginNotPerStep) {
   EXPECT_EQ(StatKey::interned_count(), after_begin);
 }
 
+// --- slot overflow --------------------------------------------------------
+
+TEST(HierarchicalMeghTest, OverflowedPodOffersNoSlotlessVm) {
+  // k = 4: 16 hosts in 4 pods of 4. Pod 0 starts with 4 VMs (cap 4 + 16 =
+  // 20) and pod 1 with 60 (slots 0..59). Moving VMs 24..63 into pod 0 out
+  // of band fills its 16 free slots with VMs 24..39 and leaves 40..63
+  // without one, each still carrying a pod-1 slot >= 20. Pod 0's hosts are
+  // overloaded, so every VM on them is offered as a source unless the
+  // generator knows it is slotless.
+  const auto fabric = std::make_shared<const FatTreeTopology>(
+      FatTreeTopology::for_hosts(16));
+  ASSERT_EQ(fabric->num_pods(), 4);
+  const int vms = 64;
+  for (const int jobs : {1, 4}) {
+    Datacenter dc(standard_host_fleet(16),
+                  std::vector<VmSpec>(vms, VmSpec{100.0, 32.0, 10.0}));
+    for (int vm = 0; vm < 4; ++vm) dc.place(vm, vm);
+    for (int vm = 4; vm < vms; ++vm) dc.place(vm, 4 + vm % 4);
+    dc.set_demands(std::vector<double>(vms, 0.5));
+    HierarchicalMeghConfig config;
+    config.base = base_config(7);
+    config.base.max_migration_fraction = 1.0;
+    config.base.candidates.full_enumeration_limit = 0;  // sampled path
+    config.network = fabric;
+    HierarchicalMeghPolicy policy(config);
+    const CostConfig cost;
+    policy.begin(dc, cost, 300.0);
+    ASSERT_EQ(policy.pod_slot_capacity(0), 20);
+    for (int vm = 24; vm < vms; ++vm) ASSERT_TRUE(dc.migrate(vm, vm % 4));
+
+    std::vector<double> host_util = dc.all_host_utilization();
+    for (int h = 0; h < 4; ++h) host_util[static_cast<std::size_t>(h)] = 0.95;
+    const std::vector<double> vm_util(vms, 0.5);
+    const ShardExecutor exec(policy.plan(), jobs);
+    StepObservation obs;
+    obs.interval_s = 300.0;
+    obs.dc = &dc;
+    obs.vm_util = vm_util;
+    obs.host_util = host_util;
+    obs.cost = &cost;
+    obs.network = fabric.get();
+    obs.exec = &exec;
+    std::vector<MigrationAction> out;
+    policy.decide_into(obs, out);
+
+    const std::span<const int> slotted = policy.pod_vm_of_slot(0);
+    int pod0_moves = 0;
+    for (const MigrationAction& a : out) {
+      if (dc.host_of(a.vm) >= 4) continue;
+      ++pod0_moves;
+      EXPECT_NE(std::find(slotted.begin(), slotted.end(), a.vm),
+                slotted.end())
+          << "jobs " << jobs << ": slotless VM " << a.vm << " was drawn";
+    }
+    EXPECT_GT(pod0_moves, 0) << "jobs " << jobs;
+    PolicyStats stats;
+    policy.stats(stats);
+    EXPECT_EQ(stats.at("slot_overflows"), 24.0) << "jobs " << jobs;
+  }
+}
+
 // --- per-pod memory contract ---------------------------------------------
 
 TEST(HierarchicalMeghTest, LearnerDimensionsArePodLocal) {

@@ -152,8 +152,7 @@ TEST(MeghPolicyTest, OnePodShapeIsNTimesM) {
   const SimulationResult result = sim.run(megh, 1);
   EXPECT_EQ(megh.learner().dim(), 36 * 40);
   const double candidates = result.steps[0].policy_stats.at("candidates");
-  const CandidateConfig defaults;
-  EXPECT_GT(candidates, 40.0 * (defaults.targets_per_source + 3));
+  EXPECT_GT(candidates, 40.0 * kMaxCandidatesPerSource);
   EXPECT_LE(candidates, 36.0 * 40.0);
 }
 
@@ -161,24 +160,12 @@ TEST(MeghPolicyTest, InvalidConfigRejected) {
   MeghConfig config;
   config.max_migration_fraction = 0.0;
   EXPECT_THROW(MeghPolicy{config}, ConfigError);
-  // Every field a served client's Init can set is checked up front.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // An infinite temperature or decay rate would make the first decay NaN,
+  // after which no weight is ever drawable.
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<std::function<void(MeghConfig&)>> bad = {
-      // An infinite temperature or decay rate would make the first decay
-      // NaN, after which no weight is ever drawable.
       [&](MeghConfig& c) { c.temp0 = inf; },
       [&](MeghConfig& c) { c.epsilon = inf; },
-      [&](MeghConfig& c) { c.baseline_weight = nan; },
-      [](MeghConfig& c) { c.baseline_weight = 1.5; },
-      [](MeghConfig& c) { c.candidates.targets_per_source = -1; },
-      [](MeghConfig& c) {
-        c.candidates.targets_per_source = std::numeric_limits<int>::max();
-      },
-      [](MeghConfig& c) { c.candidates.random_sources = 1 << 20; },
-      [&](MeghConfig& c) { c.candidates.local_probe_fraction = nan; },
-      [](MeghConfig& c) { c.candidates.pack_ceiling = 0.0; },
-      [&](MeghConfig& c) { c.candidates.target_util_ceiling = inf; },
   };
   for (const auto& make_bad : bad) {
     config = MeghConfig{};

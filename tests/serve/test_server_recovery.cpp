@@ -6,12 +6,15 @@
 // are covered by the WAL corruption tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -757,6 +760,41 @@ TEST_F(ServerRecoveryTest, FailedCleanupIsNotFatal) {
   }
 }
 
+/// `init` (an encoded Init) with the bytes at `field` — an offset from
+/// the start of its MeghConfig, in the layout put_megh_config writes —
+/// replaced by `value`; the bytes there must encode `builtin`. The
+/// config's start is found as the first byte two encodings that differ
+/// only in the lowest bit of gamma disagree on.
+template <typename T>
+std::vector<std::uint8_t> patch_megh_field(
+    const std::vector<std::uint8_t>& init, std::size_t field, T builtin,
+    T value) {
+  InitRequest req = decode_init(init);
+  req.config.gamma = 0.5;
+  const std::vector<std::uint8_t> a = encode_init(req);
+  req.config.gamma = std::nextafter(0.5, 1.0);
+  const std::vector<std::uint8_t> b = encode_init(req);
+  const std::size_t gamma_at = static_cast<std::size_t>(
+      std::mismatch(a.begin(), a.end(), b.begin()).first - a.begin());
+  const auto encode = [](T x) {
+    WireWriter w;
+    if constexpr (std::is_same_v<T, double>) {
+      w.f64(x);
+    } else {
+      w.i32(x);
+    }
+    return w.take();
+  };
+  const auto at = static_cast<std::ptrdiff_t>(gamma_at + field);
+  const std::vector<std::uint8_t> old_bytes = encode(builtin);
+  EXPECT_TRUE(std::equal(old_bytes.begin(), old_bytes.end(), init.begin() + at))
+      << "offset " << field << " does not hold the built-in value";
+  std::vector<std::uint8_t> out = init;
+  const std::vector<std::uint8_t> new_bytes = encode(value);
+  std::copy(new_bytes.begin(), new_bytes.end(), out.begin() + at);
+  return out;
+}
+
 TEST_F(ServerRecoveryTest, InvalidInitLeavesTheDirectoryClean) {
   // An Init that fails validation must not persist init.bin: recovery
   // reads that file unconditionally, so a durably-written bad Init would
@@ -767,9 +805,9 @@ TEST_F(ServerRecoveryTest, InvalidInitLeavesTheDirectoryClean) {
   {
     MeghServer server(fast_options(dir, 0));
 
-    auto expect_rejected = [&](const InitRequest& bad) {
+    auto expect_rejected = [&](const std::vector<std::uint8_t>& bad) {
       const std::vector<std::uint8_t> response =
-          server.handle(MsgType::kInit, encode_init(bad));
+          server.handle(MsgType::kInit, bad);
       ASSERT_FALSE(response.empty());
       EXPECT_EQ(response[0], 1);
       EXPECT_FALSE(std::filesystem::exists(dir / "init.bin"))
@@ -781,22 +819,29 @@ TEST_F(ServerRecoveryTest, InvalidInitLeavesTheDirectoryClean) {
     // Fails apply_init's upfront validation (cost.validate()).
     InitRequest bad_config = decode_init(log[0].payload);
     bad_config.cost.energy_price_usd_per_kwh = -1.0;
-    expect_rejected(bad_config);
+    expect_rejected(encode_init(bad_config));
 
-    // Fails the policy's config validation: a NaN baseline weight would
-    // turn every critic update NaN while the daemon kept journaling.
-    InitRequest bad_megh = decode_init(log[0].payload);
-    bad_megh.config.baseline_weight = std::numeric_limits<double>::quiet_NaN();
-    expect_rejected(bad_megh);
+    // Fails the decoder's built-in-value check. A NaN baseline weight would
+    // turn every critic update NaN while the daemon kept journaling; an
+    // in-range pack ceiling or target count the policy no longer reads
+    // would make the served run silently differ from the client's intent.
+    // Offsets follow put_megh_config: five f64s and a u8 precede
+    // baseline_weight; targets_per_source and pack_ceiling sit further on.
+    expect_rejected(patch_megh_field(
+        log[0].payload, 41, kBaselineWeight,
+        std::numeric_limits<double>::quiet_NaN()));
+    expect_rejected(
+        patch_megh_field(log[0].payload, 74, kTargetsPerSource, 7));
+    expect_rejected(patch_megh_field(log[0].payload, 86, kPackCeiling, 0.8));
 
     // An infinite temperature passes a plain `> 0` check, but its first
     // decay is NaN: a journaled Megh that silently never migrates again.
     InitRequest bad_temperature = decode_init(log[0].payload);
     bad_temperature.config.temp0 = std::numeric_limits<double>::infinity();
-    expect_rejected(bad_temperature);
+    expect_rejected(encode_init(bad_temperature));
     InitRequest bad_decay = decode_init(log[0].payload);
     bad_decay.config.epsilon = std::numeric_limits<double>::infinity();
-    expect_rejected(bad_decay);
+    expect_rejected(encode_init(bad_decay));
 
     // Fails mid-way through rebuilding the placement mirror (a VM placed
     // twice): the partial mirror must be discarded, not persisted.
@@ -807,7 +852,7 @@ TEST_F(ServerRecoveryTest, InvalidInitLeavesTheDirectoryClean) {
         break;
       }
     }
-    expect_rejected(bad_placement);
+    expect_rejected(encode_init(bad_placement));
 
     // The same daemon accepts a valid Init afterwards and serves.
     for (const Recorded& r : log) {
