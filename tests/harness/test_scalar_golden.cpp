@@ -9,9 +9,9 @@
 // so Megh enumerates every action there; the 100 × 130 run (d = 13000)
 // takes the sampled path — source selection, the PABFD and packing
 // targets and the random probes of generate_candidates. Two more 24 × 36
-// variants pin the fault-recovery machinery (masking and gated retries
-// under a nonzero FaultPlan) and the paper's δ = d critic
-// initialization (delta <= 0). Two 100 × 130 runs at a 10% cap pin the
+// variants pin the fault-recovery machinery (down-host masking and the
+// SARSA remap of failed actions under a nonzero FaultPlan) and the paper's
+// δ = d critic initialization (delta <= 0). Two 100 × 130 runs at a 10% cap pin the
 // order of the Boltzmann draws: hierarchical Megh on a seven-pod fabric,
 // and a cold flat Megh whose decisions move when any weight moves by one
 // ulp.
@@ -209,21 +209,20 @@ TEST(ScalarGolden, SampledCandidatesFig2DecisionsAreBitIdentical) {
 }
 
 TEST(ScalarGolden, RecoveryUnderFaultsFig2DecisionsAreBitIdentical) {
-  // Aborted migrations and host crashes with recovery at the resilience
-  // experiment's settings (and its 10% cap): down-host masking, up to two
-  // retries with a one-step base backoff, issued only while the source
-  // host runs at >= 0.9 utilization. The synthetic load seldom runs a
-  // host that hot, so the plan aborts most migrations and fails hosts
-  // often enough (evacuations pack the survivors) that retries pass the
-  // gate; here switching off masking, the gate, the second retry or the
-  // one-step backoff each changes the decisions. The lowered temperature
-  // lets the Boltzmann weights see the critic, so the SARSA remap of
-  // failed actions shows in the decisions too.
+  // Recovery under the resilience experiment's full fault level, at its
+  // 10% cap and with the fault seed it compiles at seed 42 (42 ^ 0xf011):
+  // migration aborts, host crashes, bandwidth degradation and trace gaps.
+  // Switching off down-host masking changes the decisions. The lowered
+  // temperature lets the Boltzmann weights see the critic, so dropping
+  // the SARSA remap of failed actions to the no-op changes them too; at
+  // temp0 = 3 it would not.
   FaultPlanConfig faults;
   faults.enabled = true;
-  faults.seed = 16;
-  faults.migration_abort_rate = 0.85;
-  faults.host_failure_rate = 0.04;
+  faults.seed = 42 ^ 0xf011;
+  faults.migration_abort_rate = 0.25;
+  faults.host_failure_rate = 0.01;
+  faults.network_degradation_rate = 0.05;
+  faults.trace_gap_rate = 0.02;
   ExperimentOutput output;
   expect_matches_goldens(
       golden_fig2_spec("fig2_recovery", 24, 36, /*with_thr=*/false,
@@ -239,7 +238,6 @@ TEST(ScalarGolden, RecoveryUnderFaultsFig2DecisionsAreBitIdentical) {
       output.cells[0].result.sim.steps.back().policy_stats;
   EXPECT_GT(stats.at("faults_seen"), 0.0);
   EXPECT_GT(stats.at("masked_candidates"), 0.0);
-  EXPECT_GT(stats.at("retries"), 0.0);
 }
 
 TEST(ScalarGolden, PaperDeltaFig2DecisionsAreBitIdentical) {
