@@ -54,9 +54,8 @@ void save_megh_policy(const HierarchicalMeghPolicy& policy,
 /// Restore into a policy begun on a fleet of the same shape and shard plan
 /// (pod count and host ranges must match; per-pod slot capacities come
 /// from the file). Throws IoError on parse failure and ConfigError on a
-/// version or shape mismatch. The open SARSA transition and per-pod retry
-/// queues are reset — they are transient, not learned state (the serving
-/// daemon restores the transition itself).
+/// version or shape mismatch. The open SARSA transition is reset — it is
+/// transient, not learned state (the serving daemon restores it itself).
 void load_megh_policy(HierarchicalMeghPolicy& policy,
                       const std::filesystem::path& path);
 

@@ -19,22 +19,11 @@ namespace {
 /// engine can still evacuate them.
 constexpr int kPodSlotHeadroomMin = 16;
 constexpr double kPodSlotHeadroomFraction = 0.125;
-/// Emit pod<k>.* stat keys only for the first this many pods; the 14
+/// Emit pod<k>.* stat keys only for the first this many pods; the 13
 /// aggregate keys are always emitted.
 constexpr int kPodStatsLimit = 16;
-static_assert(14 + 2 * kPodStatsLimit <= PolicyStats::kCapacity,
+static_assert(13 + 2 * kPodStatsLimit <= PolicyStats::kCapacity,
               "the per-pod stat keys must fit the PolicyStats table");
-
-/// Fault recovery (MeghConfig::recovery). Down-host masking is always on;
-/// an aborted migration is re-requested up to kMaxRetries times, the
-/// attempt-th retry falling due kRetryBackoffSteps · 2^attempt steps after
-/// the abort. A due retry is issued only while the VM's source host runs
-/// at or above kRetryMinUtilization: aborted *reactive* moves (a VM stuck
-/// on an overloaded source) are the SLA-relevant ones to push through,
-/// and re-driving consolidation moves only adds migration downtime.
-constexpr int kMaxRetries = 2;
-constexpr int kRetryBackoffSteps = 1;
-constexpr double kRetryMinUtilization = 0.9;
 
 /// Decorrelate the per-pod RNG streams while keeping pod 0's stream on the
 /// configured seed — the one-pod layout draws exactly the seed's stream.
@@ -117,14 +106,11 @@ void HierarchicalMeghPolicy::begin(const Datacenter& dc,
         config_.base.gamma, config_.base.delta, kMaxUpdateSupport);
     pod.rng = Rng(pod_seed(config_.base.seed, p));
     pod.pending.clear();
-    // Each retry and draw group spends a budget unit for <= 1 action.
+    // Each draw group spends a budget unit for <= 1 action.
     pod.pending.reserve(static_cast<std::size_t>(migration_budget_));
     // A reactive group per host at most, then consolidation and the set.
     pod.groups.reserve(
         static_cast<std::size_t>(pod.host_end - pod.host_begin) + 2);
-    pod.retries.reserve(static_cast<std::size_t>(migration_budget_) *
-                            static_cast<std::size_t>(kMaxRetries) +
-                        4);
     pod.masked_candidates = 0;
     pod.slot_overflows = 0;
   }
@@ -135,9 +121,7 @@ void HierarchicalMeghPolicy::begin(const Datacenter& dc,
   baseline_initialized_ = false;
   emitted_.clear();
   emitted_.reserve(static_cast<std::size_t>(migration_budget_));
-  last_step_ = -1;
   faults_seen_ = 0;
-  retries_issued_ = 0;
   intern_stat_keys();
 }
 
@@ -167,7 +151,6 @@ void HierarchicalMeghPolicy::reset_pod_slots(Pod& pod, int cap) {
   pod.touched_slots.reserve(static_cast<std::size_t>(cap));
   // Transient state does not survive a re-slotting.
   pod.pending.clear();
-  pod.retries.clear();
 }
 
 void HierarchicalMeghPolicy::rebuild_membership(Pod& pod, int pod_id,
@@ -397,10 +380,7 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
     do_update = true;
   }
   has_pending_cost_ = false;
-  if (recovery) {
-    last_step_ = obs.step;
-    emitted_.clear();
-  }
+  if (recovery) emitted_.clear();
 
   // Pod phase: one shard per pod, each owning its learner, when the
   // engine's plan is ours; otherwise serially on the caller's thread.
@@ -431,9 +411,8 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
         out.push_back(MigrationAction{c.vm, c.host});
         ++total_migrations_selected_;
         if (recovery) {
-          emitted_.push_back(EmittedAction{c.vm, dc.host_of(c.vm), c.host,
-                                           pod_id, pod.pending.size() - 1,
-                                           0});
+          emitted_.push_back(EmittedAction{c.vm, dc.host_of(c.vm), pod_id,
+                                           pod.pending.size() - 1});
         }
       }
     }
@@ -445,64 +424,6 @@ void HierarchicalMeghPolicy::decide_into(const StepObservation& obs,
   };
 
   int budget = migration_budget_;
-
-  // Injected retries: deterministically re-request due aborted migrations
-  // before any Boltzmann draw, claiming budget first (pods ascending, queue
-  // order). A fault-free run never queues a retry.
-  if (recovery) {
-    for (int p = 0; p < num_pods(); ++p) {
-      Pod& pod = pods_[static_cast<std::size_t>(p)];
-      if (pod.retries.empty()) continue;
-      std::size_t keep = 0;
-      for (std::size_t i = 0; i < pod.retries.size(); ++i) {
-        const PendingRetry r = pod.retries[i];
-        if (r.due_step > obs.step) {
-          pod.retries[keep++] = r;  // not due yet
-          continue;
-        }
-        const bool target_down =
-            !obs.host_down.empty() &&
-            obs.host_down[static_cast<std::size_t>(r.target)] != 0;
-        // Stale: the VM moved off its source in the meantime (evacuation
-        // or another action), or an earlier retry already claimed it.
-        const std::int32_t slot =
-            slot_of_vm_[static_cast<std::size_t>(r.vm)];
-        const bool stale =
-            dc.host_of(r.vm) != r.source || slot < 0 ||
-            pod_of_vm_[static_cast<std::size_t>(r.vm)] != p ||
-            pod.slot_used[static_cast<std::size_t>(slot)] != 0;
-        if (target_down || stale) continue;  // drop: the world moved on
-        // Drop retries whose source host is no longer hot enough to be
-        // worth the extra migration downtime (see kRetryMinUtilization).
-        if (obs.host_util[static_cast<std::size_t>(r.source)] <
-            kRetryMinUtilization) {
-          continue;
-        }
-        if (budget <= 0) {
-          pod.retries[keep++] = r;  // over budget; try again next step
-          continue;
-        }
-        // slot_used is only ever reset for slots in the candidate set
-        // (touched_slots), so mark it — and zero the VM's draw weights —
-        // only when the VM is a candidate this step; otherwise no draw
-        // can reach it anyway.
-        const std::vector<std::size_t>& vm_cands =
-            pod.candidates_of_slot[static_cast<std::size_t>(slot)];
-        if (!vm_cands.empty()) {
-          pod.slot_used[static_cast<std::size_t>(slot)] = 1;
-          for (std::size_t j : vm_cands) pod.weights[j] = 0.0;
-        }
-        pod.pending.push_back(pod_index(pod, r.vm, r.target));
-        out.push_back(MigrationAction{r.vm, r.target});
-        emitted_.push_back(EmittedAction{r.vm, r.source, r.target, p,
-                                         pod.pending.size() - 1, r.attempt});
-        ++total_migrations_selected_;
-        ++retries_issued_;
-        --budget;
-      }
-      pod.retries.resize(keep);
-    }
-  }
 
   // One draw per group: rounds × pods ascending × the pod's groups in the
   // round, so overload response has first claim on the budget, in global
@@ -566,24 +487,18 @@ void HierarchicalMeghPolicy::observe_outcomes(
     // to the no-op so the critic learns from what actually happened
     // (including the fault's cost), not from a move that never landed.
     pod.pending[e.pending_slot] = pod_index(pod, e.vm, e.source);
-    if (o.verdict == MigrationVerdict::kAborted && e.attempt < kMaxRetries) {
-      pod.retries.push_back(PendingRetry{
-          e.vm, e.source, e.target,
-          last_step_ + kRetryBackoffSteps * (1 << e.attempt),
-          e.attempt + 1});
-    }
   }
 }
 
 void HierarchicalMeghPolicy::intern_stat_keys() {
-  // The first twelve are flat Megh's keys; the one-pod layout stops there.
+  // The first eleven are flat Megh's keys; the one-pod layout stops there.
   static constexpr const char* kAggregates[] = {
-      "qtable_nnz",     "theta_nnz",         "lspi_updates",
-      "singular_skips", "truncations",       "b_offdiag_nnz",
+      "qtable_nnz",     "theta_nnz",           "lspi_updates",
+      "singular_skips", "truncations",         "b_offdiag_nnz",
       "temperature",    "migrations_selected", "faults_seen",
-      "retries",        "masked_candidates", "candidates",
+      "masked_candidates", "candidates",
       "pods",           "slot_overflows"};
-  const std::size_t emitted = one_pod_ ? 12 : std::size(kAggregates);
+  const std::size_t emitted = one_pod_ ? 11 : std::size(kAggregates);
   aggregate_keys_.clear();
   for (std::size_t k = 0; k < emitted; ++k) {
     aggregate_keys_.push_back(StatKey::intern(kAggregates[k]));
@@ -636,7 +551,6 @@ void HierarchicalMeghPolicy::stats(PolicyStats& out) const {
                            selector_.temperature(),
                            static_cast<double>(total_migrations_selected_),
                            static_cast<double>(faults_seen_),
-                           static_cast<double>(retries_issued_),
                            masked,
                            candidates,
                            static_cast<double>(num_pods()),

@@ -109,11 +109,10 @@ struct MeghConfig {
   bool learning_enabled = true;
   CandidateConfig candidates;
   /// Fault recovery (chaos subsystem, src/chaos; docs/RESILIENCE.md):
-  /// down-host masking, the SARSA remap of failed actions and gated
-  /// retries of aborted migrations, at the fixed settings in
-  /// hierarchical_megh.cpp. Every mechanism is a no-op in a fault-free
-  /// run, so a recovering Megh under a zero-rate FaultPlan makes exactly
-  /// the decisions a plain Megh makes.
+  /// down-host masking of candidates, and the SARSA remap of failed
+  /// actions (aborted, or target down) to the no-op the VM realized. Both
+  /// are no-ops in a fault-free run, so a recovering Megh under a
+  /// zero-rate FaultPlan makes exactly the decisions a plain Megh makes.
   bool recovery = false;
   std::uint64_t seed = 42;
 };
@@ -152,12 +151,12 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
   void observe_cost(double step_cost) override;
   /// Recovery feedback (no-op unless config.recovery): failed
   /// actions (aborted / down target) have their pending SARSA transition
-  /// remapped to the realized no-op (the VM stayed on its source), and
-  /// aborted migrations are queued for retry with exponential backoff.
+  /// remapped to the realized no-op (the VM stayed on its source). The
+  /// failed move is not re-requested; the next draws decide afresh.
   void observe_outcomes(std::span<const MigrationOutcome> outcomes) override;
   /// Aggregates across pods: qtable_nnz, theta_nnz, lspi_updates,
   /// singular_skips, truncations, b_offdiag_nnz, temperature,
-  /// migrations_selected, faults_seen, retries, masked_candidates and
+  /// migrations_selected, faults_seen, masked_candidates and
   /// candidates — flat Megh's keys. The hierarchical layout adds "pods",
   /// "slot_overflows" and pod<k>.{qtable_nnz,lspi_updates}.
   /// Every key is interned at begin(); a debug build asserts that stats()
@@ -203,25 +202,14 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
   HierarchicalMeghPolicy(const MeghConfig& config, OnePod);
 
  private:
-  /// An aborted migration waiting to be re-requested (pod-local queue).
-  struct PendingRetry {
-    int vm;
-    int source;
-    int target;
-    int due_step;
-    int attempt;
-  };
-
   /// One record per non-no-op action emitted last step, in emission order
   /// (= the engine's outcome order). pending_slot indexes the owning
   /// pod's pending list.
   struct EmittedAction {
     int vm;
     int source;
-    int target;
     int pod;
     std::size_t pending_slot;
-    int attempt;  // 0 = fresh Boltzmann draw, >0 = injected retry
   };
 
   /// One Boltzmann draw's candidates: Pod::draw_idx[begin, end) — one
@@ -260,7 +248,6 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
     std::vector<std::size_t> draw_idx;  // candidate indices, by group
     std::vector<DrawGroup> groups;      // this step's, non-empty, in order
     // --- chaos recovery ---
-    std::vector<PendingRetry> retries;
     long long masked_candidates = 0;
     long long slot_overflows = 0;
   };
@@ -274,7 +261,7 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
   /// Bucket every placed VM into its pod's member list, ascending.
   void collect_members(const Datacenter& dc);
   /// Size a pod's slot map and slot-indexed scratch to `cap` and clear its
-  /// transient state (pending, retries).
+  /// transient state (pending).
   void reset_pod_slots(Pod& pod, int cap);
   void rebuild_membership(Pod& pod, int pod_id, const Datacenter& dc);
   void run_pod_phase(int pod_id, const StepObservation& obs, bool do_update,
@@ -305,9 +292,7 @@ class HierarchicalMeghPolicy : public MigrationPolicy {
 
   std::vector<double> draw_weights_;  // one group's gathered weights
   std::vector<EmittedAction> emitted_;
-  int last_step_ = -1;
   long long faults_seen_ = 0;
-  long long retries_issued_ = 0;
 
   // Stat keys, interned once at begin(). stats() only reads these.
   std::vector<StatKey> aggregate_keys_;

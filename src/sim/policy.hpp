@@ -116,7 +116,7 @@ class MigrationPolicy {
   /// request order, delivered right after the engine applied them. Under a
   /// fault plan the realized next state can differ from the intended one
   /// (aborted migrations, down targets); recovery-aware policies correct
-  /// their learning signal and schedule retries here. Default: ignore.
+  /// their learning signal here. Default: ignore.
   virtual void observe_outcomes(std::span<const MigrationOutcome> outcomes) {
     (void)outcomes;
   }

@@ -61,8 +61,8 @@ class StatKey {
 /// kCapacity entries. Trivially copyable by design.
 class PolicyStats {
  public:
-  /// Sized for the hierarchical Megh policy's worst case: its 14 aggregate
-  /// keys plus two per-pod keys for up to 16 pods, 46 in all (beyond 16
+  /// Sized for the hierarchical Megh policy's worst case: its 13 aggregate
+  /// keys plus two per-pod keys for up to 16 pods, 45 in all (beyond 16
   /// pods only the aggregates are emitted).
   static constexpr int kCapacity = 48;
 

@@ -1,12 +1,12 @@
 // Chaos ↔ engine integration: the zero-plan bit-identity contract, fault
 // replay determinism across worker counts, the per-class fault semantics
 // (aborts, host failure/recovery, stranding, trace gaps, degradation), and
-// Megh's recovery machinery (stats keys, masking, gated retries).
+// Megh's recovery machinery (stats keys, masking, the SARSA remap).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
+#include <iterator>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "baselines/simple_policies.hpp"
@@ -66,20 +66,6 @@ MeghConfig recovery_megh_config(std::uint64_t seed) {
   config.max_migration_fraction = 0.1;
   config.recovery = true;
   return config;
-}
-
-/// A PlanetLab scenario whose VM demand never drops below `floor`. The
-/// synthetic load alone seldom runs a host at the 0.9 utilization Megh's
-/// retry gate asks of an aborted move's source.
-Scenario hot_planetlab_scenario(int hosts, int vms, int steps,
-                                std::uint64_t seed, double floor) {
-  Scenario scenario = make_planetlab_scenario(hosts, vms, steps, seed);
-  for (int vm = 0; vm < vms; ++vm) {
-    for (int s = 0; s < steps; ++s) {
-      scenario.trace.set(vm, s, std::max(floor, scenario.trace.at(vm, s)));
-    }
-  }
-  return scenario;
 }
 
 // --- satellite: rate-0 plan ≡ no plan, property-style over seeds ---------
@@ -318,7 +304,7 @@ TEST(ChaosSimTest, NetworkDegradationInflatesMigrationDowntime) {
 // --- Megh recovery machinery ---------------------------------------------
 
 TEST(MeghRecoveryTest, StatsExposeFaultCountersAndRoundTrip) {
-  const Scenario scenario = hot_planetlab_scenario(16, 24, 60, 42, 0.9);
+  const Scenario scenario = make_planetlab_scenario(16, 24, 60, 42);
   ExperimentOptions options;
   options.max_migration_fraction = 0.1;
   options.faults = abort_only_plan(1.0, 16, 60);  // every migration aborts
@@ -329,7 +315,7 @@ TEST(MeghRecoveryTest, StatsExposeFaultCountersAndRoundTrip) {
 
   PolicyStats stats;
   policy.stats(stats);
-  for (const char* key : {"faults_seen", "retries", "masked_candidates"}) {
+  for (const char* key : {"faults_seen", "masked_candidates"}) {
     EXPECT_EQ(stats.count(key), 1) << key;
     // Interned-key round trip: the name resolves to a registered StatKey,
     // the key resolves back to the name, and keyed lookup agrees with the
@@ -341,8 +327,9 @@ TEST(MeghRecoveryTest, StatsExposeFaultCountersAndRoundTrip) {
     ASSERT_NE(by_key, nullptr) << key;
     EXPECT_EQ(*by_key, stats.at(key)) << key;
   }
-  EXPECT_GT(stats.at("faults_seen"), 0.0);
-  EXPECT_GT(stats.at("retries"), 0.0);
+  // Every aborted move was one Megh requested, and each was counted.
+  EXPECT_EQ(stats.at("faults_seen"),
+            static_cast<double>(r.sim.totals.aborted_migrations));
   // Fault counters also ride the per-step snapshots the engine records.
   EXPECT_EQ(r.sim.steps.back().policy_stats.count("faults_seen"), 1);
 }
@@ -369,65 +356,74 @@ TEST(MeghRecoveryTest, MasksCandidatesTargetingDownHosts) {
   EXPECT_EQ(r.sim.totals.rejected_down_host, 0);
 }
 
-TEST(MeghRecoveryTest, RetriesOnlyWhileTheSourceRunsAtOrAbove0_9) {
-  // The same aborted moves, falling due one step later (the base backoff),
-  // are re-requested when their source hosts run at exactly 0.9 and
-  // dropped when they run one ulp below it. The policy is driven by hand,
-  // so the host utilization the gate reads is exact.
-  struct Retried {
-    std::vector<MigrationAction> aborted;
-    std::vector<MigrationAction> next_step;
-    double retries = 0.0;
-  };
-  const auto run = [](double source_util) {
-    Fixture f = Fixture::make(4, 8, 2, 0.5);
-    MeghConfig config = recovery_megh_config(42);
-    config.max_migration_fraction = 0.5;  // a budget of four a step
-    MeghPolicy policy(config);
-    const CostConfig cost;
-    policy.begin(f.dc, cost, 300.0);
-    const std::vector<double> vm_util(8, 0.5);
-    std::vector<double> host_util(4, 0.5);
-    StepObservation obs;
-    obs.interval_s = 300.0;
-    obs.dc = &f.dc;
-    obs.vm_util = vm_util;
-    obs.host_util = host_util;
-    obs.cost = &cost;
-    Retried r;
-    // Step until Megh draws a move, and abort every move it draws.
-    for (; obs.step < 20 && r.aborted.empty(); ++obs.step) {
-      policy.decide_into(obs, r.aborted);
-      std::vector<MigrationOutcome> outcomes;
-      for (const MigrationAction& a : r.aborted) {
-        outcomes.push_back({a.vm, a.target_host, MigrationVerdict::kAborted});
+TEST(MeghRecoveryTest, FailedActionsRemapToTheNoOpAppliedOnesKeepTheirIndex) {
+  // Every move Megh draws gets a verdict in turn — aborted, target down,
+  // applied — and its open SARSA transition is read back. A failed move
+  // left the VM on its source, so its pending action becomes the VM's
+  // no-op, slot·M + source (slot k is VM k in flat Megh); an applied move
+  // and every drawn no-op keep the index that was drawn. The policy is
+  // driven by hand, so nothing but the verdicts decides the remap.
+  Fixture f = Fixture::make(4, 8, 2, 0.5);
+  constexpr std::int64_t kHosts = 4;
+  MeghConfig config = recovery_megh_config(42);
+  config.max_migration_fraction = 0.5;  // a budget of four a step
+  MeghPolicy policy(config);
+  const CostConfig cost;
+  policy.begin(f.dc, cost, 300.0);
+  const std::vector<double> vm_util(8, 0.5);
+  const std::vector<double> host_util(4, 0.5);
+  StepObservation obs;
+  obs.interval_s = 300.0;
+  obs.dc = &f.dc;
+  obs.vm_util = vm_util;
+  obs.host_util = host_util;
+  obs.cost = &cost;
+
+  constexpr MigrationVerdict kTurns[] = {MigrationVerdict::kAborted,
+                                         MigrationVerdict::kTargetDown,
+                                         MigrationVerdict::kApplied};
+  std::map<MigrationVerdict, int> seen;
+  int turn = 0;
+  for (; obs.step < 60 && seen.size() < std::size(kTurns); ++obs.step) {
+    std::vector<MigrationAction> moves;
+    policy.decide_into(obs, moves);
+    const std::vector<std::int64_t> drawn(policy.pending_actions(0).begin(),
+                                          policy.pending_actions(0).end());
+    std::vector<MigrationOutcome> outcomes;
+    std::vector<MigrationVerdict> verdict_of;  // per drawn action
+    for (const std::int64_t a : drawn) {
+      const int vm = static_cast<int>(a / kHosts);
+      const int host = static_cast<int>(a % kHosts);
+      if (host == f.dc.host_of(vm)) {
+        verdict_of.push_back(MigrationVerdict::kApplied);  // a no-op
+        continue;
       }
-      policy.observe_cost(1.0);
-      policy.observe_outcomes(outcomes);
+      // Moves are emitted in draw order.
+      ASSERT_LT(outcomes.size(), moves.size());
+      EXPECT_EQ(moves[outcomes.size()].vm, vm);
+      EXPECT_EQ(moves[outcomes.size()].target_host, host);
+      const MigrationVerdict v = kTurns[turn++ % std::size(kTurns)];
+      outcomes.push_back({vm, host, v});
+      verdict_of.push_back(v);
+      ++seen[v];
     }
-    // The next step is the retries' due step. Nothing moved, so every
-    // source is where it was; set the sources' load.
-    std::fill(host_util.begin(), host_util.end(), source_util);
-    policy.decide_into(obs, r.next_step);
-    PolicyStats stats;
-    policy.stats(stats);
-    r.retries = stats.at("retries");
-    return r;
-  };
+    ASSERT_EQ(outcomes.size(), moves.size());
+    policy.observe_cost(1.0);
+    policy.observe_outcomes(outcomes);
 
-  const Retried hot = run(0.9);
-  ASSERT_FALSE(hot.aborted.empty()) << "Megh drew no move in 20 steps";
-  EXPECT_EQ(hot.retries, static_cast<double>(hot.aborted.size()));
-  // Retries claim the budget first, in abort order.
-  ASSERT_GE(hot.next_step.size(), hot.aborted.size());
-  for (std::size_t i = 0; i < hot.aborted.size(); ++i) {
-    EXPECT_EQ(hot.next_step[i].vm, hot.aborted[i].vm);
-    EXPECT_EQ(hot.next_step[i].target_host, hot.aborted[i].target_host);
+    const std::span<const std::int64_t> pending = policy.pending_actions(0);
+    ASSERT_EQ(pending.size(), drawn.size());
+    for (std::size_t i = 0; i < drawn.size(); ++i) {
+      const std::int64_t vm = drawn[i] / kHosts;
+      const std::int64_t noop =
+          vm * kHosts + f.dc.host_of(static_cast<int>(vm));
+      EXPECT_EQ(pending[i], verdict_of[i] == MigrationVerdict::kApplied
+                                ? drawn[i]
+                                : noop)
+          << "step " << obs.step << ", action " << i;
+    }
   }
-
-  const Retried cool = run(std::nextafter(0.9, 0.0));
-  EXPECT_EQ(cool.aborted.size(), hot.aborted.size());
-  EXPECT_EQ(cool.retries, 0.0);
+  EXPECT_EQ(seen.size(), std::size(kTurns)) << "Megh drew too few moves";
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // (the one-pod layout of the same core; sampled and enumerated candidate
 // paths, fabric-attached and fabric-free), job-count bit-identity on a
 // 16-pod fabric, per-pod checkpoint kill/restore round-trips, per-pod chaos
-// recovery (masking + gated retries), the interned-stat-keys
+// recovery (masking + the SARSA remap), the interned-stat-keys
 // allocation-free-step guarantee, and the checkpoint format-version gates.
 #include "core/hierarchical_megh.hpp"
 
@@ -385,16 +385,9 @@ MeghConfig recovery_config(std::uint64_t seed) {
 
 TEST(HierarchicalMeghChaosTest, MaskingAndAbortRecoveryWorkAcrossPods) {
   // Every applied migration aborts and one host goes down mid-run: the
-  // policy must mask down-host candidates and retry aborted moves off hot
-  // sources, with the per-pod counters summing to the aggregates. Every
-  // VM demands at least 90% of its MIPS, so sources run hot enough for
-  // the 0.9 retry gate.
-  Scenario scenario = make_planetlab_scenario(16, 32, 80, 7);
-  for (int vm = 0; vm < 32; ++vm) {
-    for (int s = 0; s < 80; ++s) {
-      scenario.trace.set(vm, s, std::max(0.9, scenario.trace.at(vm, s)));
-    }
-  }
+  // policy must mask down-host candidates and count every failed move it
+  // remapped, with the per-pod counters summing to the aggregates.
+  const Scenario scenario = make_planetlab_scenario(16, 32, 80, 7);
   const auto fabric = std::make_shared<const FatTreeTopology>(
       FatTreeTopology::for_hosts(16));
   std::vector<FaultEvent> events;
@@ -412,7 +405,7 @@ TEST(HierarchicalMeghChaosTest, MaskingAndAbortRecoveryWorkAcrossPods) {
   PolicyStats stats;
   policy.stats(stats);
   EXPECT_GT(stats.at("masked_candidates"), 0.0);
-  EXPECT_GT(stats.at("retries"), 0.0);
+  EXPECT_GT(stats.at("faults_seen"), 0.0);
   double pod_updates = 0.0;
   for (int p = 0; p < policy.num_pods(); ++p) {
     pod_updates += stats.at("pod" + std::to_string(p) + ".lspi_updates");
@@ -426,7 +419,7 @@ TEST(HierarchicalMeghChaosTest, MaskingAndAbortRecoveryWorkAcrossPods) {
 TEST(HierarchicalMeghTest, StatKeysInternedAtBeginNotPerStep) {
   const Scenario scenario = make_planetlab_scenario(16, 24, 20, 5);
   {
-    // The one-pod (flat) construction: its twelve keys, nothing per pod.
+    // The one-pod (flat) construction: its eleven keys, nothing per pod.
     MeghPolicy flat(base_config(31));
     Datacenter dc = build_datacenter(scenario, InitialPlacement::kRandom, 11);
     flat.begin(dc, CostConfig{}, 300.0);
@@ -435,7 +428,7 @@ TEST(HierarchicalMeghTest, StatKeysInternedAtBeginNotPerStep) {
     flat.stats(stats);
     EXPECT_EQ(StatKey::interned_count(), after_begin)
         << "flat stats() interned a key outside begin()";
-    EXPECT_EQ(stats.size(), 12);
+    EXPECT_EQ(stats.size(), 11);
     EXPECT_EQ(stats.count("pods"), 0);
     Datacenter dc2 = build_datacenter(scenario, InitialPlacement::kRandom, 11);
     Simulation sim(std::move(dc2), scenario.trace, default_sim_config(0.05));
@@ -455,8 +448,8 @@ TEST(HierarchicalMeghTest, StatKeysInternedAtBeginNotPerStep) {
   policy.stats(stats);
   EXPECT_EQ(StatKey::interned_count(), after_begin)
       << "stats() interned a key outside begin()";
-  // All pod keys fit: 14 aggregates + 2 keys for each of 4 pods.
-  EXPECT_EQ(stats.size(), 14 + 2 * 4);
+  // All pod keys fit: 13 aggregates + 2 keys for each of 4 pods.
+  EXPECT_EQ(stats.size(), 13 + 2 * 4);
   EXPECT_EQ(stats.at("pods"), 4.0);
   EXPECT_EQ(stats.at("slot_overflows"), 0.0);
   policy.stats(stats);
