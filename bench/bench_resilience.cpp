@@ -4,11 +4,11 @@
 // Three fault levels share one scenario: none (plus a zero-rate plan that
 // must be decision-identical to running without any plan — the chaos
 // layer's identity contract), low, and full. At each nonzero level a
-// recovery-enabled Megh (down-host masking, SARSA remap of failed actions,
-// retry-with-backoff) is compared against a fault-unaware Megh and
-// THR-MMT. Shape to show: the zero-rate plan changes nothing, faults
-// actually land, and recovery does not lose SLA ground to fault-blind
-// Megh under the full fault scenario.
+// recovery-enabled Megh (down-host masking, SARSA remap of failed actions
+// to the no-op) is compared against a fault-unaware Megh and THR-MMT.
+// Shape to show: the zero-rate plan changes nothing, faults actually land,
+// and recovery does not lose SLA ground to fault-blind Megh under the full
+// fault scenario.
 #include "baselines/mmt_policy.hpp"
 #include "chaos/fault_plan.hpp"
 #include "common/error.hpp"
@@ -56,7 +56,7 @@ std::function<std::unique_ptr<MigrationPolicy>()> make_megh(
     MeghConfig config;
     config.seed = seed;
     config.max_migration_fraction = 0.1;
-    // Masking, the SARSA remap and retries gated on a hot source host.
+    // Down-host masking and the SARSA remap of failed actions.
     config.recovery = recovery;
     return std::make_unique<MeghPolicy>(config);
   };
@@ -137,6 +137,8 @@ ExperimentSpec resilience_spec() {
       "convergence under faults (recovery should not slow Megh down):";
   // Convergence columns for results.json: computed per cell so downstream
   // tooling gets energy/SLA (totals) plus learning speed in one record.
+  // Megh cells also carry their final recovery counters (0 without
+  // recovery), so how often recovery acted is read from the results.
   spec.post = [](const ExperimentPlan&, ExperimentOutput& output) {
     for (CellResult& cell : output.cells) {
       const std::vector<double> cost = cell.result.sim.series("step_cost");
@@ -146,6 +148,11 @@ ExperimentSpec resilience_spec() {
                : static_cast<double>(cost.size());
       cell.derived["stable_cost"] = tail_mean(
           cost, conv.value_or(static_cast<int>(cost.size()) / 2));
+      if (cell.result.sim.steps.empty()) continue;
+      const PolicyStats& stats = cell.result.sim.steps.back().policy_stats;
+      for (const char* key : {"faults_seen", "masked_candidates"}) {
+        if (stats.count(key) != 0) cell.derived[key] = stats.at(key);
+      }
     }
   };
   spec.checks = {
