@@ -114,9 +114,7 @@ ExperimentSpec ablation_spec() {
       cell.label = "Q-learning, no offline training";
       cell.rng_stream = seed;
       cell.make = [seed] {
-        QLearningConfig qc;
-        qc.seed = seed;
-        auto ql = std::make_unique<QLearningPolicy>(qc);
+        auto ql = std::make_unique<QLearningPolicy>(seed);
         ql->set_training(false);  // deployed cold: no training phase
         return ql;
       };
@@ -127,9 +125,7 @@ ExperimentSpec ablation_spec() {
       cell.label = "Q-learning, offline-trained";
       cell.rng_stream = seed;
       cell.run = [seed](const std::vector<Scenario>& scenarios) {
-        QLearningConfig qc;
-        qc.seed = seed;
-        QLearningPolicy ql(qc);
+        QLearningPolicy ql(seed);
         // Offline training pass on the alternate workload, then deploy.
         ExperimentOptions options;
         ql.set_training(true);

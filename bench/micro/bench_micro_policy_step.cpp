@@ -68,9 +68,7 @@ void BM_ThrMmtDecide(benchmark::State& state) {
 BENCHMARK(BM_ThrMmtDecide)->Arg(100)->Arg(200)->Arg(400)->Arg(800);
 
 void BM_MadVmDecide(benchmark::State& state) {
-  run_decide_benchmark(state, [] {
-    return std::make_unique<MadVmPolicy>(MadVmConfig{});
-  });
+  run_decide_benchmark(state, [] { return std::make_unique<MadVmPolicy>(); });
 }
 BENCHMARK(BM_MadVmDecide)->Arg(100)->Arg(200);
 

@@ -80,105 +80,101 @@ namespace {
 
 class ThrDetector final : public OverloadDetector {
  public:
-  explicit ThrDetector(const DetectorParams& p) : params_(p) {}
+  explicit ThrDetector(double thr_threshold) : thr_threshold_(thr_threshold) {}
   std::string name() const override { return "THR"; }
   bool overloaded(std::span<const double> history) const override {
     MEGH_ASSERT(!history.empty(), "detector needs current utilization");
-    return history.back() > params_.thr_threshold;
+    return history.back() > thr_threshold_;
   }
   double threshold(std::span<const double>) const override {
-    return params_.thr_threshold;
+    return thr_threshold_;
   }
 
- protected:
-  DetectorParams params_;
+ private:
+  double thr_threshold_;
 };
 
 class IqrDetector final : public OverloadDetector {
  public:
-  explicit IqrDetector(const DetectorParams& p) : params_(p) {}
+  explicit IqrDetector(double thr_threshold) : thr_threshold_(thr_threshold) {}
   std::string name() const override { return "IQR"; }
   bool overloaded(std::span<const double> history) const override {
     MEGH_ASSERT(!history.empty(), "detector needs current utilization");
     return history.back() > threshold(history);
   }
   double threshold(std::span<const double> history) const override {
-    if (static_cast<int>(history.size()) < params_.regression_points) {
-      return params_.thr_threshold;
+    if (static_cast<int>(history.size()) < kRegressionPoints) {
+      return thr_threshold_;
     }
     Samples s{std::vector<double>(history.begin(), history.end())};
-    return std::max(0.0, 1.0 - params_.iqr_safety * s.iqr());
+    return std::max(0.0, 1.0 - kIqrSafety * s.iqr());
   }
 
  private:
-  DetectorParams params_;
+  double thr_threshold_;
 };
 
 class MadDetector final : public OverloadDetector {
  public:
-  explicit MadDetector(const DetectorParams& p) : params_(p) {}
+  explicit MadDetector(double thr_threshold) : thr_threshold_(thr_threshold) {}
   std::string name() const override { return "MAD"; }
   bool overloaded(std::span<const double> history) const override {
     MEGH_ASSERT(!history.empty(), "detector needs current utilization");
     return history.back() > threshold(history);
   }
   double threshold(std::span<const double> history) const override {
-    if (static_cast<int>(history.size()) < params_.regression_points) {
-      return params_.thr_threshold;
+    if (static_cast<int>(history.size()) < kRegressionPoints) {
+      return thr_threshold_;
     }
     Samples s{std::vector<double>(history.begin(), history.end())};
-    return std::max(0.0, 1.0 - params_.mad_safety * s.mad());
+    return std::max(0.0, 1.0 - kMadSafety * s.mad());
   }
 
  private:
-  DetectorParams params_;
+  double thr_threshold_;
 };
 
 class LrDetector : public OverloadDetector {
  public:
-  LrDetector(const DetectorParams& p, bool robust)
-      : params_(p), robust_(robust) {}
+  LrDetector(double thr_threshold, bool robust)
+      : thr_threshold_(thr_threshold), robust_(robust) {}
   std::string name() const override { return robust_ ? "LRR" : "LR"; }
   bool overloaded(std::span<const double> history) const override {
     MEGH_ASSERT(!history.empty(), "detector needs current utilization");
-    const int k = params_.regression_points;
-    if (static_cast<int>(history.size()) < k) {
-      return history.back() > params_.thr_threshold;
+    if (static_cast<int>(history.size()) < kRegressionPoints) {
+      return history.back() > thr_threshold_;
     }
-    const auto tail = history.subspan(history.size() - static_cast<std::size_t>(k));
+    const auto tail = history.last(kRegressionPoints);
     const double predicted =
         robust_ ? robust_forecast(tail) : ols_forecast(tail);
-    return params_.lr_safety * predicted >= 1.0 ||
-           history.back() > params_.thr_threshold;
+    return kLrSafety * predicted >= 1.0 || history.back() > thr_threshold_;
   }
   double threshold(std::span<const double>) const override {
-    return params_.thr_threshold;
+    return thr_threshold_;
   }
 
  private:
-  DetectorParams params_;
+  double thr_threshold_;
   bool robust_;
 };
 
 }  // namespace
 
 std::unique_ptr<OverloadDetector> make_detector(DetectorKind kind,
-                                                const DetectorParams& params) {
-  MEGH_REQUIRE(params.thr_threshold > 0.0 && params.thr_threshold <= 1.0,
+                                                double thr_threshold) {
+  MEGH_REQUIRE(thr_threshold > 0.0 && thr_threshold <= 1.0,
                "THR threshold must lie in (0, 1]");
-  MEGH_REQUIRE(params.regression_points >= 2,
-               "regression_points must be >= 2");
   switch (kind) {
     case DetectorKind::kThr:
-      return std::make_unique<ThrDetector>(params);
+      return std::make_unique<ThrDetector>(thr_threshold);
     case DetectorKind::kIqr:
-      return std::make_unique<IqrDetector>(params);
+      return std::make_unique<IqrDetector>(thr_threshold);
     case DetectorKind::kMad:
-      return std::make_unique<MadDetector>(params);
+      return std::make_unique<MadDetector>(thr_threshold);
     case DetectorKind::kLr:
-      return std::make_unique<LrDetector>(params, /*robust=*/false);
+      return std::make_unique<LrDetector>(thr_threshold, /*robust=*/false);
     case DetectorKind::kLrr:
-      return std::make_unique<LrDetector>(params, /*robust=*/true);
+      return std::make_unique<LrDetector>(thr_threshold, /*robust=*/true);
   }
   throw ConfigError("unknown detector kind");
 }

@@ -25,14 +25,14 @@ enum class DetectorKind { kThr, kIqr, kMad, kLr, kLrr };
 
 std::string detector_name(DetectorKind kind);
 
-struct DetectorParams {
-  double thr_threshold = 0.7;   // THR (and fallback) threshold = beta (Sec. 6.1)
-  double iqr_safety = 1.5;
-  double mad_safety = 2.5;
-  double lr_safety = 1.2;
-  int history_window = 30;      // samples kept per host
-  int regression_points = 10;   // samples used by LR/LRR
-};
+// The adaptive detectors' parameters (Beloglazov & Buyya's values).
+inline constexpr double kIqrSafety = 1.5;
+inline constexpr double kMadSafety = 2.5;
+inline constexpr double kLrSafety = 1.2;
+/// Samples an adaptive detector needs before it stops falling back to THR;
+/// LR/LRR regress over the most recent this many.
+inline constexpr int kRegressionPoints = 10;
+static_assert(kRegressionPoints >= 2, "regression needs >= 2 points");
 
 class OverloadDetector {
  public:
@@ -49,8 +49,10 @@ class OverloadDetector {
   virtual double threshold(std::span<const double> history) const = 0;
 };
 
+/// `thr_threshold` is THR's threshold and the adaptive detectors' fallback
+/// (the paper's β = 0.7, Sec. 6.1); it must lie in (0, 1].
 std::unique_ptr<OverloadDetector> make_detector(DetectorKind kind,
-                                                const DetectorParams& params);
+                                                double thr_threshold);
 
 /// Ordinary least-squares fit y = a + b·x over x = 0..n-1; returns the
 /// prediction at x = n. Exposed for tests.

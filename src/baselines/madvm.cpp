@@ -9,24 +9,27 @@
 
 namespace megh {
 
-MadVmPolicy::MadVmPolicy(const MadVmConfig& config)
-    : config_(config), rng_(config.seed) {
-  MEGH_REQUIRE(config.util_buckets >= 2 && config.host_buckets >= 2,
-               "MadVM needs at least 2 buckets per dimension");
-  MEGH_REQUIRE(config.gamma >= 0.0 && config.gamma < 1.0,
-               "MadVM gamma must lie in [0, 1)");
-  MEGH_REQUIRE(config.value_sweeps >= 1, "MadVM needs >= 1 sweep per step");
-}
+static_assert(MadVmPolicy::kUtilBuckets >= 2 &&
+                  MadVmPolicy::kHostBuckets >= 2,
+              "MadVM needs at least 2 buckets per dimension");
+static_assert(MadVmPolicy::kGamma >= 0.0 && MadVmPolicy::kGamma < 1.0,
+              "MadVM gamma must lie in [0, 1)");
+static_assert(MadVmPolicy::kValueSweeps >= 1,
+              "MadVM needs >= 1 sweep per step");
+static_assert(MadVmPolicy::kFullSweepPeriod >= 1,
+              "MadVM needs a positive full-sweep period");
+
+MadVmPolicy::MadVmPolicy(std::uint64_t seed) : rng_(seed) {}
 
 void MadVmPolicy::begin(const Datacenter& dc, const CostConfig& cost,
                         double) {
   beta_ = cost.beta_overload;
   num_hosts_ = dc.num_hosts();
   models_.assign(static_cast<std::size_t>(dc.num_vms()), {});
-  const std::size_t uu = static_cast<std::size_t>(config_.util_buckets) *
-                         static_cast<std::size_t>(config_.util_buckets);
-  const std::size_t ul = static_cast<std::size_t>(config_.util_buckets) *
-                         static_cast<std::size_t>(config_.host_buckets);
+  const std::size_t uu = static_cast<std::size_t>(kUtilBuckets) *
+                         static_cast<std::size_t>(kUtilBuckets);
+  const std::size_t ul = static_cast<std::size_t>(kUtilBuckets) *
+                         static_cast<std::size_t>(kHostBuckets);
   for (auto& m : models_) {
     m.transition_counts.assign(uu, 0.0);
     m.value.assign(ul, 0.0);
@@ -48,17 +51,17 @@ double MadVmPolicy::reward(int u_bucket, int l_bucket) const {
   // Every VM therefore prefers lightly-loaded hosts — which is exactly the
   // behaviour the Megh paper measures against: MadVM spreads the fleet
   // across many active hosts and keeps migrating toward headroom.
-  const double l = (l_bucket + 0.5) / config_.host_buckets;
-  const double u = (u_bucket + 0.5) / config_.util_buckets;
+  const double l = (l_bucket + 0.5) / kHostBuckets;
+  const double u = (u_bucket + 0.5) / kUtilBuckets;
   double r = -u * l;  // contention penalty
-  if (l > beta_) r -= config_.overload_penalty * (l - beta_);
+  if (l > beta_) r -= kOverloadPenalty * (l - beta_);
   return r;
 }
 
 void MadVmPolicy::sweep_vm(int vm, bool full) {
   VmModel& m = models_[static_cast<std::size_t>(vm)];
-  const int U = config_.util_buckets;
-  const int L = config_.host_buckets;
+  const int U = kUtilBuckets;
+  const int L = kHostBuckets;
 
   // Transition distribution per u (with add-one smoothing toward staying).
   // Precomputed once per sweep set.
@@ -87,16 +90,16 @@ void MadVmPolicy::sweep_vm(int vm, bool full) {
                       states.begin() +
                           std::min<std::size_t>(states.size(),
                                                 static_cast<std::size_t>(
-                                                    config_.key_states)),
+                                                    kKeyStates)),
                       states.end(), [&](int a, int b) {
                         return m.visits[static_cast<std::size_t>(a)] >
                                m.visits[static_cast<std::size_t>(b)];
                       });
     states.resize(std::min<std::size_t>(
-        states.size(), static_cast<std::size_t>(config_.key_states)));
+        states.size(), static_cast<std::size_t>(kKeyStates)));
   }
 
-  for (int sweep = 0; sweep < config_.value_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kValueSweeps; ++sweep) {
     // best1/best2 over l for each u (for the max over l' with move cost).
     std::vector<double> best1(static_cast<std::size_t>(U),
                               -std::numeric_limits<double>::infinity());
@@ -127,11 +130,11 @@ void MadVmPolicy::sweep_vm(int vm, bool full) {
             (arg1[static_cast<std::size_t>(v)] == l
                  ? best2[static_cast<std::size_t>(v)]
                  : best1[static_cast<std::size_t>(v)]) -
-            config_.migration_cost;
+            kMigrationCost;
         expected += prob * std::max(stay, move_best);
       }
       m.value[static_cast<std::size_t>(u) * L + l] =
-          reward(u, l) + config_.gamma * expected;
+          reward(u, l) + kGamma * expected;
     }
     ++sweeps_run_;
   }
@@ -142,11 +145,11 @@ void MadVmPolicy::decide_into(const StepObservation& obs,
   const Datacenter& dc = *obs.dc;
   MEGH_ASSERT(static_cast<int>(models_.size()) == dc.num_vms(),
               "MadVmPolicy::decide before begin()");
-  const int U = config_.util_buckets;
-  const int L = config_.host_buckets;
+  const int U = kUtilBuckets;
+  const int L = kHostBuckets;
 
   // 1. Update transition counts and visits; run value iteration per VM.
-  const bool full = obs.step % std::max(1, config_.full_sweep_period) == 0;
+  const bool full = obs.step % kFullSweepPeriod == 0;
   for (int vm = 0; vm < dc.num_vms(); ++vm) {
     VmModel& m = models_[static_cast<std::size_t>(vm)];
     const int u = bucket_of_util(obs.vm_util[static_cast<std::size_t>(vm)], U);
@@ -201,7 +204,7 @@ void MadVmPolicy::decide_into(const StepObservation& obs,
       if (post > 1.0) continue;
       const int l = bucket_of_util(post, L);
       const double v =
-          m.value[static_cast<std::size_t>(u) * L + l] - config_.migration_cost;
+          m.value[static_cast<std::size_t>(u) * L + l] - kMigrationCost;
       if (v > best_value) {
         best_value = v;
         best_host = h;
@@ -210,10 +213,10 @@ void MadVmPolicy::decide_into(const StepObservation& obs,
     if (best_host < 0) continue;
 
     bool move = forced ? best_value > -std::numeric_limits<double>::infinity()
-                       : best_value > stay_value + config_.improvement_margin;
+                       : best_value > stay_value + kImprovementMargin;
     // Noisy value estimates: occasionally act on a spurious improvement —
     // the "better" host is then essentially arbitrary among feasible ones.
-    if (!move && rng_.bernoulli(config_.decision_noise)) {
+    if (!move && rng_.bernoulli(kDecisionNoise)) {
       std::vector<int> feasible;
       for (int h = 0; h < dc.num_hosts(); ++h) {
         if (h == current) continue;
@@ -253,11 +256,11 @@ void MadVmPolicy::stats(PolicyStats& out) const {
 double MadVmPolicy::value(int vm, int u_bucket, int l_bucket) const {
   MEGH_REQUIRE(vm >= 0 && vm < static_cast<int>(models_.size()),
                "MadVM value: vm out of range");
-  MEGH_REQUIRE(u_bucket >= 0 && u_bucket < config_.util_buckets &&
-                   l_bucket >= 0 && l_bucket < config_.host_buckets,
+  MEGH_REQUIRE(u_bucket >= 0 && u_bucket < kUtilBuckets &&
+                   l_bucket >= 0 && l_bucket < kHostBuckets,
                "MadVM value: bucket out of range");
   return models_[static_cast<std::size_t>(vm)]
-      .value[static_cast<std::size_t>(u_bucket) * config_.host_buckets +
+      .value[static_cast<std::size_t>(u_bucket) * kHostBuckets +
              l_bucket];
 }
 

@@ -25,32 +25,32 @@
 
 namespace megh {
 
-struct MadVmConfig {
-  int util_buckets = 10;      // VM utilization discretization
-  int host_buckets = 10;      // host utilization discretization
-  double gamma = 0.5;         // same discount as Megh (Sec. 6.1)
-  int value_sweeps = 8;       // value-iteration sweeps per step
-  int key_states = 32;        // most-visited states refreshed every step
-  int full_sweep_period = 10; // full sweep every k steps
+class MadVmPolicy : public MigrationPolicy {
+ public:
+  // Model sizes and calibration (DESIGN.md §2.3).
+  static constexpr int kUtilBuckets = 10;  // VM utilization discretization
+  static constexpr int kHostBuckets = 10;  // host utilization discretization
+  static constexpr double kGamma = 0.5;    // same discount as Megh (Sec. 6.1)
+  static constexpr int kValueSweeps = 8;   // value-iteration sweeps per step
+  /// Most-visited states refreshed every step.
+  static constexpr int kKeyStates = 32;
+  /// A full sweep runs every kFullSweepPeriod steps.
+  static constexpr int kFullSweepPeriod = 10;
   /// Utility penalty for a migration (discourages churn a little; MadVM
   /// still migrates far more than Megh).
-  double migration_cost = 0.001;
+  static constexpr double kMigrationCost = 0.001;
   /// Margin a spontaneous (non-forced) move must gain in estimated value.
-  double improvement_margin = 0.0;
+  static constexpr double kImprovementMargin = 0.0;
   /// Utility penalty slope for host load above beta.
-  double overload_penalty = 3.0;
+  static constexpr double kOverloadPenalty = 3.0;
   /// Probability per VM per step of acting on a spurious improvement.
   /// MadVM estimates values from sampled key states, so its greedy
   /// decisions are taken against noisy estimates; modelling that noise
   /// explicitly reproduces the sustained churn the Megh paper measures
   /// (Figs 4b/5b: 5.5-6.1x Megh's migration count).
-  double decision_noise = 0.04;
-  std::uint64_t seed = 11;
-};
+  static constexpr double kDecisionNoise = 0.04;
 
-class MadVmPolicy : public MigrationPolicy {
- public:
-  explicit MadVmPolicy(const MadVmConfig& config = {});
+  explicit MadVmPolicy(std::uint64_t seed = 11);
 
   std::string name() const override { return "MadVM"; }
   void begin(const Datacenter& dc, const CostConfig& cost,
@@ -68,16 +68,15 @@ class MadVmPolicy : public MigrationPolicy {
   double reward(int u_bucket, int l_bucket) const;
   void sweep_vm(int vm, bool full);
 
-  MadVmConfig config_;
   Rng rng_;
   double beta_ = 0.7;
   int num_hosts_ = 0;
 
-  // Per-VM model; indices flattened as [u * host_buckets + l].
+  // Per-VM model; indices flattened as [u * kHostBuckets + l].
   struct VmModel {
-    std::vector<double> transition_counts;  // util_buckets × util_buckets
-    std::vector<double> value;              // util_buckets × host_buckets
-    std::vector<double> visits;             // util_buckets × host_buckets
+    std::vector<double> transition_counts;  // kUtilBuckets × kUtilBuckets
+    std::vector<double> value;              // kUtilBuckets × kHostBuckets
+    std::vector<double> visits;             // kUtilBuckets × kHostBuckets
     int last_u_bucket = -1;
   };
   std::vector<VmModel> models_;

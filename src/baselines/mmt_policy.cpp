@@ -146,14 +146,17 @@ class Planner {
 
 MmtPolicy::MmtPolicy(const MmtConfig& config)
     : config_(config),
-      detector_(make_detector(config.detector, config.detector_params)),
-      rng_(config.seed) {
-  MEGH_REQUIRE(config.placement_ceiling > 0 && config.placement_ceiling <= 1,
-               "MMT placement ceiling must lie in (0, 1]");
-  MEGH_REQUIRE(config.underload_threshold >= 0 &&
-                   config.underload_threshold <= 1,
-               "MMT underload threshold must lie in [0, 1]");
-}
+      detector_(make_detector(config.detector, config.thr_threshold)),
+      rng_(config.seed) {}
+
+static_assert(MmtPolicy::kHistoryWindow >= kRegressionPoints,
+              "the adaptive detectors need kRegressionPoints samples");
+static_assert(MmtPolicy::kPlacementCeiling > 0 &&
+                  MmtPolicy::kPlacementCeiling <= 1,
+              "MMT placement ceiling must lie in (0, 1]");
+static_assert(MmtPolicy::kUnderloadThreshold >= 0 &&
+                  MmtPolicy::kUnderloadThreshold <= 1,
+              "MMT underload threshold must lie in [0, 1]");
 
 std::string MmtPolicy::name() const {
   return detector_name(config_.detector) + "-" +
@@ -174,8 +177,7 @@ void MmtPolicy::decide_into(const StepObservation& obs,
               "MmtPolicy::decide before begin()");
 
   // Record history (current utilization last).
-  const std::size_t window =
-      static_cast<std::size_t>(config_.detector_params.history_window);
+  const std::size_t window = static_cast<std::size_t>(kHistoryWindow);
   for (int h = 0; h < dc.num_hosts(); ++h) {
     auto& hist = history_[static_cast<std::size_t>(h)];
     hist.push_back(obs.host_util[static_cast<std::size_t>(h)]);
@@ -212,7 +214,7 @@ void MmtPolicy::decide_into(const StepObservation& obs,
   });
   for (int vm : to_place) {
     const auto target =
-        planner.pabfd(vm, config_.placement_ceiling, excluded, exec);
+        planner.pabfd(vm, kPlacementCeiling, excluded, exec);
     if (!target.has_value()) continue;  // nowhere to go; stay put
     planner.plan_move(vm, dc.host_of(vm), *target);
     out.push_back(MigrationAction{vm, *target});
@@ -223,7 +225,7 @@ void MmtPolicy::decide_into(const StepObservation& obs,
   std::vector<int> underload_candidates;
   for (int h = 0; h < dc.num_hosts(); ++h) {
     if (!dc.is_active(h) || excluded[static_cast<std::size_t>(h)]) continue;
-    if (planner.utilization(h) < config_.underload_threshold &&
+    if (planner.utilization(h) < kUnderloadThreshold &&
         planner.active(h)) {
       underload_candidates.push_back(h);
     }
@@ -233,11 +235,8 @@ void MmtPolicy::decide_into(const StepObservation& obs,
               return planner.utilization(a) < planner.utilization(b);
             });
 
-  const int evacuation_cap =
-      config_.max_underload_evacuations > 0
-          ? config_.max_underload_evacuations
-          : std::max(1, static_cast<int>(config_.underload_evacuation_fraction *
-                                         dc.num_hosts()));
+  const int evacuation_cap = std::max(
+      1, static_cast<int>(kUnderloadEvacuationFraction * dc.num_hosts()));
   int evacuated = 0;
   for (int h : underload_candidates) {
     if (evacuated >= evacuation_cap) break;
@@ -259,7 +258,7 @@ void MmtPolicy::decide_into(const StepObservation& obs,
     bool all_placed = true;
     for (int vm : vms) {
       const auto target = trial_planner.pabfd(
-          vm, config_.placement_ceiling, excluded_for_evac, exec);
+          vm, kPlacementCeiling, excluded_for_evac, exec);
       if (!target.has_value()) {
         all_placed = false;
         break;
@@ -286,7 +285,7 @@ void MmtPolicy::stats(PolicyStats& out) const {
 std::unique_ptr<MmtPolicy> make_thr_mmt(double threshold, std::uint64_t seed) {
   MmtConfig config;
   config.detector = DetectorKind::kThr;
-  config.detector_params.thr_threshold = threshold;
+  config.thr_threshold = threshold;
   config.seed = seed;
   return std::make_unique<MmtPolicy>(config);
 }

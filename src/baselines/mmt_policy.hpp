@@ -28,25 +28,28 @@ namespace megh {
 
 struct MmtConfig {
   DetectorKind detector = DetectorKind::kThr;
-  DetectorParams detector_params;
+  /// THR's threshold and the adaptive detectors' fallback (the paper's β).
+  double thr_threshold = 0.7;
   VmSelectionKind selection = VmSelectionKind::kMinMigrationTime;
-  /// Post-placement utilization ceiling for migration targets.
-  double placement_ceiling = 0.7;
-  /// Hosts below this utilization are underload-evacuation candidates.
-  double underload_threshold = 0.3;
-  /// Upper bound on hosts evacuated by the underload phase per step, as a
-  /// fraction of the host count. Unbounded evacuation ping-pongs when the
-  /// fleet is RAM-bound (packed hosts never exceed the CPU underload
-  /// threshold, so every host stays a candidate forever); 5% per step
-  /// reproduces the paper's MMT churn rate (~15% of VMs migrated per step).
-  double underload_evacuation_fraction = 0.05;
-  /// Absolute override for the above (> 0 wins).
-  int max_underload_evacuations = 0;
   std::uint64_t seed = 7;
 };
 
 class MmtPolicy : public MigrationPolicy {
  public:
+  /// Utilization samples kept per host for the detectors.
+  static constexpr int kHistoryWindow = 30;
+  /// Post-placement utilization ceiling for migration targets.
+  static constexpr double kPlacementCeiling = 0.7;
+  /// Hosts below this utilization are underload-evacuation candidates.
+  static constexpr double kUnderloadThreshold = 0.3;
+  /// Upper bound on hosts evacuated by the underload phase per step, as a
+  /// fraction of the host count (at least one). Unbounded evacuation
+  /// ping-pongs when the fleet is RAM-bound (packed hosts never exceed the
+  /// CPU underload threshold, so every host stays a candidate forever); 5%
+  /// per step reproduces the paper's MMT churn rate (~15% of VMs migrated
+  /// per step).
+  static constexpr double kUnderloadEvacuationFraction = 0.05;
+
   explicit MmtPolicy(const MmtConfig& config = {});
 
   std::string name() const override;

@@ -10,17 +10,15 @@
 
 namespace megh {
 
-QLearningPolicy::QLearningPolicy(const QLearningConfig& config)
-    : config_(config), rng_(config.seed) {
-  MEGH_REQUIRE(config.alpha > 0 && config.alpha <= 1,
-               "Q-learning alpha must lie in (0, 1]");
-  MEGH_REQUIRE(config.gamma >= 0 && config.gamma < 1,
-               "Q-learning gamma must lie in [0, 1)");
-}
+static_assert(QLearningPolicy::kAlpha > 0 && QLearningPolicy::kAlpha <= 1,
+              "Q-learning alpha must lie in (0, 1]");
+static_assert(QLearningPolicy::kGamma >= 0 && QLearningPolicy::kGamma < 1,
+              "Q-learning gamma must lie in [0, 1)");
+
+QLearningPolicy::QLearningPolicy(std::uint64_t seed) : rng_(seed) {}
 
 int QLearningPolicy::num_states() const {
-  return config_.overload_buckets * config_.util_buckets *
-         config_.active_buckets;
+  return kOverloadBuckets * kUtilBuckets * kActiveBuckets;
 }
 
 double QLearningPolicy::q(int state, int action) const {
@@ -65,10 +63,10 @@ int QLearningPolicy::encode_state(const StepObservation& obs) const {
   const double mean_util = active > 0 ? util_sum / active : 0.0;
   const double active_frac =
       static_cast<double>(active) / std::max(1, dc.num_hosts());
-  const int a = bucketize(overload_frac, config_.overload_buckets);
-  const int b = bucketize(mean_util, config_.util_buckets);
-  const int c = bucketize(active_frac, config_.active_buckets);
-  return (a * config_.util_buckets + b) * config_.active_buckets + c;
+  const int a = bucketize(overload_frac, kOverloadBuckets);
+  const int b = bucketize(mean_util, kUtilBuckets);
+  const int c = bucketize(active_frac, kActiveBuckets);
+  return (a * kUtilBuckets + b) * kActiveBuckets + c;
 }
 
 void QLearningPolicy::macro_action(int action, const StepObservation& obs,
@@ -93,7 +91,7 @@ void QLearningPolicy::macro_action(int action, const StepObservation& obs,
       const int vm = select_vm(VmSelectionKind::kMinMigrationTime, dc,
                                dc.vms_on(worst), rng_);
       if (const auto target =
-              find_pabfd_target(dc, vm, config_.placement_ceiling)) {
+              find_pabfd_target(dc, vm, kPlacementCeiling)) {
         out.push_back(MigrationAction{vm, *target});
       }
     }
@@ -115,7 +113,7 @@ void QLearningPolicy::macro_action(int action, const StepObservation& obs,
       const int vm = select_vm(VmSelectionKind::kMinMigrationTime, dc,
                                dc.vms_on(least), rng_);
       if (const auto target =
-              find_pabfd_target(dc, vm, config_.placement_ceiling)) {
+              find_pabfd_target(dc, vm, kPlacementCeiling)) {
         if (*target != least) out.push_back(MigrationAction{vm, *target});
       }
     }
@@ -125,8 +123,7 @@ void QLearningPolicy::macro_action(int action, const StepObservation& obs,
 void QLearningPolicy::decide_into(const StepObservation& obs,
                                   std::vector<MigrationAction>& out) {
   const int state = encode_state(obs);
-  const double epsilon =
-      training_ ? config_.epsilon_train : config_.epsilon_run;
+  const double epsilon = training_ ? kEpsilonTrain : kEpsilonRun;
 
   int action;
   if (rng_.bernoulli(epsilon)) {
@@ -158,7 +155,7 @@ void QLearningPolicy::observe_cost(double step_cost) {
   }
   double& cell = q_[static_cast<std::size_t>(last_state_) * kNumActions +
                     static_cast<std::size_t>(last_action_)];
-  cell += config_.alpha * (reward + config_.gamma * best_next - cell);
+  cell += kAlpha * (reward + kGamma * best_next - cell);
   ++updates_;
 }
 

@@ -21,21 +21,20 @@
 
 namespace megh {
 
-struct QLearningConfig {
-  int overload_buckets = 5;
-  int util_buckets = 5;
-  int active_buckets = 5;
-  double alpha = 0.1;          // learning rate
-  double gamma = 0.9;
-  double epsilon_train = 0.4;  // exploration while training
-  double epsilon_run = 0.02;   // exploration after deployment
-  double placement_ceiling = 0.7;
-  std::uint64_t seed = 13;
-};
-
 class QLearningPolicy : public MigrationPolicy {
  public:
-  explicit QLearningPolicy(const QLearningConfig& config = {});
+  // State discretization and learning rates.
+  static constexpr int kOverloadBuckets = 5;
+  static constexpr int kUtilBuckets = 5;
+  static constexpr int kActiveBuckets = 5;
+  static constexpr double kAlpha = 0.1;          // learning rate
+  static constexpr double kGamma = 0.9;
+  static constexpr double kEpsilonTrain = 0.4;   // exploration while training
+  static constexpr double kEpsilonRun = 0.02;    // exploration after deployment
+  /// Post-placement utilization ceiling for PABFD targets.
+  static constexpr double kPlacementCeiling = 0.7;
+
+  explicit QLearningPolicy(std::uint64_t seed = 13);
 
   std::string name() const override {
     return training_ ? "Q-learning(train)" : "Q-learning";
@@ -62,7 +61,6 @@ class QLearningPolicy : public MigrationPolicy {
   void macro_action(int action, const StepObservation& obs,
                     std::vector<MigrationAction>& out);
 
-  QLearningConfig config_;
   Rng rng_;
   bool training_ = true;
   double beta_ = 0.7;

@@ -7,7 +7,7 @@
 // stays overloaded for k consecutive observations (sustained, not
 // transient), and then migrates the VM with the highest volume-to-size
 // ratio (most load moved per byte of RAM copied) to the least-volume host
-// that fits. It mitigates hotspots only — no energy consolidation — which
+// that fits, one VM per hotspot per step. It mitigates hotspots only — no energy consolidation — which
 // makes it a useful contrast to both the MMT family (consolidation-driven)
 // and Megh (cost-driven).
 //
@@ -15,25 +15,11 @@
 // utilization and RAM occupancy.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "sim/policy.hpp"
 
 namespace megh {
-
-struct SandpiperConfig {
-  /// CPU utilization above which a host counts as hot.
-  double hotspot_threshold = 0.7;
-  /// Consecutive hot observations required before acting (Sandpiper's
-  /// sustained-overload rule; avoids reacting to one-interval spikes).
-  int sustain_steps = 2;
-  /// Post-placement CPU ceiling for migration targets.
-  double placement_ceiling = 0.7;
-  /// Cap on migrations per hotspot per step (Sandpiper moves one VM at a
-  /// time and re-evaluates).
-  int moves_per_hotspot = 1;
-};
 
 /// Host volume from CPU utilization and RAM occupancy fractions (each
 /// clamped below 1 to keep the product finite).
@@ -41,7 +27,13 @@ double sandpiper_volume(double cpu_util, double ram_fraction);
 
 class SandpiperPolicy : public MigrationPolicy {
  public:
-  explicit SandpiperPolicy(const SandpiperConfig& config = {});
+  /// CPU utilization above which a host counts as hot.
+  static constexpr double kHotspotThreshold = 0.7;
+  /// Consecutive hot observations required before acting (Sandpiper's
+  /// sustained-overload rule; avoids reacting to one-interval spikes).
+  static constexpr int kSustainSteps = 2;
+  /// Post-placement CPU ceiling for migration targets.
+  static constexpr double kPlacementCeiling = 0.7;
 
   std::string name() const override { return "Sandpiper"; }
   void begin(const Datacenter& dc, const CostConfig& cost,
@@ -51,7 +43,6 @@ class SandpiperPolicy : public MigrationPolicy {
   void stats(PolicyStats& out) const override;
 
  private:
-  SandpiperConfig config_;
   std::vector<int> hot_streak_;  // consecutive hot observations per host
   long long hotspots_resolved_ = 0;
 };

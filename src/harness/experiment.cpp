@@ -50,11 +50,7 @@ std::vector<PolicyEntry> rl_roster(std::uint64_t seed) {
                     },
                     0.02});
   roster.push_back({"MadVM",
-                    [seed] {
-                      MadVmConfig config;
-                      config.seed = seed;
-                      return std::make_unique<MadVmPolicy>(config);
-                    },
+                    [seed] { return std::make_unique<MadVmPolicy>(seed); },
                     0.0});
   return roster;
 }

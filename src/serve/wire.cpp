@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
+#include "sim/sla.hpp"
 
 namespace megh::serve {
 
@@ -184,39 +185,57 @@ std::size_t WireReader::count(std::size_t min_element_bytes,
 
 namespace {
 
+// The value older encoders wrote into the cost block's α slot (the
+// paper's 30% migration CPU threshold, Sec. 6.1). Nothing reads it; the
+// slot stays so recorded journals still replay.
+constexpr double kAlphaMigrationSlot = 0.30;
+
+template <typename T>
+void expect_builtin(T got, T builtin, const char* name) {
+  // A plain != also rejects NaN.
+  if (got != builtin) {
+    throw IoError(strf("wire: Init %s differs from the built-in value",
+                       name));
+  }
+}
+
+// Like the MeghConfig block below, the cost block keeps a slot for each
+// cost-model constant (cost_model.hpp, sla.hpp); a decoded Init must hold
+// exactly their values.
 void put_cost(WireWriter& w, const CostConfig& c) {
-  w.f64(c.energy_price_usd_per_kwh);
-  w.f64(c.vm_price_usd_per_hour);
-  w.f64(c.tier1_fraction);
-  w.f64(c.tier2_fraction);
-  w.f64(c.tier1_downtime_pct);
-  w.f64(c.tier2_downtime_pct);
+  w.f64(kEnergyPriceUsdPerKwh);
+  w.f64(kVmPriceUsdPerHour);
+  w.f64(kTier1Fraction);
+  w.f64(kTier2Fraction);
+  w.f64(kTier1DowntimePct);
+  w.f64(kTier2DowntimePct);
   w.f64(c.beta_overload);
-  w.f64(c.alpha_migration);
-  w.f64(c.migration_downtime_fraction);
+  w.f64(kAlphaMigrationSlot);
+  w.f64(kMigrationDowntimeFraction);
   w.u8(static_cast<std::uint8_t>(c.overload_mode));
   w.u8(static_cast<std::uint8_t>(c.sla_accounting));
-  w.i32(c.sla_window_steps);
+  w.i32(kSlaWindowSteps);
 }
 
 CostConfig get_cost(WireReader& r) {
   CostConfig c;
-  c.energy_price_usd_per_kwh = r.f64();
-  c.vm_price_usd_per_hour = r.f64();
-  c.tier1_fraction = r.f64();
-  c.tier2_fraction = r.f64();
-  c.tier1_downtime_pct = r.f64();
-  c.tier2_downtime_pct = r.f64();
+  expect_builtin(r.f64(), kEnergyPriceUsdPerKwh, "energy_price_usd_per_kwh");
+  expect_builtin(r.f64(), kVmPriceUsdPerHour, "vm_price_usd_per_hour");
+  expect_builtin(r.f64(), kTier1Fraction, "tier1_fraction");
+  expect_builtin(r.f64(), kTier2Fraction, "tier2_fraction");
+  expect_builtin(r.f64(), kTier1DowntimePct, "tier1_downtime_pct");
+  expect_builtin(r.f64(), kTier2DowntimePct, "tier2_downtime_pct");
   c.beta_overload = r.f64();
-  c.alpha_migration = r.f64();
-  c.migration_downtime_fraction = r.f64();
+  expect_builtin(r.f64(), kAlphaMigrationSlot, "alpha_migration");
+  expect_builtin(r.f64(), kMigrationDowntimeFraction,
+                 "migration_downtime_fraction");
   const std::uint8_t overload = r.u8();
   if (overload > 1) throw IoError("wire: bad overload mode byte");
   c.overload_mode = static_cast<OverloadDowntimeMode>(overload);
   const std::uint8_t sla = r.u8();
   if (sla > 1) throw IoError("wire: bad SLA accounting byte");
   c.sla_accounting = static_cast<SlaAccounting>(sla);
-  c.sla_window_steps = r.i32();
+  expect_builtin(r.i32(), kSlaWindowSteps, "sla_window_steps");
   return c;
 }
 
@@ -244,15 +263,6 @@ void put_megh_config(WireWriter& w, const MeghConfig& c) {
   w.u8(c.candidates.network_aware ? 1 : 0);
   w.f64(kLocalProbeFraction);
   w.u64(c.seed);
-}
-
-template <typename T>
-void expect_builtin(T got, T builtin, const char* name) {
-  // A plain != also rejects NaN.
-  if (got != builtin) {
-    throw IoError(strf("wire: Init %s differs from the built-in value",
-                       name));
-  }
 }
 
 MeghConfig get_megh_config(WireReader& r) {
@@ -292,9 +302,9 @@ std::vector<std::uint8_t> encode_init(const InitRequest& req) {
   w.u8(req.has_network ? 1 : 0);
   if (req.has_network) {
     w.i32(req.network_k);
-    w.f64(req.links.edge_mbps);
-    w.f64(req.links.aggregation_mbps);
-    w.f64(req.links.core_mbps);
+    w.f64(kEdgeLinkMbps);
+    w.f64(kAggregationLinkMbps);
+    w.f64(kCoreLinkMbps);
     w.f64(req.links.oversubscription);
   }
   w.u32(static_cast<std::uint32_t>(req.hosts.size()));
@@ -329,9 +339,9 @@ InitRequest decode_init(std::span<const std::uint8_t> payload) {
   req.has_network = r.u8() != 0;
   if (req.has_network) {
     req.network_k = r.i32();
-    req.links.edge_mbps = r.f64();
-    req.links.aggregation_mbps = r.f64();
-    req.links.core_mbps = r.f64();
+    expect_builtin(r.f64(), kEdgeLinkMbps, "edge_mbps");
+    expect_builtin(r.f64(), kAggregationLinkMbps, "aggregation_mbps");
+    expect_builtin(r.f64(), kCoreLinkMbps, "core_mbps");
     req.links.oversubscription = r.f64();
   }
   const std::size_t num_hosts = r.count(8 * 3 + 4 * 2 + 12 * 8, "hosts");

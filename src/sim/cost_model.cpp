@@ -19,9 +19,8 @@ double datacenter_power_watts(const Datacenter& dc) {
   return total;
 }
 
-double interval_energy_cost_usd(const Datacenter& dc, double interval_s,
-                                const CostConfig& config) {
-  return energy_cost_usd(datacenter_power_watts(dc), interval_s, config);
+double interval_energy_cost_usd(const Datacenter& dc, double interval_s) {
+  return energy_cost_usd(datacenter_power_watts(dc), interval_s);
 }
 
 }  // namespace megh

@@ -32,59 +32,30 @@ enum class SlaAccounting {
   kCumulative,
 };
 
+/// Electricity price (Sec. 6.1).
+inline constexpr double kEnergyPriceUsdPerKwh = 0.18675;
+static_assert(kEnergyPriceUsdPerKwh >= 0, "energy price must be >= 0");
+
+/// The cost-model settings an experiment varies. The prices, SLA tiers,
+/// migration-downtime fraction and SLA window are the paper's constants
+/// (Sec. 3.3, 6.1): kEnergyPriceUsdPerKwh above and the SLA constants in
+/// sim/sla.hpp.
 struct CostConfig {
-  // --- energy ---
-  double energy_price_usd_per_kwh = 0.18675;  // Sec. 6.1
-
-  // --- SLA ---
-  double vm_price_usd_per_hour = 1.2;         // Sec. 6.1
-  // Payback fractions for downtime in (tier1_lo%, tier2_lo%] and > tier2_lo%.
-  double tier1_fraction = 0.167;              // 16.7%
-  double tier2_fraction = 0.333;              // 33.3%
-  double tier1_downtime_pct = 0.05;           // Sec. 3.3 thresholds
-  double tier2_downtime_pct = 0.10;
-
-  // --- thresholds ---
   double beta_overload = 0.70;   // PM overload threshold (Sec. 6.1)
-  double alpha_migration = 0.30; // minimum CPU threshold during migration
-
-  // --- migration ---
-  /// Fraction of the RAM/BW migration time charged as downtime to the
-  /// migrated VM. CloudSim models live migration as a ~10% performance
-  /// degradation over the copy phase; with the paper's α = 30% threshold
-  /// the violated portion is a small slice of TM, so 0.1 is the default.
-  /// 1.0 models a full-copy-phase outage (stress mode, used in tests).
-  double migration_downtime_fraction = 0.02;
 
   OverloadDowntimeMode overload_mode = OverloadDowntimeMode::kExcess;
 
   SlaAccounting sla_accounting = SlaAccounting::kWindowed;
-  /// Trailing window length, in steps, for kWindowed (12 × 300 s = 1 hour).
-  int sla_window_steps = 12;
 
   void validate() const {
-    MEGH_REQUIRE(energy_price_usd_per_kwh >= 0, "energy price must be >= 0");
-    MEGH_REQUIRE(vm_price_usd_per_hour >= 0, "vm price must be >= 0");
-    MEGH_REQUIRE(tier1_fraction >= 0 && tier2_fraction >= tier1_fraction,
-                 "SLA tier fractions must be ordered");
-    MEGH_REQUIRE(tier1_downtime_pct >= 0 &&
-                     tier2_downtime_pct > tier1_downtime_pct,
-                 "SLA tier thresholds must be ordered");
     MEGH_REQUIRE(beta_overload > 0 && beta_overload <= 1,
                  "beta must lie in (0, 1]");
-    MEGH_REQUIRE(alpha_migration >= 0 && alpha_migration <= 1,
-                 "alpha must lie in [0, 1]");
-    MEGH_REQUIRE(migration_downtime_fraction >= 0 &&
-                     migration_downtime_fraction <= 1,
-                 "migration downtime fraction must lie in [0, 1]");
-    MEGH_REQUIRE(sla_window_steps >= 1, "SLA window must be >= 1 step");
   }
 };
 
 /// Energy cost (USD) of drawing `watts` for `seconds`.
-inline double energy_cost_usd(double watts, double seconds,
-                              const CostConfig& config) {
-  return watts * seconds / 3.6e6 * config.energy_price_usd_per_kwh;
+inline double energy_cost_usd(double watts, double seconds) {
+  return watts * seconds / 3.6e6 * kEnergyPriceUsdPerKwh;
 }
 
 class Datacenter;
@@ -94,7 +65,6 @@ class Datacenter;
 double datacenter_power_watts(const Datacenter& dc);
 
 /// ΔC_p for one interval (Eq. 2 discretization).
-double interval_energy_cost_usd(const Datacenter& dc, double interval_s,
-                                const CostConfig& config);
+double interval_energy_cost_usd(const Datacenter& dc, double interval_s);
 
 }  // namespace megh

@@ -12,35 +12,33 @@
 //
 // Attached to SimulationConfig (MigrationTimeModel::kPreCopy), the engine
 // charges the stop-and-copy pause as full downtime and the copy phase as
-// degraded service scaled by migration_downtime_fraction; busy VMs (higher
+// degraded service scaled by kMigrationDowntimeFraction; busy VMs (higher
 // dirty rates) become genuinely more expensive to move, which the learning
 // policies pick up through the cost signal.
 #pragma once
 
-#include "common/error.hpp"
-
 namespace megh {
 
+/// The pre-copy setting an experiment varies (`ablation_migration` sweeps
+/// it); the rest of the model is the constants below.
 struct PreCopyConfig {
   /// Page-dirtying rate of a fully-busy guest (MB/s); the effective rate
   /// scales with the VM's current CPU utilization.
   double dirty_rate_mb_per_s = 40.0;
-  /// Utilization→dirty-rate mapping floor: even an idle guest dirties some
-  /// pages (kernel housekeeping).
-  double idle_dirty_fraction = 0.2;
-  /// Remaining dirty set (MB) small enough to stop-and-copy.
-  double stop_copy_threshold_mb = 32.0;
-  /// Cap on copy rounds; exceeded ⇒ stop-and-copy whatever remains.
-  int max_rounds = 30;
-
-  void validate() const {
-    MEGH_REQUIRE(dirty_rate_mb_per_s >= 0, "dirty rate must be >= 0");
-    MEGH_REQUIRE(idle_dirty_fraction >= 0 && idle_dirty_fraction <= 1,
-                 "idle dirty fraction must lie in [0, 1]");
-    MEGH_REQUIRE(stop_copy_threshold_mb > 0, "stop-copy threshold must be > 0");
-    MEGH_REQUIRE(max_rounds >= 1, "need at least one copy round");
-  }
 };
+
+/// Utilization→dirty-rate mapping floor: even an idle guest dirties some
+/// pages (kernel housekeeping).
+inline constexpr double kIdleDirtyFraction = 0.2;
+/// Remaining dirty set (MB) small enough to stop-and-copy.
+inline constexpr double kStopCopyThresholdMb = 32.0;
+/// Cap on copy rounds; exceeded ⇒ stop-and-copy whatever remains.
+inline constexpr int kPreCopyMaxRounds = 30;
+
+static_assert(kIdleDirtyFraction >= 0 && kIdleDirtyFraction <= 1,
+              "idle dirty fraction must lie in [0, 1]");
+static_assert(kStopCopyThresholdMb > 0, "stop-copy threshold must be > 0");
+static_assert(kPreCopyMaxRounds >= 1, "need at least one copy round");
 
 struct MigrationEstimate {
   double copy_s = 0.0;      // pre-copy rounds (service degraded, VM running)
@@ -56,8 +54,7 @@ struct MigrationEstimate {
 /// If the guest dirties as fast as the link copies (ratio >= 1) the rounds
 /// cannot converge and the model stops-and-copies after the first round.
 MigrationEstimate precopy_migration(double ram_mb, double bw_mbps,
-                                    double dirty_rate_mb_per_s,
-                                    const PreCopyConfig& config);
+                                    double dirty_rate_mb_per_s);
 
 /// Effective dirty rate for a VM at `utilization` (in [0, 1]).
 double effective_dirty_rate(double utilization, const PreCopyConfig& config);

@@ -43,16 +43,16 @@ int FatTreeTopology::hops(int a, int b) const {
 double FatTreeTopology::path_bandwidth_mbps(int a, int b) const {
   switch (hops(a, b)) {
     case 0:
-      return links_.edge_mbps;  // degenerate (no copy needed)
+      return kEdgeLinkMbps;  // degenerate (no copy needed)
     case 2:
-      return links_.edge_mbps;
+      return kEdgeLinkMbps;
     case 4:
-      return std::min(links_.edge_mbps,
-                      links_.aggregation_mbps / links_.oversubscription);
+      return std::min(kEdgeLinkMbps,
+                      kAggregationLinkMbps / links_.oversubscription);
     default:
-      return std::min({links_.edge_mbps,
-                       links_.aggregation_mbps / links_.oversubscription,
-                       links_.core_mbps /
+      return std::min({kEdgeLinkMbps,
+                       kAggregationLinkMbps / links_.oversubscription,
+                       kCoreLinkMbps /
                            (links_.oversubscription * links_.oversubscription)});
   }
 }

@@ -25,17 +25,20 @@
 
 namespace megh {
 
+/// Link speeds of the three fabric tiers (Mbit/s).
+inline constexpr double kEdgeLinkMbps = 1000.0;         // host ↔ edge switch
+inline constexpr double kAggregationLinkMbps = 1000.0;  // edge ↔ aggregation
+inline constexpr double kCoreLinkMbps = 1000.0;         // aggregation ↔ core
+static_assert(kEdgeLinkMbps > 0 && kAggregationLinkMbps > 0 &&
+                  kCoreLinkMbps > 0,
+              "link bandwidths must be positive");
+
 struct NetworkLinkConfig {
-  double edge_mbps = 1000.0;          // host ↔ edge switch links
-  double aggregation_mbps = 1000.0;   // edge ↔ aggregation links
-  double core_mbps = 1000.0;          // aggregation ↔ core links
   /// Effective contention divisor applied per tier above the edge
   /// (1 = non-blocking fabric; 4 = typical 4:1 oversubscription).
   double oversubscription = 1.0;
 
   void validate() const {
-    MEGH_REQUIRE(edge_mbps > 0 && aggregation_mbps > 0 && core_mbps > 0,
-                 "link bandwidths must be positive");
     MEGH_REQUIRE(oversubscription >= 1.0,
                  "oversubscription must be >= 1 (1 = non-blocking)");
   }

@@ -4,8 +4,9 @@
 // The MMT policies use Power-Aware Best-Fit Decreasing (PABFD, Beloglazov &
 // Buyya): candidate hosts are those where the VM fits and the post-placement
 // utilization stays under a threshold; among them, pick the one whose power
-// draw increases least. The same helpers serve Megh's candidate generator
-// and the simple baselines.
+// draw increases least. find_pabfd_target serves Q-learning and the
+// custom-policy example; MMT and Megh's candidate generator run their own
+// sharded PABFD folds over planned or indexed host state.
 #pragma once
 
 #include <optional>

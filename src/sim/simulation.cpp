@@ -377,8 +377,7 @@ SimulationResult Simulation::run(MigrationPolicy& policy, int num_steps) {
           SimulationConfig::MigrationTimeModel::kPreCopy) {
         const MigrationEstimate est = precopy_migration(
             ram, bw,
-            effective_dirty_rate(dc_.vm_utilization(a.vm), config_.precopy),
-            config_.precopy);
+            effective_dirty_rate(dc_.vm_utilization(a.vm), config_.precopy));
         // Stop-and-copy is hard downtime (charged in full, bypassing the
         // degradation fraction); the copy rounds degrade service and go
         // through add_migration_downtime's scaling. An aborted migration
@@ -474,8 +473,7 @@ SimulationResult Simulation::run(MigrationPolicy& policy, int num_steps) {
       }
     }
     total_watt_seconds += watts * config_.interval_s;
-    snap.energy_cost_usd = energy_cost_usd(watts, config_.interval_s,
-                                           config_.cost);
+    snap.energy_cost_usd = energy_cost_usd(watts, config_.interval_s);
     snap.sla_cost_usd = sla.settle_interval();
     snap.step_cost_usd = snap.energy_cost_usd + snap.sla_cost_usd;
     last_step_cost = snap.step_cost_usd;

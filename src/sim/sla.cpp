@@ -13,7 +13,7 @@ SlaAccountant::SlaAccountant(int num_vms, const CostConfig& config)
   migration_downtime_s_.assign(static_cast<std::size_t>(num_vms), 0.0);
   last_level_.assign(static_cast<std::size_t>(num_vms), 0.0);
   window_.assign(static_cast<std::size_t>(num_vms) *
-                     static_cast<std::size_t>(config_.sla_window_steps),
+                     static_cast<std::size_t>(kSlaWindowSteps),
                  0.0f);
   window_sum_.assign(static_cast<std::size_t>(num_vms), 0.0);
 }
@@ -26,14 +26,12 @@ void SlaAccountant::begin_interval(double interval_s) {
   MEGH_ASSERT(interval_s > 0.0, "interval must be positive");
   interval_s_ = interval_s;
   ++intervals_seen_;
-  window_slot_ = static_cast<int>((intervals_seen_ - 1) %
-                                  config_.sla_window_steps);
+  window_slot_ = static_cast<int>((intervals_seen_ - 1) % kSlaWindowSteps);
   for (int vm = 0; vm < num_vms_; ++vm) {
     requested_s_[static_cast<std::size_t>(vm)] += interval_s;
     // Retire the slot being reused.
     float& slot = window_[static_cast<std::size_t>(vm) *
-                              static_cast<std::size_t>(
-                                  config_.sla_window_steps) +
+                              static_cast<std::size_t>(kSlaWindowSteps) +
                           static_cast<std::size_t>(window_slot_)];
     window_sum_[static_cast<std::size_t>(vm)] -= slot;
     slot = 0.0f;
@@ -46,14 +44,14 @@ void SlaAccountant::add_overload_downtime(int vm, double seconds) {
   MEGH_ASSERT(window_slot_ >= 0, "add downtime before begin_interval");
   downtime_s_[static_cast<std::size_t>(vm)] += seconds;
   window_[static_cast<std::size_t>(vm) *
-              static_cast<std::size_t>(config_.sla_window_steps) +
+              static_cast<std::size_t>(kSlaWindowSteps) +
           static_cast<std::size_t>(window_slot_)] +=
       static_cast<float>(seconds);
   window_sum_[static_cast<std::size_t>(vm)] += seconds;
 }
 
 void SlaAccountant::add_migration_downtime(int vm, double seconds) {
-  const double scaled = seconds * config_.migration_downtime_fraction;
+  const double scaled = seconds * kMigrationDowntimeFraction;
   migration_downtime_s_[static_cast<std::size_t>(vm)] += scaled;
   add_overload_downtime(vm, scaled);
 }
@@ -72,17 +70,16 @@ double SlaAccountant::overload_downtime_s(double utilization,
 }
 
 int SlaAccountant::tier_of_pct(double pct) const {
-  if (pct > config_.tier2_downtime_pct) return 2;
-  if (pct > config_.tier1_downtime_pct) return 1;
+  if (pct > kTier2DowntimePct) return 2;
+  if (pct > kTier1DowntimePct) return 1;
   return 0;
 }
 
 double SlaAccountant::cumulative_level(int vm) const {
   const int t = tier_of_pct(cumulative_downtime_pct(vm));
   if (t == 0) return 0.0;
-  const double fraction =
-      t == 1 ? config_.tier1_fraction : config_.tier2_fraction;
-  const double paid_usd = config_.vm_price_usd_per_hour *
+  const double fraction = t == 1 ? kTier1Fraction : kTier2Fraction;
+  const double paid_usd = kVmPriceUsdPerHour *
                           requested_s_[static_cast<std::size_t>(vm)] / 3600.0;
   return fraction * paid_usd;
 }
@@ -98,12 +95,11 @@ double SlaAccountant::settle_interval() {
       last_level_[i] = std::max(last_level_[i], now);
     }
   } else {
-    const double interval_revenue =
-        config_.vm_price_usd_per_hour * interval_s_ / 3600.0;
+    const double interval_revenue = kVmPriceUsdPerHour * interval_s_ / 3600.0;
     for (int vm = 0; vm < num_vms_; ++vm) {
       switch (tier_of_pct(windowed_downtime_pct(vm))) {
-        case 1: delta += config_.tier1_fraction * interval_revenue; break;
-        case 2: delta += config_.tier2_fraction * interval_revenue; break;
+        case 1: delta += kTier1Fraction * interval_revenue; break;
+        case 2: delta += kTier2Fraction * interval_revenue; break;
         default: break;
       }
     }
@@ -137,7 +133,7 @@ double SlaAccountant::cumulative_downtime_pct(int vm) const {
 double SlaAccountant::windowed_downtime_pct(int vm) const {
   check_vm(vm);
   const long long steps_in_window =
-      std::min<long long>(intervals_seen_, config_.sla_window_steps);
+      std::min<long long>(intervals_seen_, kSlaWindowSteps);
   if (steps_in_window <= 0 || interval_s_ <= 0.0) return 0.0;
   const double window_requested = static_cast<double>(steps_in_window) *
                                   interval_s_;

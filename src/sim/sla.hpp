@@ -20,6 +20,35 @@
 
 namespace megh {
 
+// SLA constants (Sec. 3.3 and 6.1).
+/// What a VM's user pays per hour of requested service.
+inline constexpr double kVmPriceUsdPerHour = 1.2;
+/// Payback fractions for downtime in (kTier1DowntimePct%, kTier2DowntimePct%]
+/// and above kTier2DowntimePct%.
+inline constexpr double kTier1Fraction = 0.167;
+inline constexpr double kTier2Fraction = 0.333;
+inline constexpr double kTier1DowntimePct = 0.05;
+inline constexpr double kTier2DowntimePct = 0.10;
+/// Share of a live migration's copy time charged as downtime to the
+/// migrated VM. CloudSim models live migration as a ~10% performance
+/// degradation over the copy phase; with the paper's α = 30% CPU threshold
+/// the violated portion is a small slice of TM, and 0.02 reproduces the
+/// paper's modest SLA share (docs/COST_MODEL.md).
+inline constexpr double kMigrationDowntimeFraction = 0.02;
+/// Trailing window, in steps, of SlaAccounting::kWindowed
+/// (12 × 300 s = 1 hour).
+inline constexpr int kSlaWindowSteps = 12;
+
+static_assert(kVmPriceUsdPerHour >= 0, "vm price must be >= 0");
+static_assert(kTier1Fraction >= 0 && kTier2Fraction >= kTier1Fraction,
+              "SLA tier fractions must be ordered");
+static_assert(kTier1DowntimePct >= 0 && kTier2DowntimePct > kTier1DowntimePct,
+              "SLA tier thresholds must be ordered");
+static_assert(kMigrationDowntimeFraction >= 0 &&
+                  kMigrationDowntimeFraction <= 1,
+              "migration downtime fraction must lie in [0, 1]");
+static_assert(kSlaWindowSteps >= 1, "SLA window must be >= 1 step");
+
 class SlaAccountant {
  public:
   SlaAccountant(int num_vms, const CostConfig& config);
@@ -32,7 +61,7 @@ class SlaAccountant {
   void add_overload_downtime(int vm, double seconds);
 
   /// Charge live-migration downtime to a VM (scaled by
-  /// migration_downtime_fraction).
+  /// kMigrationDowntimeFraction).
   void add_migration_downtime(int vm, double seconds);
 
   /// Downtime seconds appropriate for a host at `utilization` under the
@@ -46,7 +75,7 @@ class SlaAccountant {
   double requested_s(int vm) const;        // cumulative since t=0
   double downtime_s(int vm) const;         // cumulative since t=0
   /// Cumulative downtime attributable to live migrations only (after the
-  /// migration_downtime_fraction scaling) — the numerator of Beloglazov's
+  /// kMigrationDowntimeFraction scaling) — the numerator of Beloglazov's
   /// PDM metric.
   double migration_downtime_s(int vm) const;
   double cumulative_downtime_pct(int vm) const;
@@ -72,7 +101,7 @@ class SlaAccountant {
   std::vector<double> last_level_;  // kCumulative bookkeeping
 
   // Trailing window: per-VM ring buffer of per-interval downtime seconds.
-  std::vector<float> window_;       // [vm * window_steps + slot]
+  std::vector<float> window_;       // [vm * kSlaWindowSteps + slot]
   std::vector<double> window_sum_;
   int window_slot_ = -1;
   double total_cost_ = 0.0;

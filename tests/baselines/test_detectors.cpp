@@ -10,8 +10,6 @@
 namespace megh {
 namespace {
 
-DetectorParams default_params() { return DetectorParams{}; }
-
 std::vector<double> constant_history(int n, double v) {
   return std::vector<double>(static_cast<std::size_t>(n), v);
 }
@@ -25,14 +23,14 @@ TEST(DetectorNamesTest, AllFive) {
 }
 
 TEST(ThrDetectorTest, FixedThreshold) {
-  const auto d = make_detector(DetectorKind::kThr, default_params());
+  const auto d = make_detector(DetectorKind::kThr, 0.7);
   EXPECT_FALSE(d->overloaded(constant_history(5, 0.69)));
   EXPECT_TRUE(d->overloaded(constant_history(5, 0.71)));
   EXPECT_DOUBLE_EQ(d->threshold(constant_history(5, 0.5)), 0.7);
 }
 
 TEST(IqrDetectorTest, LowVarianceHistoryRaisesThreshold) {
-  const auto d = make_detector(DetectorKind::kIqr, default_params());
+  const auto d = make_detector(DetectorKind::kIqr, 0.7);
   // Constant history: IQR = 0 → threshold 1.0 → 0.95 is NOT overloaded.
   auto history = constant_history(20, 0.5);
   history.back() = 0.95;
@@ -41,7 +39,7 @@ TEST(IqrDetectorTest, LowVarianceHistoryRaisesThreshold) {
 }
 
 TEST(IqrDetectorTest, HighVarianceHistoryLowersThreshold) {
-  const auto d = make_detector(DetectorKind::kIqr, default_params());
+  const auto d = make_detector(DetectorKind::kIqr, 0.7);
   // Alternating 0.1 / 0.7: IQR = 0.6 → threshold = 1 − 1.5·0.6 = 0.1.
   std::vector<double> history;
   for (int i = 0; i < 20; ++i) history.push_back(i % 2 ? 0.7 : 0.1);
@@ -51,7 +49,7 @@ TEST(IqrDetectorTest, HighVarianceHistoryLowersThreshold) {
 }
 
 TEST(MadDetectorTest, ThresholdFormula) {
-  const auto d = make_detector(DetectorKind::kMad, default_params());
+  const auto d = make_detector(DetectorKind::kMad, 0.7);
   // Alternating 0.2/0.6: median 0.4, MAD = 0.2 → thr = 1 − 2.5·0.2 = 0.5.
   std::vector<double> history;
   for (int i = 0; i < 20; ++i) history.push_back(i % 2 ? 0.6 : 0.2);
@@ -62,7 +60,7 @@ TEST(AdaptiveDetectorTest, FallsBackToThrOnShortHistory) {
   for (const auto kind :
        {DetectorKind::kIqr, DetectorKind::kMad, DetectorKind::kLr,
         DetectorKind::kLrr}) {
-    const auto d = make_detector(kind, default_params());
+    const auto d = make_detector(kind, 0.7);
     EXPECT_TRUE(d->overloaded(constant_history(3, 0.75)))
         << d->name() << " should fall back to THR(0.7)";
     EXPECT_FALSE(d->overloaded(constant_history(3, 0.65))) << d->name();
@@ -90,20 +88,22 @@ TEST(RobustForecastTest, IgnoresSingleOutlier) {
 }
 
 TEST(LrDetectorTest, PredictedSaturationTriggers) {
-  DetectorParams params = default_params();
-  params.regression_points = 4;
-  const auto d = make_detector(DetectorKind::kLr, params);
-  // Steep trend ending at 0.65 (under THR) whose forecast 0.85 satisfies
-  // 1.2 × 0.85 ≥ 1 — LR must fire on the *prediction*.
-  const std::vector<double> rising{0.05, 0.25, 0.45, 0.65};
+  const auto d = make_detector(DetectorKind::kLr, 0.7);
+  // Load climbing from idle to a plateau at 0.65 (under THR) over the
+  // regression window: the fitted trend forecasts ~0.86, and
+  // 1.2 × 0.86 ≥ 1 — LR must fire on the *prediction*.
+  const std::vector<double> rising{0.0,  0.0,  0.0,  0.05, 0.25,
+                                   0.45, 0.65, 0.65, 0.65, 0.65};
+  ASSERT_EQ(static_cast<int>(rising.size()), kRegressionPoints);
+  ASSERT_GE(kLrSafety * ols_forecast(rising), 1.0);
   EXPECT_TRUE(d->overloaded(rising));
   // Flat series at the same last value: forecast 0.65, no trigger.
-  EXPECT_FALSE(d->overloaded(constant_history(4, 0.65)));
+  EXPECT_FALSE(d->overloaded(constant_history(kRegressionPoints, 0.65)));
 }
 
 TEST(LrrDetectorTest, OutlierDoesNotTrigger) {
-  const auto lr = make_detector(DetectorKind::kLr, default_params());
-  const auto lrr = make_detector(DetectorKind::kLrr, default_params());
+  const auto lr = make_detector(DetectorKind::kLr, 0.7);
+  const auto lrr = make_detector(DetectorKind::kLrr, 0.7);
   // Flat low series with a recent towering outlier: plain LR's slope gets
   // dragged up, robust LR should stay calm.
   std::vector<double> history{0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.95,
@@ -115,7 +115,7 @@ TEST(LrrDetectorTest, OutlierDoesNotTrigger) {
 class DetectorSmokeSweep : public ::testing::TestWithParam<DetectorKind> {};
 
 TEST_P(DetectorSmokeSweep, NeverThrowsOnRandomHistories) {
-  const auto d = make_detector(GetParam(), default_params());
+  const auto d = make_detector(GetParam(), 0.7);
   Rng rng(5);
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<double> history;
@@ -137,12 +137,8 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, DetectorSmokeSweep,
                                            DetectorKind::kLrr));
 
 TEST(DetectorFactoryTest, InvalidParamsRejected) {
-  DetectorParams params;
-  params.thr_threshold = 0.0;
-  EXPECT_THROW(make_detector(DetectorKind::kThr, params), ConfigError);
-  params = DetectorParams{};
-  params.regression_points = 1;
-  EXPECT_THROW(make_detector(DetectorKind::kLr, params), ConfigError);
+  EXPECT_THROW(make_detector(DetectorKind::kThr, 0.0), ConfigError);
+  EXPECT_THROW(make_detector(DetectorKind::kLr, 1.5), ConfigError);
 }
 
 }  // namespace

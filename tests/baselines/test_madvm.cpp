@@ -26,26 +26,14 @@ struct World {
   }
 };
 
-TEST(MadVmTest, InvalidConfigRejected) {
-  MadVmConfig config;
-  config.util_buckets = 1;
-  EXPECT_THROW(MadVmPolicy{config}, ConfigError);
-  config = MadVmConfig{};
-  config.gamma = 1.0;
-  EXPECT_THROW(MadVmPolicy{config}, ConfigError);
-  config = MadVmConfig{};
-  config.value_sweeps = 0;
-  EXPECT_THROW(MadVmPolicy{config}, ConfigError);
-}
-
 TEST(MadVmTest, RunsAndProducesFiniteValues) {
   World w = World::make(8, 12, 30);
   MadVmPolicy policy;
   Simulation sim(std::move(w.dc), w.trace, SimulationConfig{});
   const SimulationResult r = sim.run(policy);
   EXPECT_EQ(r.totals.steps, 30);
-  for (int u = 0; u < 10; ++u) {
-    for (int l = 0; l < 10; ++l) {
+  for (int u = 0; u < MadVmPolicy::kUtilBuckets; ++u) {
+    for (int l = 0; l < MadVmPolicy::kHostBuckets; ++l) {
       EXPECT_TRUE(std::isfinite(policy.value(0, u, l)));
     }
   }
@@ -87,9 +75,7 @@ TEST(MadVmTest, StatsExposeSweepsAndRequests) {
 TEST(MadVmTest, DeterministicForSeed) {
   const auto run_once = [] {
     World w = World::make(8, 12, 25);
-    MadVmConfig config;
-    config.seed = 5;
-    MadVmPolicy policy(config);
+    MadVmPolicy policy(5);
     Simulation sim(std::move(w.dc), w.trace, SimulationConfig{});
     return sim.run(policy).totals;
   };

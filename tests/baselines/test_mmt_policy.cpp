@@ -53,13 +53,15 @@ TEST(MmtPolicyTest, EvacuatesOverloadedHost) {
 }
 
 TEST(MmtPolicyTest, QuietSystemUnderThresholdNoOverloadMigrations) {
-  World w = steady_world(4, 4, 5, 0.3);  // hosts at ~16%: calm
+  // One 2000-MIPS VM at 90% per host: G4 hosts run at 48%, G5 hosts at
+  // 34% — above the underload threshold and under THR, so neither phase
+  // fires.
+  World w = steady_world(4, 4, 5, 0.9);
   Simulation sim(std::move(w.dc), w.trace, SimulationConfig{});
-  MmtConfig config;
-  config.underload_threshold = 0.0;  // disable underload phase
-  MmtPolicy policy(config);
-  const SimulationResult r = sim.run(policy);
+  auto policy = make_thr_mmt();
+  const SimulationResult r = sim.run(*policy);
   EXPECT_EQ(r.totals.migrations, 0);
+  EXPECT_EQ(r.steps.back().active_hosts, 4);
 }
 
 TEST(MmtPolicyTest, UnderloadPhaseConsolidatesAndSleepsHosts) {
@@ -72,14 +74,15 @@ TEST(MmtPolicyTest, UnderloadPhaseConsolidatesAndSleepsHosts) {
 }
 
 TEST(MmtPolicyTest, UnderloadEvacuationCapRespected) {
-  World w = steady_world(10, 10, 1, 0.05);
-  MmtConfig config;
-  config.max_underload_evacuations = 1;
-  MmtPolicy policy(config);
+  // 5% of 40 hosts: at most two evacuations per step, though all 40 hosts
+  // are nearly idle.
+  World w = steady_world(40, 40, 1, 0.05);
+  auto policy = make_thr_mmt();
   Simulation sim(std::move(w.dc), w.trace, SimulationConfig{});
-  const SimulationResult r = sim.run(policy);
-  // One evacuation of a 1-VM host = at most 1 migration in step 0.
-  EXPECT_LE(r.steps[0].migrations, 1);
+  const SimulationResult r = sim.run(*policy);
+  // Two evacuations of a 1-VM host = at most 2 migrations in step 0.
+  EXPECT_GT(r.steps[0].migrations, 0);
+  EXPECT_LE(r.steps[0].migrations, 2);
 }
 
 TEST(MmtPolicyTest, StatsSplitOverloadAndUnderload) {
@@ -114,10 +117,9 @@ TEST(MmtPolicyTest, AllVariantsRunOnBurstyTrace) {
 
 TEST(MmtPolicyTest, InvalidConfigRejected) {
   MmtConfig config;
-  config.placement_ceiling = 0.0;
+  config.thr_threshold = 0.0;
   EXPECT_THROW(MmtPolicy{config}, ConfigError);
-  config = MmtConfig{};
-  config.underload_threshold = 1.5;
+  config.thr_threshold = 1.5;
   EXPECT_THROW(MmtPolicy{config}, ConfigError);
 }
 

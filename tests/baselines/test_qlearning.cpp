@@ -26,15 +26,6 @@ struct World {
   }
 };
 
-TEST(QLearningTest, InvalidConfigRejected) {
-  QLearningConfig config;
-  config.alpha = 0.0;
-  EXPECT_THROW(QLearningPolicy{config}, ConfigError);
-  config = QLearningConfig{};
-  config.gamma = 1.0;
-  EXPECT_THROW(QLearningPolicy{config}, ConfigError);
-}
-
 TEST(QLearningTest, StateSpaceSize) {
   QLearningPolicy policy;
   EXPECT_EQ(policy.num_states(), 125);  // 5 × 5 × 5

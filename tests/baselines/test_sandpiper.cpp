@@ -21,15 +21,6 @@ TEST(SandpiperVolumeTest, SaturatedResourcesStayFinite) {
   EXPECT_TRUE(std::isfinite(sandpiper_volume(2.0, 0.5)));  // oversubscribed
 }
 
-TEST(SandpiperConfigTest, Validation) {
-  SandpiperConfig config;
-  config.hotspot_threshold = 0.0;
-  EXPECT_THROW(SandpiperPolicy{config}, ConfigError);
-  config = SandpiperConfig{};
-  config.sustain_steps = 0;
-  EXPECT_THROW(SandpiperPolicy{config}, ConfigError);
-}
-
 struct World {
   Datacenter dc;
   TraceTable trace;
@@ -54,26 +45,25 @@ World hotspot_world(int sustain_for_steps) {
 }
 
 TEST(SandpiperPolicyTest, WaitsForSustainedOverload) {
-  World w = hotspot_world(3);
-  SandpiperConfig config;
-  config.sustain_steps = 3;
-  SandpiperPolicy policy(config);
+  constexpr int kSustain = SandpiperPolicy::kSustainSteps;
+  World w = hotspot_world(kSustain);
+  SandpiperPolicy policy;
   Simulation sim(std::move(w.dc), w.trace, SimulationConfig{});
   const SimulationResult r = sim.run(policy);
-  EXPECT_EQ(r.steps[0].migrations, 0);
-  EXPECT_EQ(r.steps[1].migrations, 0);
-  EXPECT_GE(r.steps[2].migrations, 1);  // third consecutive hot observation
+  for (int s = 0; s + 1 < kSustain; ++s) {
+    EXPECT_EQ(r.steps[static_cast<std::size_t>(s)].migrations, 0) << s;
+  }
+  // The kSustain-th consecutive hot observation triggers the move.
+  EXPECT_GE(r.steps[kSustain - 1].migrations, 1);
 }
 
 TEST(SandpiperPolicyTest, MovesHighestVolumeToSizeVm) {
   // Both VMs on the hotspot have the same utilization; the 512-MB one has
   // the 4x higher volume-to-size ratio and must be chosen.
-  World w = hotspot_world(1);
-  SandpiperConfig config;
-  config.sustain_steps = 1;
-  SandpiperPolicy policy(config);
+  World w = hotspot_world(SandpiperPolicy::kSustainSteps);
+  SandpiperPolicy policy;
   Simulation sim(std::move(w.dc), w.trace, SimulationConfig{});
-  sim.run(policy, 1);
+  sim.run(policy, SandpiperPolicy::kSustainSteps);
   EXPECT_NE(sim.datacenter().host_of(0), 0);  // small-RAM VM moved
   EXPECT_EQ(sim.datacenter().host_of(1), 0);  // big one stayed
 }
@@ -90,9 +80,7 @@ TEST(SandpiperPolicyTest, TransientSpikeIgnored) {
     trace.set(0, s, u);
     trace.set(1, s, u);
   }
-  SandpiperConfig config;
-  config.sustain_steps = 2;
-  SandpiperPolicy policy(config);
+  SandpiperPolicy policy;  // sustain of 2 steps
   Simulation sim(std::move(dc), trace, SimulationConfig{});
   const SimulationResult r = sim.run(policy);
   EXPECT_EQ(r.totals.migrations, 0);

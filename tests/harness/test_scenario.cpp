@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "sim/sla.hpp"
 #include "trace/trace_stats.hpp"
 
 namespace megh {
@@ -68,10 +69,9 @@ TEST(DefaultSimConfigTest, PaperConstants) {
   const SimulationConfig config = default_sim_config(0.02);
   EXPECT_DOUBLE_EQ(config.interval_s, 300.0);
   EXPECT_DOUBLE_EQ(config.max_migration_fraction, 0.02);
-  EXPECT_DOUBLE_EQ(config.cost.energy_price_usd_per_kwh, 0.18675);
-  EXPECT_DOUBLE_EQ(config.cost.vm_price_usd_per_hour, 1.2);
+  EXPECT_DOUBLE_EQ(kEnergyPriceUsdPerKwh, 0.18675);
+  EXPECT_DOUBLE_EQ(kVmPriceUsdPerHour, 1.2);
   EXPECT_DOUBLE_EQ(config.cost.beta_overload, 0.70);
-  EXPECT_DOUBLE_EQ(config.cost.alpha_migration, 0.30);
 }
 
 TEST(ScenarioTest, GoogleVmsFitTheFleet) {

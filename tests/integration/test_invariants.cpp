@@ -101,9 +101,7 @@ TEST_P(SimulatorInvariants, HoldUnderChaoticActionStorms) {
   for (int h = 0; h < final_dc.num_hosts(); ++h) {
     max_watts += final_dc.host_spec(h).power.max_watts();
   }
-  CostConfig cost_config;
-  const double upper =
-      energy_cost_usd(max_watts, 300.0 * c.steps, cost_config);
+  const double upper = energy_cost_usd(max_watts, 300.0 * c.steps);
   EXPECT_LE(r.totals.energy_cost_usd, upper + 1e-9);
 }
 

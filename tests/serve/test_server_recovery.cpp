@@ -24,6 +24,7 @@
 #include "serve/wal.hpp"
 #include "sim/placement.hpp"
 #include "sim/simulation.hpp"
+#include "sim/sla.hpp"
 #include "trace/planetlab_synth.hpp"
 
 namespace megh::serve {
@@ -761,13 +762,14 @@ TEST_F(ServerRecoveryTest, FailedCleanupIsNotFatal) {
 }
 
 /// `init` (an encoded Init) with the bytes at `field` — an offset from
-/// the start of its MeghConfig, in the layout put_megh_config writes —
-/// replaced by `value`; the bytes there must encode `builtin`. The
-/// config's start is found as the first byte two encodings that differ
-/// only in the lowest bit of gamma disagree on.
+/// the start of its MeghConfig, in the layout encode_init writes, so the
+/// cost block before it sits at negative offsets and the fabric block
+/// after it at positive ones — replaced by `value`; the bytes there must
+/// encode `builtin`. The config's start is found as the first byte two
+/// encodings that differ only in the lowest bit of gamma disagree on.
 template <typename T>
 std::vector<std::uint8_t> patch_megh_field(
-    const std::vector<std::uint8_t>& init, std::size_t field, T builtin,
+    const std::vector<std::uint8_t>& init, std::ptrdiff_t field, T builtin,
     T value) {
   InitRequest req = decode_init(init);
   req.config.gamma = 0.5;
@@ -785,7 +787,7 @@ std::vector<std::uint8_t> patch_megh_field(
     }
     return w.take();
   };
-  const auto at = static_cast<std::ptrdiff_t>(gamma_at + field);
+  const auto at = static_cast<std::ptrdiff_t>(gamma_at) + field;
   const std::vector<std::uint8_t> old_bytes = encode(builtin);
   EXPECT_TRUE(std::equal(old_bytes.begin(), old_bytes.end(), init.begin() + at))
       << "offset " << field << " does not hold the built-in value";
@@ -818,7 +820,7 @@ TEST_F(ServerRecoveryTest, InvalidInitLeavesTheDirectoryClean) {
 
     // Fails apply_init's upfront validation (cost.validate()).
     InitRequest bad_config = decode_init(log[0].payload);
-    bad_config.cost.energy_price_usd_per_kwh = -1.0;
+    bad_config.cost.beta_overload = 1.5;
     expect_rejected(encode_init(bad_config));
 
     // Fails the decoder's built-in-value check. A NaN baseline weight would
@@ -833,6 +835,20 @@ TEST_F(ServerRecoveryTest, InvalidInitLeavesTheDirectoryClean) {
     expect_rejected(
         patch_megh_field(log[0].payload, 74, kTargetsPerSource, 7));
     expect_rejected(patch_megh_field(log[0].payload, 86, kPackCeiling, 0.8));
+    // The cost block and the fabric's link speeds keep slots for the cost
+    // model's and the fabric's constants too. The cost block's last f64
+    // before two u8s and the i32 window is the migration-downtime
+    // fraction; the link speeds follow the MeghConfig's 111 bytes, the
+    // has_network byte and the fat-tree k.
+    expect_rejected(patch_megh_field(log[0].payload, -14,
+                                     kMigrationDowntimeFraction, 0.1));
+    InitRequest fabric = decode_init(log[0].payload);
+    fabric.has_network = true;
+    fabric.network_k =
+        FatTreeTopology::for_hosts(static_cast<int>(fabric.hosts.size()))
+            .k();
+    expect_rejected(
+        patch_megh_field(encode_init(fabric), 116, kEdgeLinkMbps, 10000.0));
 
     // An infinite temperature passes a plain `> 0` check, but its first
     // decay is NaN: a journaled Megh that silently never migrates again.

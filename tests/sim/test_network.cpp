@@ -52,10 +52,8 @@ TEST(FatTreeTest, HopCounts) {
 }
 
 TEST(FatTreeTest, PathBandwidthDegradesWithDistance) {
+  // 1-Gbps links on every tier.
   NetworkLinkConfig links;
-  links.edge_mbps = 1000;
-  links.aggregation_mbps = 1000;
-  links.core_mbps = 1000;
   links.oversubscription = 4.0;
   const FatTreeTopology ft(4, links);
   EXPECT_DOUBLE_EQ(ft.path_bandwidth_mbps(0, 1), 1000.0);
@@ -136,10 +134,9 @@ TEST(NetworkSimulationTest, OversubscribedCrossPodCostsMoreSla) {
     NetWorld w = NetWorld::make(8, 8);
     SimulationConfig config;
     config.network = std::make_shared<FatTreeTopology>(4, links);
-    // Pick the downtime fraction so the near move stays under tier 1
-    // (0.041 s < 0.05% of 300 s) while the cross-pod copy (0.66 s) lands
+    // At the 2% downtime fraction the near move stays under tier 1
+    // (0.082 s < 0.05% of 300 s) while the cross-pod copy (1.31 s) lands
     // in tier 2 — tiers saturate, so equal-tier downtimes cost the same.
-    config.cost.migration_downtime_fraction = 0.01;
     Simulation sim(std::move(w.dc), w.trace, config);
     class OneMove : public MigrationPolicy {
      public:

@@ -192,8 +192,7 @@ TEST(ShardedStepTest, StepEnergyIsIntervalEnergyCostBitForBit) {
     int checked = 0;
     config.on_step = [&](const StepSnapshot& snap) {
       EXPECT_EQ(snap.energy_cost_usd,
-                interval_energy_cost_usd(sim->datacenter(), config.interval_s,
-                                         config.cost))
+                interval_energy_cost_usd(sim->datacenter(), config.interval_s))
           << "jobs " << jobs << " step " << snap.step;
       ++checked;
     };

@@ -8,8 +8,6 @@ namespace {
 CostConfig windowed_config() {
   CostConfig c;
   c.sla_accounting = SlaAccounting::kWindowed;
-  c.sla_window_steps = 4;
-  c.migration_downtime_fraction = 1.0;  // charge full TM in these tests
   return c;
 }
 
@@ -49,29 +47,31 @@ TEST(SlaTest, WindowedPercentUsesElapsedWindow) {
 }
 
 TEST(SlaTest, WindowedDowntimeExpires) {
-  SlaAccountant sla(1, windowed_config());  // window of 4 steps
+  SlaAccountant sla(1, windowed_config());
   sla.begin_interval(300.0);
   sla.add_overload_downtime(0, 10.0);
   sla.settle_interval();
-  EXPECT_GT(sla.windowed_downtime_pct(0), 0.0);
-  // After 4 more intervals the slot is overwritten.
-  for (int i = 0; i < 4; ++i) {
+  // The downtime stays in the window for its full length...
+  for (int i = 1; i < kSlaWindowSteps; ++i) {
     sla.begin_interval(300.0);
     sla.settle_interval();
+    EXPECT_GT(sla.windowed_downtime_pct(0), 0.0) << "interval " << i;
   }
+  // ...and the next interval overwrites its slot.
+  sla.begin_interval(300.0);
+  sla.settle_interval();
   EXPECT_DOUBLE_EQ(sla.windowed_downtime_pct(0), 0.0);
   EXPECT_EQ(sla.tier(0), 0);
 }
 
 TEST(SlaTest, WindowedCostChargesTierFractionPerInterval) {
-  CostConfig c = windowed_config();
-  SlaAccountant sla(1, c);
+  SlaAccountant sla(1, windowed_config());
   sla.begin_interval(300.0);
   // Drive into tier 2: > 0.1% of 300 s = 0.3 s.
   sla.add_overload_downtime(0, 300.0);
   const double cost = sla.settle_interval();
-  const double interval_revenue = c.vm_price_usd_per_hour * 300.0 / 3600.0;
-  EXPECT_NEAR(cost, c.tier2_fraction * interval_revenue, 1e-12);
+  const double interval_revenue = kVmPriceUsdPerHour * 300.0 / 3600.0;
+  EXPECT_NEAR(cost, kTier2Fraction * interval_revenue, 1e-12);
 }
 
 TEST(SlaTest, CumulativeModeLevelsAreAbsorbing) {
@@ -108,12 +108,12 @@ TEST(SlaTest, CumulativeLevelNeverCharged_Negative) {
 }
 
 TEST(SlaTest, MigrationDowntimeScaledByFraction) {
-  CostConfig c = windowed_config();
-  c.migration_downtime_fraction = 0.1;
-  SlaAccountant sla(1, c);
+  SlaAccountant sla(1, windowed_config());
   sla.begin_interval(300.0);
   sla.add_migration_downtime(0, 10.0);
-  EXPECT_NEAR(sla.downtime_s(0), 1.0, 1e-12);
+  // 10 s of copy time at the 2% fraction is 0.2 s of downtime.
+  EXPECT_NEAR(sla.downtime_s(0), 0.2, 1e-12);
+  EXPECT_NEAR(sla.migration_downtime_s(0), 0.2, 1e-12);
 }
 
 TEST(SlaTest, OverloadDowntimeBinaryMode) {

@@ -64,13 +64,11 @@ TEST(SlavMetricsTest, PdmMatchesHandComputation) {
       if (obs.step == 1) out.push_back(MigrationAction{0, 2});
     }
   } policy;
-  SimulationConfig config;
-  config.cost.migration_downtime_fraction = 0.5;
-  Simulation sim(std::move(dc), trace, config);
+  Simulation sim(std::move(dc), trace, SimulationConfig{});
   const auto totals = sim.run(policy).totals;
-  // VM 0: TM = 1024 MB over the source host's 1 Gbps = 8.192 s; half
-  // charged = 4.096 s over 4 × 300 s requested. VM 1: 0.
-  const double expected_pdm = (4.096 / 1200.0 + 0.0) / 2.0;
+  // VM 0: TM = 1024 MB over the source host's 1 Gbps = 8.192 s; 2%
+  // charged = 0.16384 s over 4 × 300 s requested. VM 1: 0.
+  const double expected_pdm = (0.16384 / 1200.0 + 0.0) / 2.0;
   EXPECT_NEAR(totals.pdm, expected_pdm, 1e-9);
   EXPECT_DOUBLE_EQ(totals.slav, totals.slatah * totals.pdm);
   EXPECT_NEAR(totals.esv, totals.energy_kwh * totals.slav, 1e-15);
@@ -93,7 +91,7 @@ TEST(SlavMetricsTest, EnergyKwhMatchesCostArithmetic) {
   const double expected_kwh = (86.0 + 93.7) * 1800.0 / 3.6e6;
   EXPECT_NEAR(totals.energy_kwh, expected_kwh, 1e-9);
   EXPECT_NEAR(totals.energy_cost_usd,
-              expected_kwh * config.cost.energy_price_usd_per_kwh, 1e-9);
+              expected_kwh * kEnergyPriceUsdPerKwh, 1e-9);
 }
 
 }  // namespace

@@ -87,16 +87,8 @@ std::unique_ptr<MigrationPolicy> make_policy(
   if (name == "mad-mmt") return make_mad_mmt(seed);
   if (name == "lr-mmt") return make_lr_mmt(seed);
   if (name == "lrr-mmt") return make_lrr_mmt(seed);
-  if (name == "madvm") {
-    MadVmConfig config;
-    config.seed = seed;
-    return std::make_unique<MadVmPolicy>(config);
-  }
-  if (name == "qlearning") {
-    QLearningConfig config;
-    config.seed = seed;
-    return std::make_unique<QLearningPolicy>(config);
-  }
+  if (name == "madvm") return std::make_unique<MadVmPolicy>(seed);
+  if (name == "qlearning") return std::make_unique<QLearningPolicy>(seed);
   if (name == "sandpiper") return std::make_unique<SandpiperPolicy>();
   if (name == "none") return std::make_unique<NoMigrationPolicy>();
   if (name == "random") return std::make_unique<RandomPolicy>(1, seed);
