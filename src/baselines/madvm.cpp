@@ -14,6 +14,9 @@ static_assert(MadVmPolicy::kUtilBuckets >= 2 &&
               "MadVM needs at least 2 buckets per dimension");
 static_assert(MadVmPolicy::kGamma >= 0.0 && MadVmPolicy::kGamma < 1.0,
               "MadVM gamma must lie in [0, 1)");
+static_assert(MadVmPolicy::kKeyStates <=
+                  MadVmPolicy::kUtilBuckets * MadVmPolicy::kHostBuckets,
+              "MadVM key states must fit the state space");
 static_assert(MadVmPolicy::kValueSweeps >= 1,
               "MadVM needs >= 1 sweep per step");
 static_assert(MadVmPolicy::kFullSweepPeriod >= 1,
@@ -79,24 +82,15 @@ void MadVmPolicy::sweep_vm(int vm, bool full) {
   }
 
   // Key states: most-visited (u, l) pairs.
-  std::vector<int> states;
-  if (full) {
-    states.resize(static_cast<std::size_t>(U) * L);
-    std::iota(states.begin(), states.end(), 0);
-  } else {
-    states.resize(static_cast<std::size_t>(U) * L);
-    std::iota(states.begin(), states.end(), 0);
-    std::partial_sort(states.begin(),
-                      states.begin() +
-                          std::min<std::size_t>(states.size(),
-                                                static_cast<std::size_t>(
-                                                    kKeyStates)),
+  std::vector<int> states(static_cast<std::size_t>(U) * L);
+  std::iota(states.begin(), states.end(), 0);
+  if (!full) {
+    std::partial_sort(states.begin(), states.begin() + kKeyStates,
                       states.end(), [&](int a, int b) {
                         return m.visits[static_cast<std::size_t>(a)] >
                                m.visits[static_cast<std::size_t>(b)];
                       });
-    states.resize(std::min<std::size_t>(
-        states.size(), static_cast<std::size_t>(kKeyStates)));
+    states.resize(kKeyStates);
   }
 
   for (int sweep = 0; sweep < kValueSweeps; ++sweep) {

@@ -185,9 +185,9 @@ std::size_t WireReader::count(std::size_t min_element_bytes,
 
 namespace {
 
-// The value older encoders wrote into the cost block's α slot (the
-// paper's 30% migration CPU threshold, Sec. 6.1). Nothing reads it; the
-// slot stays so recorded journals still replay.
+// The cost block's α slot holds the paper's 30% migration CPU threshold
+// (Sec. 6.1). Nothing reads it; the slot stays so recorded journals still
+// replay.
 constexpr double kAlphaMigrationSlot = 0.30;
 
 template <typename T>
@@ -302,6 +302,7 @@ std::vector<std::uint8_t> encode_init(const InitRequest& req) {
   w.u8(req.has_network ? 1 : 0);
   if (req.has_network) {
     w.i32(req.network_k);
+    // The link speeds are built-in constants too (sim/network.hpp).
     w.f64(kEdgeLinkMbps);
     w.f64(kAggregationLinkMbps);
     w.f64(kCoreLinkMbps);
