@@ -4,9 +4,11 @@
 //
 //   * BM_ServeDecide/{hosts}/{fsync} — one steady-state served step against
 //     an in-process MeghServer over LocalTransport: one Decide round trip
-//     carrying the previous step's outcomes (decode → validate → observe +
-//     decide → WAL append → encode). fsync=1 adds the append-fsync before
-//     the ack, the durability price of crash-exact recovery; fsync=0
+//     carrying the previous step's outcomes (decode → validate → WAL write
+//     → observe + decide → encode). fsync=1 adds the record's fsync, which
+//     runs on the WAL syncer thread during the observe + decide and is
+//     waited for before the ack: the durability price of crash-exact
+//     recovery is whatever of it the apply does not hide. fsync=0
 //     isolates the protocol + journaling CPU cost. items/s is served
 //     steps/s; wal_bytes_per_step is the journal growth rate.
 //   * BM_ServeCheckpoint/{hosts} — one compaction: atomic learner snapshot

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/atomic_file.hpp"
@@ -141,52 +142,18 @@ void MeghServer::recover() {
 
   std::ifstream in(init_path, std::ios::binary);
   if (!in) throw IoError("serve: cannot open " + init_path.string());
-  std::vector<std::uint8_t> init_bytes(
+  const std::vector<std::uint8_t> init_bytes(
       (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  apply_init(decode_init(init_bytes));
-  initialized_ = true;
-
-  // Newest snapshot that does not overshoot the replay cap.
-  std::vector<std::filesystem::path> snaps = list_snapshots(options_.dir);
-  for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
-    const std::uint64_t seq = snapshot_seq_of(*it);
-    if (options_.replay_to != 0 && seq > options_.replay_to) continue;
-    load_snapshot(*it);
-    break;
-  }
-
+  const InitRequest init = decode_init(init_bytes);
   const WalScan scan = scan_wal(options_.dir);
-  std::vector<MigrationAction> scratch;
-  for (const WalRecord& record : scan.records) {
-    if (record.seq <= snapshot_seq_) continue;
-    if (options_.replay_to != 0 && record.seq > options_.replay_to) break;
-    // scan_wal guarantees continuity within the chain; this guards the
-    // joint between the snapshot and the chain's first surviving record.
-    if (record.seq != applied_seq_ + 1) {
-      throw IoError(strf(
-          "serve: WAL chain resumes at seq %llu but recovery reached only "
-          "seq %llu — records in between were lost",
-          static_cast<unsigned long long>(record.seq),
-          static_cast<unsigned long long>(applied_seq_)));
-    }
-    const MsgType type = static_cast<MsgType>(record.type);
-    switch (type) {
-      case MsgType::kDecide: {
-        scratch.clear();
-        apply_decide(decode_decide(record.payload), scratch);
-        break;
-      }
-      case MsgType::kObserve:
-        apply_observe(decode_observe(record.payload));
-        break;
-      default:
-        throw IoError(strf("serve: WAL record seq %llu has non-mutating "
-                           "type %u — journal is corrupt",
-                           static_cast<unsigned long long>(record.seq),
-                           static_cast<unsigned>(record.type)));
-    }
-    applied_seq_ = record.seq;
-    ++replayed_records_;
+  const std::uint64_t dropped = replay(
+      init, scan,
+      options_.replay_to != 0 ? options_.replay_to
+                              : std::numeric_limits<std::uint64_t>::max());
+  if (dropped != 0) {
+    // The failed apply may have mutated state part-way: rebuild without
+    // the record. Every record before it applied once, so it applies again.
+    replay(init, scan, dropped - 1);
   }
   recovered_seq_ = applied_seq_;
   if (options_.replay_to != 0 && applied_seq_ != options_.replay_to) {
@@ -197,21 +164,103 @@ void MeghServer::recover() {
         static_cast<unsigned long long>(applied_seq_)));
   }
   if (!options_.read_only) {
-    // Physically drop any torn tail before opening the new segment: once
-    // that segment exists, the torn one is no longer last and a later scan
-    // would treat its dangling bytes as fatal mid-chain damage.
+    // Physically drop any torn tail, and the unacknowledged final record,
+    // before opening the new segment: once that segment exists, the old
+    // one is no longer last, and a later scan would treat its dangling
+    // bytes as fatal mid-chain damage.
     heal_torn_tail(scan, options_.fsync);
+    if (dropped != 0) {
+      truncate_segment(scan.last_record_path, scan.last_record_offset,
+                       options_.fsync);
+    }
     wal_ = std::make_unique<WalWriter>(options_.dir, applied_seq_ + 1,
                                        options_.fsync);
   }
   MEGH_LOG_INFO(strf(
       "serve: recovered %s to seq %llu (snapshot gen %llu at seq %llu, "
-      "%lld records replayed%s)",
+      "%lld records replayed%s%s)",
       options_.dir.string().c_str(),
       static_cast<unsigned long long>(applied_seq_),
       static_cast<unsigned long long>(snapshot_gen_),
       static_cast<unsigned long long>(snapshot_seq_), replayed_records_,
-      scan.dropped_torn_tail ? ", torn tail dropped" : ""));
+      scan.dropped_torn_tail ? ", torn tail dropped" : "",
+      dropped != 0 ? ", unacknowledged final record dropped" : ""));
+}
+
+std::uint64_t MeghServer::replay(const InitRequest& init, const WalScan& scan,
+                                 std::uint64_t cap) {
+  applied_seq_ = 0;
+  snapshot_seq_ = 0;
+  snapshot_gen_ = 0;
+  replayed_records_ = 0;
+  apply_init(init);
+  initialized_ = true;
+
+  // Newest snapshot that does not overshoot the replay cap.
+  std::vector<std::filesystem::path> snaps = list_snapshots(options_.dir);
+  for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
+    const std::uint64_t seq = snapshot_seq_of(*it);
+    if (seq > cap) continue;
+    load_snapshot(*it);
+    break;
+  }
+
+  std::vector<MigrationAction> scratch;
+  for (const WalRecord& record : scan.records) {
+    if (record.seq <= snapshot_seq_) continue;
+    if (record.seq > cap) break;
+    // scan_wal guarantees continuity within the chain; this guards the
+    // joint between the snapshot and the chain's first surviving record.
+    if (record.seq != applied_seq_ + 1) {
+      throw IoError(strf(
+          "serve: WAL chain resumes at seq %llu but recovery reached only "
+          "seq %llu — records in between were lost",
+          static_cast<unsigned long long>(record.seq),
+          static_cast<unsigned long long>(applied_seq_)));
+    }
+    // A record that does not decode is damage, wherever it sits.
+    std::optional<DecideRequest> decide;
+    std::optional<ObserveRequest> observe;
+    switch (static_cast<MsgType>(record.type)) {
+      case MsgType::kDecide:
+        decide = decode_decide(record.payload);
+        break;
+      case MsgType::kObserve:
+        observe = decode_observe(record.payload);
+        break;
+      default:
+        throw IoError(strf("serve: WAL record seq %llu has non-mutating "
+                           "type %u — journal is corrupt",
+                           static_cast<unsigned long long>(record.seq),
+                           static_cast<unsigned>(record.type)));
+    }
+    try {
+      if (decide) {
+        scratch.clear();
+        apply_decide(*decide, scratch);
+      } else {
+        apply_observe(*observe);
+      }
+    } catch (const std::exception& e) {
+      // A request is acknowledged only after its apply, and a failed apply
+      // poisons the writer, so the only unappliable record a live daemon
+      // can leave is the final one, and it was never acknowledged.
+      if (&record != &scan.records.back()) {
+        throw IoError(strf(
+            "serve: WAL record seq %llu cannot be applied (%s) but is not "
+            "the final record — journal is corrupt",
+            static_cast<unsigned long long>(record.seq), e.what()));
+      }
+      MEGH_LOG_WARN(strf(
+          "serve: dropping unacknowledged final WAL record seq %llu: its "
+          "apply failed (%s)",
+          static_cast<unsigned long long>(record.seq), e.what()));
+      return record.seq;
+    }
+    applied_seq_ = record.seq;
+    ++replayed_records_;
+  }
+  return 0;
 }
 
 // --- apply path (shared by live requests and replay) ----------------------
@@ -391,12 +440,10 @@ void MeghServer::check_not_poisoned() const {
   }
 }
 
-void MeghServer::journal(MsgType type,
-                         std::span<const std::uint8_t> payload) {
+void MeghServer::journal(MsgType type, std::span<const std::uint8_t> payload,
+                         const std::function<void()>& apply) {
   MEGH_REQUIRE(wal_ != nullptr, "serve: journaling without a WAL writer");
-  const std::uint64_t seq =
-      wal_->append(static_cast<std::uint16_t>(type), payload);
-  applied_seq_ = seq;
+  applied_seq_ = wal_->append(static_cast<std::uint16_t>(type), payload, apply);
   ++records_since_compaction_;
 }
 
@@ -451,16 +498,15 @@ DecideResponse MeghServer::decide(const DecideRequest& req,
   MEGH_REQUIRE(initialized_, "serve: Decide before Init");
   MEGH_REQUIRE(!options_.read_only, "serve: read-only server");
   check_not_poisoned();
-  // Validate → apply → journal: a request rejected by validation touches
-  // neither state nor journal, and only fully-applied requests reach the
-  // WAL, so replay can never fail on a journaled record. A throw after
-  // apply began means memory may have diverged from the journal —
-  // poison so nothing compounds it; a restart replays the clean prefix.
+  // Validate → write → apply while the record's fsync runs → ack: a
+  // request rejected by validation touches neither state nor journal. A
+  // throw after the write means memory may have diverged from the journal
+  // — poison so nothing compounds it; a restart replays the clean prefix
+  // (and drops this record if its apply is what failed).
   validate_decide(req);
   actions_.clear();
   try {
-    apply_decide(req, actions_);
-    journal(MsgType::kDecide, payload);
+    journal(MsgType::kDecide, payload, [&] { apply_decide(req, actions_); });
   } catch (const std::exception& e) {
     poison(strf("Decide failed after validation: %s", e.what()));
     throw;
@@ -481,8 +527,7 @@ ObserveResponse MeghServer::observe(const ObserveRequest& req,
   check_not_poisoned();
   validate_observe(req);
   try {
-    apply_observe(req);
-    journal(MsgType::kObserve, payload);
+    journal(MsgType::kObserve, payload, [&] { apply_observe(req); });
   } catch (const std::exception& e) {
     poison(strf("Observe failed after validation: %s", e.what()));
     throw;
@@ -561,6 +606,11 @@ void MeghServer::fill_stats(std::vector<StatEntry>& out) {
       "serve.errors",
       static_cast<double>(errors_.load(std::memory_order_relaxed))});
   out.push_back(StatEntry{"serve.poisoned", poisoned_ ? 1.0 : 0.0});
+  out.push_back(StatEntry{
+      "serve.fsync_us", wal_ ? static_cast<double>(wal_->fsync_us()) : 0.0});
+  out.push_back(StatEntry{
+      "serve.sync_wait_us",
+      wal_ ? static_cast<double>(wal_->sync_wait_us()) : 0.0});
 }
 
 // --- snapshots / compaction ----------------------------------------------

@@ -11,20 +11,28 @@
 //      from. It is never compacted away, and it is only written after the
 //      request applied successfully, so a rejected Init can never brick
 //      the directory.
-//   2. Every mutating request (Decide, Observe) is validated, applied,
-//      and only then appended to the WAL and fsynced — all before it is
-//      acknowledged. A Decide carries the previous step's observation, so
-//      a served step costs one record. The journal stores the request
-//      bytes as received, not state deltas: replay re-executes them
-//      through the same apply path, so recovered state is bit-identical —
-//      same learner, same RNG position, same pending SARSA transition,
-//      same placement mirror.
-//      Because only fully-applied requests reach the journal, replay can
-//      never fail on a journaled record. If a request fails *after* the
-//      in-memory mutation began, or a WAL append fails after the
-//      mutation, the daemon poisons itself: every further mutating
-//      request, compaction, and dump is refused until a restart recovers
-//      the (consistent) journaled prefix.
+//   2. Every mutating request (Decide, Observe) is validated, written to
+//      the WAL, and then applied while that record's fsync runs on the
+//      WAL writer's syncer thread; it is acknowledged only after both the
+//      apply and the fsync finished, so a step pays max(apply, fsync), not
+//      their sum. A Decide carries the previous step's observation, so a
+//      served step costs one record. The journal stores the request bytes
+//      as received, not state deltas: replay re-executes them through the
+//      same apply path, so recovered state is bit-identical — same
+//      learner, same RNG position, same pending SARSA transition, same
+//      placement mirror.
+//      A request that fails validation touches neither state nor journal.
+//      If its write, its apply or its fsync fails, the daemon poisons
+//      itself: every further mutating request, compaction, and dump is
+//      refused until a restart recovers the (consistent) journaled
+//      prefix, and the writer appends nothing more. So the one record
+//      whose apply can fail on replay is the WAL's final one, which was
+//      never acknowledged (the ack follows the apply, and replay is
+//      deterministic): recovery drops it, capping the replay at the
+//      previous seq, and a writable recovery cuts it off its segment
+//      before opening the writer. That covers a crash between the failed
+//      apply and the poison latch too. An unappliable record anywhere
+//      else, or one that does not decode, is damage and stays fatal.
 //   3. Compaction runs on the request path: the Decide or Observe that
 //      journals the compact_every-th record since the last compaction
 //      runs it before returning, and the Checkpoint verb runs it on
@@ -48,6 +56,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -123,6 +132,13 @@ class MeghServer {
 
  private:
   void recover();
+  /// Rebuild the state from `init`, the newest snapshot at or below `cap`
+  /// and the scanned records after it, up to seq `cap`. Returns
+  /// 0, or the seq of the scan's final record when that record decodes but
+  /// its apply throws; the state is then partly applied and must be
+  /// rebuilt below that seq.
+  std::uint64_t replay(const InitRequest& init, const WalScan& scan,
+                       std::uint64_t cap);
   void apply_init(const InitRequest& req);
   /// Applies the carried observation (if any), then decides.
   void apply_decide(const DecideRequest& req,
@@ -138,7 +154,10 @@ class MeghServer {
   /// that may have left memory diverged from the journal.
   void poison(const std::string& why);
   void check_not_poisoned() const;
-  void journal(MsgType type, std::span<const std::uint8_t> payload);
+  /// Write `payload` to the WAL, run `apply` during its fsync, wait for
+  /// the fsync; advances applied_seq_.
+  void journal(MsgType type, std::span<const std::uint8_t> payload,
+               const std::function<void()>& apply);
   void write_snapshot(std::ostream& out);
   void load_snapshot(const std::filesystem::path& path);
   /// Snapshot, rotate, unlink what the snapshot supersedes. Throws if the
@@ -182,7 +201,7 @@ class MeghServer {
   std::atomic<long long> errors_{0};
 
   // Poison latch: set when live state may have diverged from the journal
-  // (partial apply, or a WAL append failure after an apply) or the WAL
+  // (a failed apply, write or fsync of a journaled request) or the WAL
   // writer can no longer append (a failed rotation). Mutating requests are
   // refused until a restart replays the consistent prefix.
   bool poisoned_ = false;

@@ -250,13 +250,14 @@ SocketTransport::SocketTransport(const std::filesystem::path& socket_path,
     ::close(fd_);
     fd_ = -1;
     // The daemon may still be starting: the socket file is not there yet
-    // (ENOENT) or exists but nobody listens (ECONNREFUSED).
+    // (ENOENT) or exists but nobody listens (ECONNREFUSED). It listens a
+    // few ms after spawn, so a short retry period keeps the wait short.
     const bool retryable = err == ENOENT || err == ECONNREFUSED;
     if (!retryable || std::chrono::steady_clock::now() >= deadline) {
       throw IoError(strf("serve socket: cannot connect to %s: %s",
                          socket_path.string().c_str(), std::strerror(err)));
     }
-    ::usleep(50 * 1000);
+    ::usleep(1000);
   }
 }
 

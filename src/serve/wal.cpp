@@ -6,12 +6,14 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <exception>
 #include <fstream>
 
 #include "common/atomic_file.hpp"
 #include "common/crc32c.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/stopwatch.hpp"
 #include "common/string_util.hpp"
 
 namespace megh::serve {
@@ -81,9 +83,20 @@ WalWriter::WalWriter(std::filesystem::path dir, std::uint64_t start_seq,
     : dir_(std::move(dir)), fsync_(fsync) {
   std::filesystem::create_directories(dir_);
   open_segment(start_seq);
+  if (fsync_) syncer_ = std::thread([this] { sync_loop(); });
 }
 
-WalWriter::~WalWriter() { close_segment(); }
+WalWriter::~WalWriter() {
+  if (syncer_.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(sync_mutex_);
+      stopping_ = true;
+    }
+    sync_start_.notify_one();
+    syncer_.join();
+  }
+  close_segment();
+}
 
 void WalWriter::open_segment(std::uint64_t start_seq) {
   path_ = dir_ / wal_segment_name(start_seq);
@@ -120,26 +133,55 @@ void WalWriter::close_segment() {
   }
 }
 
+void WalWriter::sync_loop() {
+  std::unique_lock<std::mutex> lock(sync_mutex_);
+  for (;;) {
+    sync_start_.wait(
+        lock, [this] { return stopping_ || sync_requested_ != sync_done_; });
+    if (stopping_) return;
+    // fd_ only changes between appends, never while a sync is requested,
+    // and the request's mutex handoff publishes it.
+    const int fd = fd_;
+    lock.unlock();
+    const Stopwatch watch;
+    const int err = ::fsync(fd) == 0 ? 0 : errno;
+    const double ms = watch.elapsed_ms();
+    lock.lock();
+    sync_errno_ = err;
+    fsync_ns_ += static_cast<std::int64_t>(ms * 1e6);
+    sync_done_ = sync_requested_;
+    sync_finished_.notify_one();
+  }
+}
+
+int WalWriter::wait_for_sync() {
+  const Stopwatch watch;
+  std::unique_lock<std::mutex> lock(sync_mutex_);
+  sync_finished_.wait(lock, [this] { return sync_done_ == sync_requested_; });
+  sync_wait_ns_ += static_cast<std::int64_t>(watch.elapsed_ms() * 1e6);
+  return sync_errno_;
+}
+
+std::int64_t WalWriter::fsync_us() const {
+  std::lock_guard<std::mutex> lock(sync_mutex_);
+  return fsync_ns_ / 1000;
+}
+
 std::uint64_t WalWriter::append(std::uint16_t type,
-                                std::span<const std::uint8_t> payload) {
+                                std::span<const std::uint8_t> payload,
+                                const std::function<void()>& during_sync) {
   check_not_poisoned();
   const std::uint64_t seq = next_seq_;
-  std::vector<std::uint8_t> record(kRecordHeaderSize + payload.size());
-  put_u32(record.data() + 4, static_cast<std::uint32_t>(payload.size()));
-  put_u64(record.data() + 8, seq);
-  put_u16(record.data() + 16, type);
+  record_.resize(kRecordHeaderSize + payload.size());
+  put_u32(record_.data() + 4, static_cast<std::uint32_t>(payload.size()));
+  put_u64(record_.data() + 8, seq);
+  put_u16(record_.data() + 16, type);
   std::copy(payload.begin(), payload.end(),
-            record.begin() + kRecordHeaderSize);
-  const std::uint32_t crc = crc32c(record.data() + 4, record.size() - 4);
-  put_u32(record.data(), crc);
+            record_.begin() + kRecordHeaderSize);
+  const std::uint32_t crc = crc32c(record_.data() + 4, record_.size() - 4);
+  put_u32(record_.data(), crc);
   try {
-    write_all(fd_, record.data(), record.size(), path_);
-    if (fsync_) {
-      if (::fsync(fd_) != 0) {
-        throw IoError(strf("wal: fsync of %s failed: %s",
-                           path_.string().c_str(), std::strerror(errno)));
-      }
-    }
+    write_all(fd_, record_.data(), record_.size(), path_);
   } catch (const std::exception& e) {
     // The record's bytes may be partially on disk. Appending after them
     // would follow the partial record with a second one carrying the same
@@ -148,7 +190,39 @@ std::uint64_t WalWriter::append(std::uint16_t type,
     poison(e.what());
     throw;
   }
+  // The record is complete in the file: it holds its seq whatever follows.
   ++next_seq_;
+  if (fsync_) {
+    {
+      std::lock_guard<std::mutex> lock(sync_mutex_);
+      ++sync_requested_;
+    }
+    sync_start_.notify_one();
+  }
+  std::exception_ptr failed;
+  try {
+    if (during_sync) during_sync();
+  } catch (...) {
+    failed = std::current_exception();
+  }
+  // Wait even when during_sync threw: the syncer must be idle before the
+  // next rotation or the destructor touches fd_.
+  const int sync_errno = fsync_ ? wait_for_sync() : 0;
+  if (failed) {
+    // Nothing may follow a record whose apply failed: recovery drops it
+    // only as the log's final record.
+    poison(strf("record seq %llu was written but the work overlapped with "
+                "its fsync failed",
+                static_cast<unsigned long long>(seq)));
+    std::rethrow_exception(failed);
+  }
+  if (sync_errno != 0) {
+    const std::string why = strf("wal: fsync of %s failed: %s",
+                                 path_.string().c_str(),
+                                 std::strerror(sync_errno));
+    poison(why);
+    throw IoError(why);
+  }
   return seq;
 }
 
@@ -291,6 +365,8 @@ WalScan scan_wal(const std::filesystem::path& dir) {
                             data.begin() + static_cast<std::ptrdiff_t>(
                                                pos + kRecordHeaderSize + len));
       scan.records.push_back(std::move(record));
+      scan.last_record_path = path;
+      scan.last_record_offset = pos;
       ++expected;
       pos += kRecordHeaderSize + len;
     }
@@ -305,16 +381,20 @@ WalScan scan_wal(const std::filesystem::path& dir) {
 
 void heal_torn_tail(const WalScan& scan, bool fsync) {
   if (!scan.dropped_torn_tail) return;
-  const std::filesystem::path dir = scan.torn_path.parent_path();
-  if (scan.torn_offset == 0) {
-    // The header itself never completed: no record could live here.
-    std::filesystem::remove(scan.torn_path);
-  } else {
-    std::filesystem::resize_file(scan.torn_path, scan.torn_offset);
-    if (fsync) fsync_file(scan.torn_path);
-  }
-  if (fsync) fsync_dir(dir);
+  truncate_segment(scan.torn_path, scan.torn_offset, fsync);
   MEGH_LOG_INFO("wal: healed torn tail (" + scan.torn_detail + ")");
+}
+
+void truncate_segment(const std::filesystem::path& segment,
+                      std::uint64_t offset, bool fsync) {
+  if (offset == 0) {
+    // The header itself never completed: no record could live here.
+    std::filesystem::remove(segment);
+  } else {
+    std::filesystem::resize_file(segment, offset);
+    if (fsync) fsync_file(segment);
+  }
+  if (fsync) fsync_dir(segment.parent_path());
 }
 
 }  // namespace megh::serve

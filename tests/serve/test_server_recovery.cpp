@@ -146,6 +146,72 @@ class ServerRecoveryTest : public ::testing::Test {
     return -1.0;
   }
 
+  /// Every file in `dir`, name → bytes.
+  static std::map<std::string, std::string> directory_bytes(
+      const std::filesystem::path& dir) {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::ostringstream bytes;
+      bytes << in.rdbuf();
+      files[entry.path().filename().string()] = bytes.str();
+    }
+    return files;
+  }
+
+  /// The WAL of a run of `log[0, valid_to)` in `dir`, then records for
+  /// `extra` appended by hand at the next seqs, each as a Decide. Returns
+  /// the byte offset of every hand-appended record in its segment.
+  std::vector<std::uint64_t> tape_then_append(
+      const std::filesystem::path& dir, const std::vector<Recorded>& log,
+      std::size_t valid_to,
+      const std::vector<std::vector<std::uint8_t>>& extra) {
+    {
+      MeghServer server(fast_options(dir, 0));
+      for (std::size_t i = 0; i < valid_to; ++i) {
+        EXPECT_EQ(server.handle(log[i].type, log[i].payload).at(0), 0);
+      }
+    }
+    std::vector<std::uint64_t> offsets;
+    WalWriter writer(dir, valid_to, /*fsync=*/false);
+    for (const std::vector<std::uint8_t>& payload : extra) {
+      offsets.push_back(std::filesystem::file_size(writer.segment_path()));
+      writer.append(static_cast<std::uint16_t>(MsgType::kDecide), payload);
+    }
+    return offsets;
+  }
+
+  /// The taped Decide `log[at]`, except that its carried observation
+  /// "applies" a VM onto the host it already sits on (read off the Decide
+  /// before it). It decodes, but apply_observe refuses the no-op move.
+  static std::vector<std::uint8_t> unappliable_decide(
+      const std::vector<Recorded>& log, std::size_t at) {
+    EXPECT_EQ(log[at - 1].type, MsgType::kDecide);
+    EXPECT_EQ(log[at].type, MsgType::kDecide);
+    const DecideRequest before = decode_decide(log[at - 1].payload);
+    DecideRequest bad = decode_decide(log[at].payload);
+    const auto placed = std::find_if(before.host_of.begin(),
+                                     before.host_of.end(),
+                                     [](int h) { return h != kUnplaced; });
+    EXPECT_NE(placed, before.host_of.end());
+    const int vm = static_cast<int>(placed - before.host_of.begin());
+    ObserveRequest carried = bad.carried.value_or(ObserveRequest{});
+    carried.outcomes = {
+        MigrationOutcome{vm, *placed, MigrationVerdict::kApplied}};
+    bad.carried = carried;
+    return encode_decide(bad);
+  }
+
+  /// The state an uninterrupted reference directory holds at `seq`.
+  static std::string reference_dump_at(const std::filesystem::path& ref,
+                                       std::uint64_t seq) {
+    ServeOptions ro = fast_options(ref, 0);
+    ro.read_only = true;
+    ro.replay_to = seq;
+    MeghServer server(ro);
+    return dump_of(server);
+  }
+
   /// The file a compaction of generation `gen` writes its snapshot to.
   static std::string snapshot_file(std::uint64_t gen) {
     return strf("snap-%020llu.ckpt", static_cast<unsigned long long>(gen));
@@ -393,17 +459,7 @@ TEST_F(ServerRecoveryTest, PreviousSnapshotVersionRefusedUntouched) {
     body << in.rdbuf();
     std::ofstream(snapshot) << "megh-serve-snapshot v1\n" << body.str();
   }
-  const auto contents = [&] {
-    std::map<std::string, std::string> files;
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-      std::ifstream in(entry.path(), std::ios::binary);
-      std::ostringstream bytes;
-      bytes << in.rdbuf();
-      files[entry.path().filename().string()] = bytes.str();
-    }
-    return files;
-  };
-  const auto before = contents();
+  const auto before = directory_bytes(dir);
   try {
     MeghServer server(fast_options(dir, 0));
     FAIL() << "a v1 snapshot was accepted";
@@ -411,7 +467,7 @@ TEST_F(ServerRecoveryTest, PreviousSnapshotVersionRefusedUntouched) {
     const std::string what = e.what();
     EXPECT_NE(what.find("megh-serve-snapshot v1"), std::string::npos) << what;
   }
-  EXPECT_EQ(contents(), before);
+  EXPECT_EQ(directory_bytes(dir), before);
 }
 
 TEST_F(ServerRecoveryTest, TornWalTailIsDroppedAndServerResumes) {
@@ -436,6 +492,151 @@ TEST_F(ServerRecoveryTest, TornWalTailIsDroppedAndServerResumes) {
   // second restart works too.
   MeghServer again(fast_options(dir, 0));
   EXPECT_EQ(again.recovered_seq(), log.size() - 2);
+}
+
+TEST_F(ServerRecoveryTest, UnappliableFinalRecordIsDroppedAndCutOff) {
+  // A record whose apply throws was written before the apply ran but never
+  // acknowledged (the ack follows the apply, and the writer refuses every
+  // later append). Recovery drops it and resumes at the seq before it.
+  const auto ref = root_ / "ref";
+  const std::vector<Recorded> log = record_reference(ref, /*steps=*/6, nullptr);
+  ASSERT_EQ(log.size(), 8u);
+  const auto dir = root_ / "victim";
+  // Seq 1–2 served live, seq 3 (the taped request) and the bad seq 4
+  // hand-appended into one segment that starts at seq 3.
+  const std::vector<std::uint64_t> offsets = tape_then_append(
+      dir, log, 3, {log[3].payload, unappliable_decide(log, 4)});
+  const std::string want = reference_dump_at(ref, 3);
+  {
+    MeghServer after(fast_options(dir, 0));
+    EXPECT_EQ(after.recovered_seq(), 3u);
+    EXPECT_EQ(after.next_seq(), 4u);
+    EXPECT_EQ(dump_of(after), want);
+    // Cut off its segment, so the writer's fresh segment follows seq 3.
+    EXPECT_EQ(std::filesystem::file_size(dir / wal_segment_name(3)),
+              offsets[1]);
+    // And the client's retry of the real request answers as taped.
+    EXPECT_EQ(after.handle(log[4].type, log[4].payload), log[4].response);
+  }
+  // The cut directory scans clean and recovers through the retried seq.
+  const WalScan scan = scan_wal(dir);
+  EXPECT_FALSE(scan.dropped_torn_tail);
+  EXPECT_EQ(scan.next_seq, 5u);
+  MeghServer again(fast_options(dir, 0));
+  EXPECT_EQ(again.recovered_seq(), 4u);
+  EXPECT_EQ(dump_of(again), reference_dump_at(ref, 4));
+}
+
+TEST_F(ServerRecoveryTest, UnappliableFirstRecordLeavesTheInitState) {
+  // Below a dropped seq-1 record there is only the Init. This record moves
+  // a VM before its repeated move throws, so a second replay that reached
+  // it again would leave the move in the recovered mirror.
+  const auto ref = root_ / "ref";
+  const std::vector<Recorded> log = record_reference(ref, /*steps=*/6, nullptr);
+  const InitRequest init = decode_init(log[0].payload);
+  Datacenter dc(init.hosts, init.vms);
+  for (std::size_t h = 0; h < init.host_vms.size(); ++h) {
+    for (int vm : init.host_vms[h]) dc.place(vm, static_cast<int>(h));
+  }
+  int vm = -1;
+  int target = -1;
+  for (int v = 0; v < dc.num_vms() && target < 0; ++v) {
+    for (int h = 0; h < dc.num_hosts() && target < 0; ++h) {
+      if (dc.host_of(v) != kUnplaced && dc.host_of(v) != h && dc.fits(v, h)) {
+        vm = v;
+        target = h;
+      }
+    }
+  }
+  ASSERT_GE(target, 0);
+  DecideRequest bad = decode_decide(log[1].payload);
+  ObserveRequest carried;
+  carried.outcomes = {MigrationOutcome{vm, target, MigrationVerdict::kApplied},
+                      MigrationOutcome{vm, target, MigrationVerdict::kApplied}};
+  bad.carried = carried;
+  const auto dir = root_ / "victim";
+  tape_then_append(dir, log, 1, {encode_decide(bad)});
+
+  std::string want;
+  {
+    MeghServer init_only(fast_options(root_ / "init-only", 0));
+    ASSERT_EQ(init_only.handle(log[0].type, log[0].payload).at(0), 0);
+    want = dump_of(init_only);
+  }
+  MeghServer after(fast_options(dir, 0));
+  EXPECT_EQ(after.recovered_seq(), 0u);
+  EXPECT_EQ(after.next_seq(), 1u);
+  EXPECT_EQ(dump_of(after), want);
+  EXPECT_EQ(after.handle(log[1].type, log[1].payload), log[1].response);
+}
+
+TEST_F(ServerRecoveryTest, ReadOnlyRecoveryDropsUnappliableFinalRecordUntouched) {
+  const auto ref = root_ / "ref";
+  const std::vector<Recorded> log = record_reference(ref, /*steps=*/6, nullptr);
+  const auto dir = root_ / "victim";
+  tape_then_append(dir, log, 3, {log[3].payload, unappliable_decide(log, 4)});
+  const auto before = directory_bytes(dir);
+  ServeOptions ro = fast_options(dir, 0);
+  ro.read_only = true;
+  {
+    MeghServer server(ro);
+    EXPECT_EQ(server.recovered_seq(), 3u);
+    EXPECT_EQ(dump_of(server), reference_dump_at(ref, 3));
+  }
+  EXPECT_EQ(directory_bytes(dir), before);
+  // Replaying to the dropped seq is asking for state the journal never
+  // acknowledged.
+  ro.replay_to = 4;
+  EXPECT_THROW(MeghServer{ro}, IoError);
+}
+
+TEST_F(ServerRecoveryTest, UnappliableRecordBeforeTheFinalOneIsFatal) {
+  // Only the final record can be an unacknowledged failed apply; one with
+  // records after it is damage, and recovery names it without touching
+  // the directory.
+  const std::vector<Recorded> log =
+      record_reference(root_ / "ref", /*steps=*/6, nullptr);
+  const auto dir = root_ / "victim";
+  tape_then_append(dir, log, 3, {unappliable_decide(log, 3), log[4].payload});
+  const auto before = directory_bytes(dir);
+  for (const bool read_only : {false, true}) {
+    ServeOptions options = fast_options(dir, 0);
+    options.read_only = read_only;
+    try {
+      MeghServer server(options);
+      FAIL() << "an unappliable record before the final one was accepted";
+    } catch (const IoError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("seq 3 "), std::string::npos) << what;
+      EXPECT_NE(what.find("not the final record"), std::string::npos) << what;
+    }
+    EXPECT_EQ(directory_bytes(dir), before);
+  }
+}
+
+TEST_F(ServerRecoveryTest, FsyncOnServedRunMatchesTheTapeAndRecovers) {
+  // The other tests run with fsync off; this one takes the syncer-thread
+  // path, where each record's fsync overlaps its apply.
+  std::string ref_dump;
+  const std::vector<Recorded> log =
+      record_reference(root_ / "ref", /*steps=*/12, &ref_dump);
+  const auto dir = root_ / "durable";
+  ServeOptions options = fast_options(dir, /*compact_every=*/5);
+  options.fsync = true;
+  {
+    MeghServer server(options);
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      EXPECT_EQ(server.handle(log[i].type, log[i].payload), log[i].response)
+          << "request " << i;
+    }
+    EXPECT_EQ(dump_of(server), ref_dump);
+    EXPECT_GT(stat_of(server, "serve.fsync_us"), 0.0);
+    EXPECT_GE(stat_of(server, "serve.sync_wait_us"), 0.0);
+  }
+  MeghServer after(options);
+  EXPECT_EQ(after.recovered_seq(), log.size() - 1);
+  EXPECT_EQ(dump_of(after), ref_dump);
+  EXPECT_EQ(stat_of(after, "serve.fsync_us"), 0.0);
 }
 
 TEST_F(ServerRecoveryTest, CorruptWalRecordRefusedAtStartup) {

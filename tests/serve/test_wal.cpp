@@ -315,5 +315,69 @@ TEST_F(WalTest, PoisonedWriterRefusesAllFurtherWrites) {
   EXPECT_EQ(scan.records[0].seq, 1u);
 }
 
+TEST_F(WalTest, OverlappedWorkRunsAfterTheWriteAndBeforeTheAck) {
+  // append writes the record, runs its work while the fsync is in flight
+  // (on the syncer thread when fsync is on), and returns after both.
+  for (const bool fsync : {false, true}) {
+    SCOPED_TRACE(fsync ? "fsync on" : "fsync off");
+    const auto dir = dir_ / (fsync ? "on" : "off");
+    {
+      WalWriter writer(dir, 1, fsync);
+      std::uintmax_t size_during_work = 0;
+      EXPECT_EQ(writer.append(2, payload(100, 7),
+                              [&] {
+                                size_during_work = std::filesystem::file_size(
+                                    writer.segment_path());
+                              }),
+                1u);
+      EXPECT_EQ(size_during_work, 18u + 18u + 100u)
+          << "the record must be written before the work runs";
+      for (std::uint64_t seq = 2; seq <= 20; ++seq) {
+        EXPECT_EQ(writer.append(3, payload(static_cast<int>(seq), 1)), seq);
+      }
+      writer.rotate(writer.next_seq());
+      EXPECT_EQ(writer.append(2, payload(5, 2), [] {}), 21u);
+      if (!fsync) {
+        EXPECT_EQ(writer.fsync_us(), 0);
+        EXPECT_EQ(writer.sync_wait_us(), 0);
+      }
+    }
+    const WalScan scan = scan_wal(dir);
+    EXPECT_FALSE(scan.dropped_torn_tail);
+    EXPECT_EQ(scan.records.size(), 21u);
+    EXPECT_EQ(scan.next_seq, 22u);
+  }
+}
+
+TEST_F(WalTest, ThrowingOverlappedWorkPoisonsAndKeepsItsRecordLast) {
+  // The record was written before its work failed, so it holds its seq;
+  // nothing may follow it, because recovery drops a record whose apply
+  // fails only when it is the final one.
+  for (const bool fsync : {false, true}) {
+    SCOPED_TRACE(fsync ? "fsync on" : "fsync off");
+    const auto dir = dir_ / (fsync ? "on" : "off");
+    {
+      WalWriter writer(dir, 1, fsync);
+      writer.append(2, payload(8, 1));
+      try {
+        writer.append(2, payload(8, 2), [] { throw Error("apply failed"); });
+        FAIL() << "the work's exception was swallowed";
+      } catch (const Error& e) {
+        EXPECT_STREQ(e.what(), "apply failed");
+      }
+      EXPECT_TRUE(writer.poisoned());
+      EXPECT_EQ(writer.next_seq(), 3u);
+      EXPECT_THROW(writer.append(2, payload(8, 3)), IoError);
+      EXPECT_THROW(writer.rotate(writer.next_seq()), IoError);
+    }
+    const WalScan scan = scan_wal(dir);
+    EXPECT_FALSE(scan.dropped_torn_tail);
+    ASSERT_EQ(scan.records.size(), 2u);
+    EXPECT_EQ(scan.records[1].seq, 2u);
+    EXPECT_EQ(scan.last_record_path, dir / wal_segment_name(1));
+    EXPECT_EQ(scan.last_record_offset, 18u + 18u + 8u);
+  }
+}
+
 }  // namespace
 }  // namespace megh::serve
