@@ -1,7 +1,7 @@
 #include "core/candidates.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <span>
 
 #include "telemetry/telemetry.hpp"
@@ -17,6 +17,23 @@ bool target_feasible(const Datacenter& dc, std::span<const double> host_util,
   const double post = host_util[static_cast<std::size_t>(host)] * capacity +
                       dc.vm_demand_mips(vm);
   return post <= util_ceiling * capacity + 1e-9;
+}
+
+/// Host `h`'s row for the scans, read straight from the Datacenter;
+/// `active` is dc.is_active(h).
+HostRow host_row(const Datacenter& dc, std::span<const double> host_util,
+                 int h, bool active) {
+  const HostSpec& spec = dc.host_spec(h);
+  const double util = host_util[static_cast<std::size_t>(h)];
+  const double base_watts = active ? spec.power.watts(std::min(1.0, util))
+                                   : spec.power.sleep_watts();
+  return HostRow{h,           util, spec.mips, dc.host_ram_used(h),
+                 spec.ram_mb, base_watts, &spec.power};
+}
+
+/// Datacenter::fits on a row (identical comparison).
+bool row_fits(const HostRow& row, double vm_ram) {
+  return row.ram_used + vm_ram <= row.ram_cap + 1e-9;
 }
 
 void add_candidate(std::vector<CandidateAction>& out, const ActionBasis& basis,
@@ -86,6 +103,35 @@ void enumerate_all(const Datacenter& dc, std::span<const double> host_util,
 
 }  // namespace
 
+void radix_sort_by_key(std::vector<UtilKey>& items,
+                       std::vector<UtilKey>& tmp) {
+  constexpr int kDigits = 8;
+  const std::size_t n = items.size();
+  if (n < 2) return;
+  std::array<std::array<std::uint32_t, 256>, kDigits> counts{};
+  for (const UtilKey& item : items) {
+    for (int d = 0; d < kDigits; ++d) {
+      ++counts[static_cast<std::size_t>(d)][(item.key >> (8 * d)) & 0xFF];
+    }
+  }
+  tmp.resize(n);
+  for (int d = 0; d < kDigits; ++d) {
+    auto& bucket = counts[static_cast<std::size_t>(d)];
+    // A digit every key shares would scatter the items onto themselves.
+    if (bucket[(items[0].key >> (8 * d)) & 0xFF] == n) continue;
+    std::uint32_t start = 0;
+    for (std::uint32_t& count : bucket) {
+      const std::uint32_t size = count;
+      count = start;
+      start += size;
+    }
+    for (const UtilKey& item : items) {
+      tmp[bucket[(item.key >> (8 * d)) & 0xFF]++] = item;
+    }
+    items.swap(tmp);
+  }
+}
+
 void generate_candidates(const Datacenter& dc,
                          std::span<const double> host_util, double beta,
                          const ActionBasis& basis,
@@ -115,8 +161,8 @@ void generate_candidates(const Datacenter& dc,
 
   const int num_hosts = dc.num_hosts();
   // Host range this call may source from, scan and target. Every per-host
-  // scratch array below is sized `hosts` = the range's width and indexed
-  // relative to host_lo, so a pod-sized domain costs pod-sized scratch.
+  // scratch array below holds at most `hosts` = the range's width, so a
+  // pod-sized domain costs pod-sized scratch.
   const int host_lo = domain != nullptr ? domain->host_begin : 0;
   const int host_hi = domain != nullptr ? domain->host_end : num_hosts;
   MEGH_ASSERT(host_lo >= 0 && host_lo < host_hi && host_hi <= num_hosts,
@@ -142,9 +188,6 @@ void generate_candidates(const Datacenter& dc,
     scratch.vm_epoch.assign(stamp_slots, 0);
     scratch.epoch = 0;
     scratch.sources.reserve(max_sources);
-    scratch.overloaded_hosts.reserve(hosts);
-    scratch.active_hosts.reserve(hosts);
-    scratch.active_by_id.reserve(hosts);
   }
   if (++scratch.epoch == 0) {  // wrapped: stale stamps could alias
     std::fill(scratch.vm_epoch.begin(), scratch.vm_epoch.end(), 0u);
@@ -177,18 +220,34 @@ void generate_candidates(const Datacenter& dc,
     }
   };
 
-  // Both host sorts below are total orders — utilization, then host id —
-  // so tied hosts land in the same order under every std::sort.
   const auto util_of = [&](int h) {
     return host_util[static_cast<std::size_t>(h)];
   };
 
-  // 1. VMs on overloaded hosts, most-overloaded hosts first.
+  // --- one pass over the range: overloaded hosts and the active table ---
+  // The table is gathered in id order; each row carries a radix key whose
+  // stable sort below yields the (utilization, id) order.
   auto& overloaded = scratch.overloaded_hosts;
+  auto& active = scratch.active;
+  auto& order = scratch.order;
   overloaded.clear();
+  active.clear();
+  order.clear();
+  if (active.capacity() < hosts) {
+    overloaded.reserve(hosts);
+    active.reserve(hosts);
+    order.reserve(hosts);
+    scratch.order_tmp.reserve(hosts);
+  }
   for (int h = host_lo; h < host_hi; ++h) {
     if (util_of(h) > beta) overloaded.push_back(h);
+    if (!dc.is_active(h)) continue;
+    order.push_back(UtilKey{util_sort_key(util_of(h)),
+                            static_cast<std::uint32_t>(active.size())});
+    active.push_back(host_row(dc, host_util, h, true));
   }
+
+  // 1. VMs on overloaded hosts, most-overloaded hosts first; ties by id.
   std::sort(overloaded.begin(), overloaded.end(), [&](int a, int b) {
     return util_of(a) > util_of(b) || (util_of(a) == util_of(b) && a < b);
   });
@@ -200,23 +259,12 @@ void generate_candidates(const Datacenter& dc,
     }
   }
 
-  // 2. Consolidation: VMs on the least-utilized active hosts. The id-order
-  // copy is kept for the PABFD scan; the sorted list also serves the
-  // packing walk.
-  auto& active_by_id = scratch.active_by_id;
-  active_by_id.clear();
-  for (int h = host_lo; h < host_hi; ++h) {
-    if (dc.is_active(h)) active_by_id.push_back(h);
-  }
-  auto& active_hosts = scratch.active_hosts;
-  active_hosts.assign(active_by_id.begin(), active_by_id.end());
-  std::sort(active_hosts.begin(), active_hosts.end(), [&](int a, int b) {
-    return util_of(a) < util_of(b) || (util_of(a) == util_of(b) && a < b);
-  });
+  // 2. Consolidation: VMs on the least-utilized active hosts.
+  radix_sort_by_key(order, scratch.order_tmp);
   int consolidation_added = 0;
-  for (int h : active_hosts) {
+  for (const UtilKey& o : order) {
     if (consolidation_added >= kConsolidationSources) break;
-    for (int vm : dc.vms_on(h)) {
+    for (int vm : dc.vms_on(active[o.pos].id)) {
       if (consolidation_added >= kConsolidationSources) break;
       if (slotless(vm)) continue;
       push_source(vm, CandidateGroup::kConsolidation);
@@ -261,63 +309,13 @@ void generate_candidates(const Datacenter& dc,
   const int num_shards = plan->num_shards();
   const bool fan_out = exec != nullptr && exec->parallel();
 
-  // --- hoist step-constant per-host values ---
-  // Every expression below mirrors the Datacenter accessor the scans used
-  // to call per (source, host); precomputing them per step changes nothing
-  // but the constant factor. Each host writes only its own entries, so the
-  // loop shards freely.
-  scratch.host_capacity.resize(hosts);
-  scratch.host_ram_used.resize(hosts);
-  scratch.host_ram_cap.resize(hosts);
-  scratch.host_base_watts.resize(hosts);
-  scratch.host_power.resize(hosts);
-  scratch.host_active.resize(hosts);
-  // Hoisted arrays are indexed relative to host_lo (rel == global for
-  // fleet calls); host_util stays globally indexed throughout.
-  const auto hoist_host = [&](int h) {
-    const std::size_t i = static_cast<std::size_t>(h - host_lo);
-    const HostSpec& spec = dc.host_spec(h);
-    scratch.host_capacity[i] = spec.mips;
-    scratch.host_ram_used[i] = dc.host_ram_used(h);
-    scratch.host_ram_cap[i] = spec.ram_mb;
-    scratch.host_power[i] = &spec.power;
-    const bool active = dc.is_active(h);
-    scratch.host_active[i] = active ? 1 : 0;
-    // cached_pabfd's per-probe baseline, computed once per host instead:
-    // active hosts pay watts(before), sleeping hosts their sleep draw.
-    scratch.host_base_watts[i] =
-        active ? spec.power.watts(std::min(1.0, util_of(h)))
-               : spec.power.sleep_watts();
-  };
-  if (fan_out) {
-    exec->for_items(hoist_host);
-  } else {
-    for (int h = host_lo; h < host_hi; ++h) hoist_host(h);
-  }
-
-  // Datacenter::fits on the hoisted arrays (identical comparison).
-  const auto fits_fast = [&](int h, double vm_ram) {
-    const std::size_t i = static_cast<std::size_t>(h - host_lo);
-    return scratch.host_ram_used[i] + vm_ram <= scratch.host_ram_cap[i] + 1e-9;
-  };
-  // target_feasible on the hoisted arrays (identical arithmetic).
-  const auto feasible_fast = [&](int h, double vm_ram, double vm_mips,
-                                 double ceiling) {
-    if (!fits_fast(h, vm_ram)) return false;
-    const std::size_t i = static_cast<std::size_t>(h - host_lo);
-    const double capacity = scratch.host_capacity[i];
-    const double post = util_of(h) * capacity + vm_mips;
-    return post <= ceiling * capacity + 1e-9;
-  };
   // --- batched per-(shard, source) PABFD scan ---
   // PABFD is a strict-preference fold over ascending hosts: any feasible
   // active host beats every sleeping one, then smaller power increase, and
-  // the first host wins ties. So it folds the active hosts alone and reads
-  // the sleeping ones only when no active host fits. Each shard folds the
-  // active hosts of its contiguous range, and a serial merge in shard order
-  // reproduces the full-range fold bit-for-bit. PABFD arithmetic matches
-  // the original per-source implementation exactly; only watts(before) is
-  // hoisted.
+  // the first host wins ties. So it folds the active table alone and reads
+  // the sleeping hosts only when no active host fits. Each shard folds the
+  // rows of its contiguous id range, and a serial merge in shard order
+  // reproduces the full-range fold bit-for-bit.
   const std::size_t nsrc = sources.size();
   scratch.src_current.resize(nsrc);
   scratch.src_ram.resize(nsrc);
@@ -329,31 +327,30 @@ void generate_candidates(const Datacenter& dc,
     scratch.src_mips[k] = dc.vm_demand_mips(vm);
   }
   using ScanPartial = CandidateScratch::ScanPartial;
-  // Fold host h into source k's PABFD partial (skipped when infeasible).
-  const auto pabfd_step = [&](ScanPartial& p, std::size_t k, int h) {
-    if (h == scratch.src_current[k]) return;
-    const std::size_t i = static_cast<std::size_t>(h - host_lo);
-    if (!fits_fast(h, scratch.src_ram[k])) return;
-    const double capacity = scratch.host_capacity[i];
-    const double after = util_of(h) + scratch.src_mips[k] / capacity;
+  // Fold a host into a source's PABFD partial (skipped when infeasible).
+  const auto pabfd_step = [](ScanPartial& p, const HostRow& row, int current,
+                             double vm_ram, double vm_mips) {
+    if (row.id == current) return;
+    if (!row_fits(row, vm_ram)) return;
+    const double after = row.util + vm_mips / row.capacity;
     if (after > kTargetUtilCeiling + 1e-9) return;
     const double increase =
-        scratch.host_power[i]->watts(std::min(1.0, after)) -
-        scratch.host_base_watts[i];
+        row.power->watts(std::min(1.0, after)) - row.base_watts;
     if (p.host < 0 || increase < p.increase) {
-      p.host = h;
+      p.host = row.id;
       p.increase = increase;
     }
   };
+  const auto row_at_or_after = [&](int h) {
+    return std::lower_bound(
+        active.begin(), active.end(), h,
+        [](const HostRow& row, int id) { return row.id < id; });
+  };
   scratch.scan_partials.resize(static_cast<std::size_t>(num_shards) * nsrc);
   const auto scan_shard = [&](int shard) {
-    // Shard bounds are relative to host_lo (fleet plans have host_lo == 0,
-    // so this is the historical global range there).
-    const auto first = std::lower_bound(
-        active_by_id.begin(), active_by_id.end(),
-        host_lo + plan->shard_begin(shard));
-    const auto last = std::lower_bound(first, active_by_id.end(),
-                                       host_lo + plan->shard_end(shard));
+    // Shard bounds are relative to host_lo (fleet plans have host_lo == 0).
+    const auto first = row_at_or_after(host_lo + plan->shard_begin(shard));
+    const auto last = row_at_or_after(host_lo + plan->shard_end(shard));
     ScanPartial* partials =
         scratch.scan_partials.data() +
         static_cast<std::size_t>(shard) * nsrc;
@@ -361,7 +358,12 @@ void generate_candidates(const Datacenter& dc,
       ScanPartial p;
       // Consolidation sources get a packing-only menu: no PABFD target.
       if (sources[k].second != CandidateGroup::kConsolidation) {
-        for (auto it = first; it != last; ++it) pabfd_step(p, k, *it);
+        const int current = scratch.src_current[k];
+        const double vm_ram = scratch.src_ram[k];
+        const double vm_mips = scratch.src_mips[k];
+        for (auto it = first; it != last; ++it) {
+          pabfd_step(p, *it, current, vm_ram, vm_mips);
+        }
       }
       partials[k] = p;
     }
@@ -388,36 +390,45 @@ void generate_candidates(const Datacenter& dc,
     if (best.host < 0 &&
         sources[k].second != CandidateGroup::kConsolidation) {
       for (int h = host_lo; h < host_hi; ++h) {
-        if (scratch.host_active[static_cast<std::size_t>(h - host_lo)] == 0) {
-          pabfd_step(best, k, h);
-        }
+        if (dc.is_active(h)) continue;
+        pabfd_step(best, host_row(dc, host_util, h, false),
+                   scratch.src_current[k], scratch.src_ram[k],
+                   scratch.src_mips[k]);
       }
     }
     scratch.pabfd_choice[k] = best.host;
   }
 
   // Packing target for source k: the busiest active host other than its
-  // own that fits under kPackCeiling, restricted to `pod` when pod >= 0.
-  // active_hosts is sorted by (utilization, id), so the walk starts at the
-  // busiest end and, inside a run of equal utilization, keeps going so the
-  // lowest id wins — the winner of an ascending strict-preference fold.
-  const auto busiest_fit = [&](std::size_t k, int pod) {
+  // own that fits under kPackCeiling, restricted to ids in [id_lo, id_hi).
+  // `order` is (utilization, id), so the walk starts at the busiest end
+  // and, inside a run of equal utilization, keeps going so the lowest id
+  // wins — the winner of an ascending strict-preference fold.
+  const auto busiest_fit = [&](std::size_t k, int id_lo, int id_hi) {
+    const int current = scratch.src_current[k];
+    const double vm_ram = scratch.src_ram[k];
+    const double vm_mips = scratch.src_mips[k];
     int pick = -1;
     double pick_util = 0.0;
-    for (auto it = active_hosts.rbegin(); it != active_hosts.rend(); ++it) {
-      const int h = *it;
-      if (pick >= 0 && util_of(h) < pick_util) break;
-      if (h == scratch.src_current[k]) continue;
-      if (pod >= 0 && network->pod_of(h) != pod) continue;
-      if (!feasible_fast(h, scratch.src_ram[k], scratch.src_mips[k],
-                         kPackCeiling)) {
-        continue;
-      }
-      pick = h;
-      pick_util = util_of(h);
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      const HostRow& row = active[it->pos];
+      if (pick >= 0 && row.util < pick_util) break;
+      if (row.id == current || row.id < id_lo || row.id >= id_hi) continue;
+      if (!row_fits(row, vm_ram)) continue;
+      const double post = row.util * row.capacity + vm_mips;
+      if (!(post <= kPackCeiling * row.capacity + 1e-9)) continue;
+      pick = row.id;
+      pick_util = row.util;
     }
     return pick;
   };
+  // With a fabric the walk prefers the source's own pod. When the whole
+  // range lies in one pod (every domain call of hierarchical Megh), that
+  // filter accepts every active host and its global fallback would re-walk
+  // the same list, so one unfiltered walk picks the same host.
+  const bool pod_walk =
+      network != nullptr &&
+      network->pod_of(host_lo) != network->pod_of(host_hi - 1);
 
   // --- targets per source ---
   auto& out = scratch.candidates;
@@ -438,8 +449,6 @@ void generate_candidates(const Datacenter& dc,
   for (std::size_t k = 0; k < nsrc; ++k) {
     const int vm = sources[k].first;
     const int current = scratch.src_current[k];
-    const double vm_ram = scratch.src_ram[k];
-    const double vm_mips = scratch.src_mips[k];
     group = sources[k].second;
     run_begin = out.size();
     push_candidate(vm, current, current);  // no-op first
@@ -453,9 +462,13 @@ void generate_candidates(const Datacenter& dc,
 
     // Packing target (consolidation move), in-pod preferred when a fabric
     // is attached (short copy path); global fallback.
-    int pack = network != nullptr ? busiest_fit(k, network->pod_of(current))
-                                  : -1;
-    if (pack < 0) pack = busiest_fit(k, -1);
+    int pack = -1;
+    if (pod_walk) {
+      const int pod_base =
+          network->pod_of(current) * network->hosts_per_pod();
+      pack = busiest_fit(k, pod_base, pod_base + network->hosts_per_pod());
+    }
+    if (pack < 0) pack = busiest_fit(k, host_lo, host_hi);
     if (pack >= 0) push_candidate(vm, pack, current);
 
     // Random feasible targets (spread moves) — offered for overloaded and
@@ -485,7 +498,7 @@ void generate_candidates(const Datacenter& dc,
       // fleet calls.
       if (h < host_lo || h >= host_hi) continue;
       if (h == current) continue;
-      if (!feasible_fast(h, vm_ram, vm_mips, kTargetUtilCeiling)) continue;
+      if (!target_feasible(dc, host_util, vm, h, kTargetUtilCeiling)) continue;
       push_candidate(vm, h, current);
       ++added;
     }

@@ -16,6 +16,7 @@
 // critic is exact; only the actor's search support is sparsified.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -101,6 +102,45 @@ struct CandidateAction {
   CandidateGroup group = CandidateGroup::kExploration;
 };
 
+/// One host's step-constant values as the sampled path's scans read them,
+/// each from the Datacenter accessor expression the feasibility and PABFD
+/// tests are written against.
+struct HostRow {
+  int id = 0;
+  double util = 0.0;        // host_util[id]
+  double capacity = 0.0;    // HostSpec::mips
+  double ram_used = 0.0;    // Datacenter::host_ram_used
+  double ram_cap = 0.0;     // HostSpec::ram_mb
+  /// PABFD's baseline draw: watts(min(1, util)) when active, the sleep
+  /// draw otherwise.
+  double base_watts = 0.0;
+  const PowerModel* power = nullptr;
+};
+
+/// A radix-sort item: an order-preserving utilization key and the position
+/// of its row in the gathered table.
+struct UtilKey {
+  std::uint64_t key = 0;
+  std::uint32_t pos = 0;
+};
+
+/// Order-preserving integer image of a utilization: a < b ⇔ key(a) <
+/// key(b), and −0.0 maps to +0.0's key (`+ 0.0` folds the sign of zero).
+/// NaN has no place in the order.
+inline std::uint64_t util_sort_key(double util) {
+  const auto bits = std::bit_cast<std::uint64_t>(util + 0.0);
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
+
+/// Stable LSD radix sort of `items` by key: 8-bit digits, skipping any
+/// digit every key shares. Equal keys keep their input order, so a table
+/// gathered in id order comes out in (utilization, id) order — the order
+/// std::sort gives under that comparator. `tmp` is working storage (its
+/// contents are clobbered); neither vector allocates once both hold
+/// items.size() of capacity.
+void radix_sort_by_key(std::vector<UtilKey>& items, std::vector<UtilKey>& tmp);
+
 /// Reusable working storage for generate_candidates. One instance per
 /// policy, carried across steps: every container keeps its capacity, so a
 /// steady-state call performs no heap allocation. `candidates` holds the
@@ -109,34 +149,24 @@ struct CandidateScratch {
   std::vector<CandidateAction> candidates;
   std::vector<std::pair<int, CandidateGroup>> sources;
   std::vector<int> overloaded_hosts;
-  /// Active hosts of the call's range sorted by (utilization, id): the
-  /// consolidation sources come from the front, the packing walk starts
-  /// from the back.
-  std::vector<int> active_hosts;
-  /// The same hosts in ascending id order, for the PABFD scan.
-  std::vector<int> active_by_id;
+  /// The call's active hosts, gathered once per call in ascending id order.
+  /// Each PABFD shard folds a contiguous slice of it.
+  std::vector<HostRow> active;
+  /// Positions into `active` in (utilization, id) order: the consolidation
+  /// sources come from the front, the packing walk starts from the back.
+  std::vector<UtilKey> order;
+  std::vector<UtilKey> order_tmp;
   // Per-VM "already a source" stamps: vm_epoch[vm] == epoch ⇔ seen. An
   // epoch bump invalidates all stamps in O(1).
   std::vector<std::uint32_t> vm_epoch;
   std::uint32_t epoch = 0;
-  // Step-constant per-host values hoisted out of the per-(source, host)
-  // scans. Each is filled from the same Datacenter accessor expression the
-  // scans used to evaluate inline, so feasibility and PABFD decisions stay
-  // bit-identical — this only removes repeated HostSpec indirection and the
-  // per-source recomputation of watts(before).
-  std::vector<double> host_capacity;
-  std::vector<double> host_ram_used;
-  std::vector<double> host_ram_cap;
-  std::vector<double> host_base_watts;
-  std::vector<const PowerModel*> host_power;
-  std::vector<std::uint8_t> host_active;
   /// One PABFD fold state per (shard, source): each shard folds the active
   /// hosts of its contiguous range for every source, and a serial merge in
   /// shard order reproduces the full-range fold bit-for-bit (a
   /// strict-preference argmin with first-wins ties — see
   /// generate_candidates). Laid out [shard * num_sources + k] so a shard
   /// writes one contiguous block (no false sharing). The packing target
-  /// needs no partials: it is a walk over the sorted `active_hosts`.
+  /// needs no partials: it is a walk over `order`.
   struct ScanPartial {
     int host = -1;  // best PABFD target in the shard, -1 = none
     double increase = std::numeric_limits<double>::infinity();
@@ -159,10 +189,10 @@ struct CandidateScratch {
 /// threshold. Always produces at least the no-op candidates for the
 /// selected source VMs. Steady-state calls are allocation-free.
 ///
-/// `exec` (optional) shards the per-host hoist and the PABFD scan across
-/// the engine's step executor. The candidate set is bit-identical at any
-/// job count — and to an exec == nullptr call: the PABFD scan is an
-/// RNG-free strict-preference fold whose per-shard partials merge exactly,
+/// `exec` (optional) shards the PABFD scan across the engine's step
+/// executor. The candidate set is bit-identical at any job count — and to
+/// an exec == nullptr call: the PABFD scan is an RNG-free
+/// strict-preference fold whose per-shard partials merge exactly,
 /// and source selection, the packing walk and the random target probes
 /// stay serial in the original order, so the RNG stream is consumed
 /// identically.
@@ -170,7 +200,7 @@ struct CandidateScratch {
 /// `domain` (optional) restricts generation to a sub-fleet (see
 /// CandidateDomain). Domain calls never touch `exec` — they already run
 /// inside one of its shard workers — and every per-host scratch array is
-/// sized to the domain's width, so a pod-local scratch costs O(pod), not
+/// bounded by the domain's width, so a pod-local scratch costs O(pod), not
 /// O(fleet). The full-enumeration gate compares |domain.vms| × width
 /// (the domain's reachable action count) against the limit.
 void generate_candidates(const Datacenter& dc,

@@ -1,7 +1,6 @@
 #include "sim/power_model.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -19,16 +18,6 @@ PowerModel::PowerModel(std::string name,
                    "power table must be non-decreasing in load");
     }
   }
-}
-
-double PowerModel::watts(double utilization) const {
-  const double u = std::clamp(utilization, 0.0, 1.0);
-  const double pos = u * 10.0;
-  const int lo = static_cast<int>(std::floor(pos));
-  if (lo >= 10) return table_[10];
-  const double frac = pos - lo;
-  return table_[static_cast<std::size_t>(lo)] * (1.0 - frac) +
-         table_[static_cast<std::size_t>(lo) + 1] * frac;
 }
 
 PowerModel hp_proliant_g4_power() {

@@ -8,7 +8,9 @@
 // asleep and draws `sleep_watts` (0 by default).
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <string>
 
 namespace megh {
@@ -20,8 +22,18 @@ class PowerModel {
              double sleep_watts = 0.0);
 
   /// Power draw (watts) at `utilization` in [0, 1]; values outside are
-  /// clamped. Linear interpolation between the table's 10% knots.
-  double watts(double utilization) const;
+  /// clamped. Linear interpolation between the table's 10% knots. Inline:
+  /// the candidate scans call it once per (source, host) pair.
+  double watts(double utilization) const {
+    const double u = std::clamp(utilization, 0.0, 1.0);
+    const double pos = u * 10.0;
+    // pos >= 0, so truncation is floor (and needs no libm call).
+    const int lo = static_cast<int>(pos);
+    if (lo >= 10) return table_[10];
+    const double frac = pos - lo;
+    return table_[static_cast<std::size_t>(lo)] * (1.0 - frac) +
+           table_[static_cast<std::size_t>(lo) + 1] * frac;
+  }
 
   /// Power draw when the host is asleep (no VMs).
   double sleep_watts() const { return sleep_watts_; }

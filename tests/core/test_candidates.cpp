@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <set>
 
 #include "sim/placement.hpp"
@@ -184,6 +189,78 @@ TEST(CandidateTieOrderTest, TiedHostsOrderByIdForSourcesAndPacking) {
     ++packing_moves;
   }
   EXPECT_EQ(packing_moves, kConsolidationSources);
+}
+
+/// Positions of `util` in radix order, as generate_candidates ranks its
+/// gathered table (keyed in position order, then sorted).
+std::vector<std::uint32_t> radix_order(const std::vector<double>& util) {
+  std::vector<UtilKey> items;
+  std::vector<UtilKey> tmp;
+  for (std::size_t i = 0; i < util.size(); ++i) {
+    items.push_back(UtilKey{util_sort_key(util[i]),
+                            static_cast<std::uint32_t>(i)});
+  }
+  radix_sort_by_key(items, tmp);
+  std::vector<std::uint32_t> order;
+  for (const UtilKey& item : items) order.push_back(item.pos);
+  return order;
+}
+
+/// The same positions under std::sort with the (utilization, id)
+/// comparator.
+std::vector<std::uint32_t> comparator_order(const std::vector<double>& util) {
+  std::vector<std::uint32_t> order(util.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return util[a] < util[b] || (util[a] == util[b] && a < b);
+  });
+  return order;
+}
+
+TEST(CandidateOrderTest, RadixOrderMatchesComparatorSortOnRandomFleets) {
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  // Half of every fleet is drawn from values that stress the key: exact
+  // ties, ±1-ulp neighbours, both zeros, subnormals, the smallest normal,
+  // values above 1 and a negative.
+  const std::vector<double> pool = {
+      0.0,
+      -0.0,
+      denorm,
+      3 * denorm,
+      std::numeric_limits<double>::min(),
+      0.35,
+      std::nextafter(0.35, 0.0),
+      std::nextafter(0.35, 1.0),
+      0.5,
+      1.0,
+      std::nextafter(1.0, 0.0),
+      std::nextafter(1.0, 2.0),
+      1.7,
+      3.25,
+      -0.25};
+  Rng rng(11);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t hosts = 1 + rng.index(700);
+    std::vector<double> util(hosts);
+    for (double& u : util) {
+      u = rng.bernoulli(0.5) ? pool[rng.index(pool.size())]
+                             : rng.uniform(0.0, 1.5);
+    }
+    ASSERT_EQ(radix_order(util), comparator_order(util))
+        << "trial " << trial << ", " << hosts << " hosts";
+  }
+}
+
+TEST(CandidateOrderTest, OneHostAndAllEqualKeepIdOrder) {
+  EXPECT_EQ(radix_order({0.4}), std::vector<std::uint32_t>{0});
+  for (const double u : {0.0, -0.0, 0.6, 2.0}) {
+    const std::vector<double> util(257, u);
+    EXPECT_EQ(radix_order(util), comparator_order(util)) << u;
+  }
+  // Mixed zeros are one tie run, in id order.
+  EXPECT_EQ(radix_order({0.0, -0.0, 0.0, -0.0}),
+            (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(util_sort_key(-0.0), util_sort_key(0.0));
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace megh {
@@ -54,6 +59,39 @@ TEST_P(MonotonicityProperty, PowerIsNonDecreasingInLoad) {
 
 INSTANTIATE_TEST_SUITE_P(BothServers, MonotonicityProperty,
                          ::testing::Values(0, 1));
+
+/// The interpolation as written with std::floor, kept as the reference
+/// the truncating watts() must match bit for bit.
+double floor_form_watts(const PowerModel& model, double utilization) {
+  const auto& table = model.table();
+  const double u = std::clamp(utilization, 0.0, 1.0);
+  const double pos = u * 10.0;
+  const int lo = static_cast<int>(std::floor(pos));
+  if (lo >= 10) return table[10];
+  const double frac = pos - lo;
+  return table[static_cast<std::size_t>(lo)] * (1.0 - frac) +
+         table[static_cast<std::size_t>(lo) + 1] * frac;
+}
+
+TEST(PowerModelTest, TruncationMatchesFloorForm) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> sweep = {0.0,  -0.0, 1.0,  -1e-300, -0.5,
+                               -inf, 1.5,  1e300, inf};
+  for (int i = 0; i <= 10; ++i) {
+    const double knot = i / 10.0;
+    sweep.push_back(knot);
+    sweep.push_back(std::nextafter(knot, -1.0));
+    sweep.push_back(std::nextafter(knot, 2.0));
+  }
+  for (int i = 0; i <= 10'000; ++i) sweep.push_back(i / 10'000.0);
+  for (const PowerModel& model :
+       {hp_proliant_g4_power(), hp_proliant_g5_power()}) {
+    for (const double u : sweep) {
+      EXPECT_EQ(model.watts(u), floor_form_watts(model, u))
+          << model.name() << " at " << u;
+    }
+  }
+}
 
 TEST(PowerModelTest, SleepWattsDefaultZero) {
   EXPECT_DOUBLE_EQ(hp_proliant_g4_power().sleep_watts(), 0.0);
